@@ -19,7 +19,12 @@ here the kernel drives the Fourier operator on C_c^inf(F^x) two ways:
 
 For unramified GL(n) the kernel is represented only through its gamma
 symbol, the map omega -> gamma(s, pi x omega, psi) built multiplicatively
-from Satake parameters; both routes exist (and are compared) at n = 1.
+from Satake parameters, one component at a time as it is read; both routes
+exist (and are compared) at n = 1.
+
+The Gauss-type coset sums of the convolution route go through the memoized
+unit-sum kernel of `zetagamma` (via `shell_psi_chi_integral` and
+`psi_chi_coset_integral`), so no second summation loop lives here.
 
 `trace_average_check` is the finite verifier of the vanishing lemma for
 averages of psi(tr(g h)) over principal congruence subgroups of SL_2.
@@ -27,8 +32,9 @@ averages of psi(tr(g h)) over principal congruence subgroups of SL_2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .characters import MultChar, char_product, unitary_components
 from .defaults import COEFF_TOL, DEFAULT_PREC
@@ -53,6 +59,10 @@ class Gl1Kernel:
     @property
     def p(self) -> int:
         return self.chi.p
+
+    @cached_property
+    def chi_inv(self) -> MultChar:
+        return self.chi.inverse()
 
     def eval(self, x: PAdicElt) -> complex:
         return (psi_value(x) / self.chi.eval(x)
@@ -223,52 +233,57 @@ class GammaSymbol:
 
     Components are stored at the s-normalization of gamma_closed; the
     (s+1/2)-shift required by the kernel Mellin transform is applied at use
-    sites via X -> q^(-1/2) X.
+    sites via X -> q^(-1/2) X.  A component is built on its first read, from
+    the constituents by `route`, and kept in `components`: the callers read a
+    handful of the components up to conductor c_max, and a pv component costs
+    brute guard-shell sums.
     """
 
     p: int
     c_max: int
-    components: dict[MultChar, RationalFunc]
-    provenance: str
+    constituents: tuple[MultChar, ...]
+    route: str
+    components: dict[MultChar, RationalFunc] = field(default_factory=dict)
 
     def component(self, omega: MultChar) -> RationalFunc:
         key = omega.unitary_part()
-        if key not in self.components:
+        comp = self.components.get(key)
+        if comp is not None:
+            return comp
+        if key.p != self.p or key.cond > self.c_max:
             raise KeyError("gamma symbol has no component at conductor %d "
                            "(c_max = %d)" % (omega.cond, self.c_max))
-        return self.components[key]
+        comp = RationalFunc.one(self.p)
+        for chi in self.constituents:
+            prod = char_product(chi, key)
+            if self.route == "closed":
+                comp = comp * gamma_closed(prod)
+            else:
+                comp = comp * gamma_pv(prod).gamma_pv
+        self.components[key] = comp
+        return comp
 
 
 def gamma_symbol(params, c_max: int, p: int | None = None,
                  route: str = "closed") -> GammaSymbol:
-    """Build the gamma symbol of pi from Satake parameters or a GL(1)
-    character list, multiplicatively: component at omega is the product of
-    rank-1 gamma factors of the constituents twisted by omega.
+    """The gamma symbol of pi from Satake parameters or a GL(1) character
+    list, multiplicatively: component at omega is the product of rank-1
+    gamma factors of the constituents twisted by omega.
 
     route="pv" computes each rank-1 factor by the principal-value shell
-    sums instead of the closed epsilon*L-ratio form.
+    sums instead of the closed epsilon*L-ratio form.  The arguments are
+    checked here; the components are built when read.
     """
+    if route not in ("closed", "pv"):
+        raise ValueError("route must be 'closed' or 'pv'")
     if p is None:
         chis = [c for c in params if isinstance(c, MultChar)]
         if not chis:
             raise ValueError("pass p= for a bare Satake list")
         p = chis[0].p
-    constituents = normalize_pi(params, p)
-    comps: dict[MultChar, RationalFunc] = {}
-    for omega in unitary_components(p, c_max):
-        out = RationalFunc.one(p)
-        for chi in constituents:
-            prod = char_product(chi, omega)
-            if route == "closed":
-                out = out * gamma_closed(prod)
-            elif route == "pv":
-                out = out * gamma_pv(prod).gamma_pv
-            else:
-                raise ValueError("route must be 'closed' or 'pv'")
-        comps[omega] = out
-    kinds = "satake" if not any(isinstance(x, MultChar) for x in params) \
-        else "gl1-chars"
-    return GammaSymbol(p, c_max, comps, kinds)
+    if c_max < 0:
+        raise ValueError("c_max must be >= 0")
+    return GammaSymbol(p, c_max, tuple(normalize_pi(params, p)), route)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +349,7 @@ def kernel_coset_integral(k: Gl1Kernel, a: PAdicElt, level: int) -> complex:
     psi(y) chi^(-1)(y) |y|^(1/2) dy*, as a finite Gauss-type sum."""
     p = k.p
     one = PAdicElt(p, 0, 1, DEFAULT_PREC)
-    chi_inv = k.chi.inverse()
+    chi_inv = k.chi_inv
     if level == 0:
         val = shell_psi_chi_integral(p, a.val, chi_inv, b=one)
     else:

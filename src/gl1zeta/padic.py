@@ -15,6 +15,7 @@ Conventions fixed once for the whole package:
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import threading
@@ -29,6 +30,7 @@ class PrecisionError(ValueError):
     """An element does not carry enough p-adic digits for the request."""
 
 
+@functools.cache
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -136,9 +138,6 @@ class PAdicElt:
     def neg(self) -> "PAdicElt":
         mod = self.p ** self.prec
         return PAdicElt(self.p, self.val, (-self.unit) % mod, self.prec)
-
-    def mul_int(self, n: int) -> "PAdicElt":
-        return self.mul(PAdicElt.from_int(self.p, n, self.prec))
 
     def pow(self, n: int) -> "PAdicElt":
         if n == 0:

@@ -28,6 +28,14 @@ def test_gamma_report(capsys):
     assert obj["max_coeff_diff"] <= 1e-10
 
 
+def test_gamma_large_t_passes(capsys):
+    # guard-shell roundoff once made this exit 1 with max_coeff_diff 2.1e-7
+    code, out = run_cli(capsys, "gamma", "--chi",
+                        '{"p":7,"cond":2,"unit_char":[1],"t":[100,0]}')
+    assert code == 0
+    assert json.loads(out)["max_coeff_diff"] <= 1e-10
+
+
 def test_gamma_byte_identical(tmp_path, capsys):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["gamma", "--chi", CHI_QUAD5, "--out", str(p1)]) == 0

@@ -7,7 +7,7 @@ import pytest
 from gl1zeta.characters import (MultChar, char_product, trivial_char,
                                 unitary_components)
 from gl1zeta.corpus import random_char, random_mult_step, random_satake
-from gl1zeta.kernel import (GammaSymbol, Gl1Kernel, TruncatedKernel,
+from gl1zeta.kernel import (Gl1Kernel, TruncatedKernel,
                             gamma_symbol, hankel_convolve, hankel_mellin,
                             homogeneous_identity_check, kernel_eval,
                             lemma31_grid, pointwise_threshold,
@@ -17,7 +17,8 @@ from gl1zeta.padic import PAdicElt
 from gl1zeta.ratfunc import RationalFunc, rf_close, rf_dual_subst
 from gl1zeta.stepfn import (delta_approximant, mellin, mellin_invert,
                             unit_indicator)
-from gl1zeta.zetagamma import gamma_closed, l_factor, l_factor_satake
+from gl1zeta.zetagamma import (gamma_closed, gamma_pv, l_factor, l_factor_satake,
+                               normalize_pi)
 
 
 def test_kernel_eval_at_one():
@@ -158,6 +159,31 @@ def test_gamma_symbol_missing_component():
     sym = gamma_symbol([trivial_char(3)], 0, p=3)
     with pytest.raises(KeyError):
         sym.component(MultChar(3, 1, (1,), 1.0))
+    with pytest.raises(KeyError):
+        sym.component(trivial_char(5))          # another prime
+    with pytest.raises(ValueError):
+        gamma_symbol([trivial_char(3)], 0, p=3, route="eager")
+
+
+@pytest.mark.parametrize("route", ["closed", "pv"])
+def test_gamma_symbol_lazy_components_match_eager_product(route):
+    # every component, built on first read, is bit-identical to the product
+    # of rank-1 gamma factors computed directly
+    for p, c_max, params in [
+            (5, 2, [MultChar(5, 1, (1,), 0.6 + 0.8j), 1.3 - 0.2j]),
+            (2, 3, [MultChar(2, 2, (1,), 1.0), trivial_char(2)])]:
+        sym = gamma_symbol(params, c_max, p=p, route=route)
+        assert sym.components == {}
+        for w in unitary_components(p, c_max):
+            expect = RationalFunc.one(p)
+            for c in normalize_pi(params, p):
+                prod = char_product(c, w)
+                expect = expect * (gamma_closed(prod) if route == "closed"
+                                   else gamma_pv(prod).gamma_pv)
+            for got in (sym.component(w), sym.component(w)):
+                assert got.num.coeffs == expect.num.coeffs
+                assert got.den.coeffs == expect.den.coeffs
+        assert len(sym.components) == len(unitary_components(p, c_max))
 
 
 def test_hankel_two_routes_agree():

@@ -1,0 +1,148 @@
+"""The memoized unit-sum kernel against the plain per-unit loops.
+
+`_naive_coset` and `_naive_shell` are the plain reference loops: one
+`PAdicElt` per unit, `psi_value` on it and the `Fraction`-phase
+`MultChar.unit_value`.  The kernel keeps their summation order and float
+operations, so the results must be equal, not just close, and
+`PrecisionError` must be raised in exactly the same cases.
+"""
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from gl1zeta.characters import MultChar
+from gl1zeta.padic import PAdicElt, PrecisionError, psi_value, shell_volume, unit_group
+from gl1zeta.zetagamma import psi_chi_coset_integral, shell_psi_chi_integral
+
+PRIMES = [2, 3, 5, 7, 11, 13]
+MAX_UNITS = 2 * 10 ** 4   # bound on p^k, the residues a single sum walks
+
+
+def _naive_coset(rep, k, chi, b=None, inverse_psi=False):
+    p = chi.p
+    cond = chi.cond
+    w = (b.val + rep.val) if b is not None else 0
+    if b is not None and w < -max(cond, k):
+        return 0.0 + 0.0j
+    extra = max(0, cond - k)
+    if b is not None:
+        extra = max(extra, -w - k)
+    level = k + extra
+    vol = float(p) ** (-level)
+    beff = b.mul(rep) if b is not None else None
+    chi_rep = chi.eval(rep)
+    step = p ** k
+    total = 0.0 + 0.0j
+    for j in range(p ** extra):
+        u = 1 + step * j
+        v = chi.unit_value(u) if cond else 1.0 + 0.0j
+        if beff is not None:
+            v *= psi_value(beff.mul(PAdicElt.from_int(p, u, beff.prec)),
+                           inverse_psi)
+        total += v
+    return chi_rep * vol * total
+
+
+def _naive_shell(p, m, chi, b=None, inverse_psi=False, brute=False):
+    cond = chi.cond
+    w = (b.val + m) if b is not None else 0
+    tval = chi.t ** m if m >= 0 else (1.0 / chi.t) ** (-m)
+    if b is None or w >= 0:
+        if not brute and cond > 0:
+            return 0.0 + 0.0j
+        if not brute:
+            return tval * shell_volume(m, p)
+    elif not brute and -w > max(cond, 1):
+        return 0.0 + 0.0j
+    k = max(1, cond, -w if (b is not None and w < 0) else 0)
+    vol = float(p) ** (-k)
+    total = 0.0 + 0.0j
+    for u in range(1, p ** k):
+        if u % p == 0:
+            continue
+        v = chi.unit_value(u) if cond else 1.0 + 0.0j
+        if b is not None:
+            y = PAdicElt(p, m, u, max(k, -m + 1, 1)).mul(b)
+            v *= psi_value(y, inverse_psi)
+        total += v
+    return tval * vol * total
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except PrecisionError:
+        return PrecisionError
+
+
+@st.composite
+def characters(draw, p):
+    """A character at p of exact conductor <= 3, its t unitary or not."""
+    cond = draw(st.integers(0, 3))
+    assume(not (p == 2 and cond == 1))
+    t = complex(draw(st.sampled_from([1.0, 0.5, -1.7, 0.6 + 0.8j, 2j])))
+    if cond == 0:
+        return MultChar(p, 0, (), t)
+    gens = unit_group(p, cond).generators
+    vec = tuple(draw(st.integers(0, o - 1)) for _, o in gens)
+    try:
+        return MultChar(p, cond, vec, t)
+    except ValueError:          # conductor not exact
+        assume(False)
+
+
+@st.composite
+def twists(draw, p):
+    """None, a unit, or p^j * unit, carrying few enough digits that psi
+    sometimes lacks precision."""
+    kind = draw(st.sampled_from(["none", "unit", "scaled"]))
+    if kind == "none":
+        return None
+    j = 0 if kind == "unit" else draw(st.integers(-4, 3))
+    u = draw(st.integers(1, 10 ** 6).filter(lambda n: n % p))
+    return PAdicElt(p, j, u, draw(st.integers(1, 8)))
+
+
+@st.composite
+def shell_cases(draw):
+    p = draw(st.sampled_from(PRIMES))
+    chi = draw(characters(p))
+    m = draw(st.integers(-6, 2))
+    b = draw(twists(p))
+    w = b.val + m if b is not None else 0
+    assume(p ** max(1, chi.cond, -w) <= MAX_UNITS)
+    return p, m, chi, b, draw(st.booleans())
+
+
+@st.composite
+def coset_cases(draw):
+    p = draw(st.sampled_from(PRIMES))
+    chi = draw(characters(p))
+    k = draw(st.integers(1, 3))
+    rep = PAdicElt(p, draw(st.integers(-6, 2)),
+                   draw(st.integers(1, 10 ** 6).filter(lambda n: n % p)),
+                   draw(st.integers(1, 8)))
+    b = draw(twists(p))
+    w = b.val + rep.val if b is not None else 0
+    assume(p ** max(k, chi.cond, -w) <= MAX_UNITS)
+    return rep, k, chi, b, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(shell_cases(), st.booleans())
+def test_shell_sum_matches_naive_loop(case, brute):
+    p, m, chi, b, inverse_psi = case
+    want = _outcome(_naive_shell, p, m, chi, b, inverse_psi, brute)
+    got = _outcome(shell_psi_chi_integral, p, m, chi, b, inverse_psi, brute)
+    assert got == want
+    # a memo hit returns the same value
+    assert _outcome(shell_psi_chi_integral, p, m, chi, b, inverse_psi, brute) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(coset_cases())
+def test_coset_sum_matches_naive_loop(case):
+    rep, k, chi, b, inverse_psi = case
+    want = _outcome(_naive_coset, rep, k, chi, b, inverse_psi)
+    got = _outcome(psi_chi_coset_integral, rep, k, chi, b, inverse_psi)
+    assert got == want

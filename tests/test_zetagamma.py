@@ -126,6 +126,15 @@ def test_gamma_pv_guard_shells_vanish():
     assert rep.ok(1e-9)
 
 
+def test_gamma_pv_guard_shell_roundoff_left_out():
+    # at |t| = 100 the guard shell m = -4 sums to roundoff near 1e-10; scaled
+    # by q^4 it once landed in the pv result as an X^4 term of 2.1e-7
+    chi = MultChar(7, 2, (1,), 100.0)
+    rep = gamma_pv(chi)
+    assert max(rep.gamma_pv.num.coeffs) <= max(chi.cond, 1)
+    assert rep.ok()
+
+
 def test_gamma_pv_schedule_invariance():
     chi = MultChar(3, 1, (1,), 0.3 - 0.9j)
     r1 = gamma_pv(chi)

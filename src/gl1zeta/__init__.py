@@ -12,25 +12,23 @@ from .arch import (ArchChar, ArchSeed, arch_fe_check, arch_gamma, arch_zeta,
                    fourier_seed, gamma_c, gamma_r)
 from .basicfn import (BasicFunction, basic_fourier_check, basic_zeta_check,
                       complete_homogeneous)
-from .characters import (MultChar, char_eval, char_inverse, char_product,
-                         trivial_char, unitary_components, unramified_char)
+from .characters import (MultChar, char_product, trivial_char,
+                         unitary_components, unramified_char)
 from .kernel import (GammaSymbol, Gl1Kernel, TruncatedKernel, gamma_symbol,
                      hankel_convolve, hankel_mellin,
-                     homogeneous_identity_check, kernel_eval, lemma31_grid,
+                     homogeneous_identity_check, lemma31_grid,
                      pointwise_threshold, stability_threshold,
                      trace_average_check, truncation_stability)
-from .padic import (PAdicElt, PrecisionError, Shell, UnitGroupTable, psi_frac,
+from .padic import (PAdicElt, PrecisionError, UnitGroupTable, psi_frac,
                     psi_value, shell_volume, unit_group)
-from .ratfunc import (LaurentPoly, NumericError, RationalFunc, rf_add,
-                      rf_close, rf_discrepancy, rf_div, rf_dual_subst, rf_mul,
-                      rf_series_coeffs)
+from .ratfunc import (IdentityReport, LaurentPoly, NumericError, RationalFunc,
+                      rf_close, rf_discrepancy, rf_dual_subst, rf_series_coeffs)
 from .stepfn import (MellinData, MultStepFunction, MultTerm, StepFunction,
                      StepTerm, coset_indicator, delta_approximant,
                      fourier_transform, indicator_ball, mellin, mellin_invert,
                      mult_convolve, step_inner, step_l2, unit_indicator)
-from .zetagamma import (FEReport, GammaReport, epsilon_factor, gamma_closed,
-                        gamma_product, gamma_pv, l_factor, l_factor_satake,
-                        verify_fe, zeta)
+from .zetagamma import (epsilon_factor, gamma_closed, gamma_product, gamma_pv,
+                        l_factor, l_factor_satake, verify_fe, zeta)
 
 __version__ = "0.1.0"
 

@@ -264,8 +264,7 @@ class ArchFEReport:
         return self.max_err() <= tol
 
 
-def arch_fe_check(seed: ArchSeed, chi: ArchChar, s_samples,
-                  tol: float = ARCH_FE_TOL) -> ArchFEReport:
+def arch_fe_check(seed: ArchSeed, chi: ArchChar, s_samples) -> ArchFEReport:
     """Z(1-s, F_psi f, chi^(-1)) = gamma(s, chi, psi) Z(s, f, chi) at each
     sample (samples should sit in the common convergence strip 0 < Re s < 1,
     widened by the seed's vanishing order)."""
@@ -277,6 +276,4 @@ def arch_fe_check(seed: ArchSeed, chi: ArchChar, s_samples,
         lhs = arch_zeta(fhat, inv, 1 - s)
         rhs = arch_gamma(chi, s) * arch_zeta(seed, chi, s)
         rows.append(ArchFERow(s, lhs, rhs))
-    report = ArchFEReport(rows)
-    del tol
-    return report
+    return ArchFEReport(rows)

@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characters import MultChar, trivial_char
-from .defaults import COEFF_TOL
 from .padic import check_prime
-from .ratfunc import (RationalFunc, geometric_series, rf_discrepancy,
-                      rf_dual_subst, rf_series_coeffs)
+from .ratfunc import (IdentityReport, RationalFunc, geometric_series,
+                      rf_discrepancy, rf_dual_subst, rf_series_coeffs)
 from .zetagamma import gamma_product, l_factor_satake
 
 
@@ -76,34 +75,42 @@ class BasicFunction:
         return [(m, self.shell_value(m)) for m in range(0, window + 1)]
 
 
-@dataclass
-class BasicCheckReport:
-    lhs: RationalFunc
-    rhs: RationalFunc
-    max_coeff_diff: float
-    route: str
-
-    def ok(self, tol: float = COEFF_TOL) -> bool:
-        return self.max_coeff_diff <= tol
+# Largest partial-fraction weight |c_i| = |prod_{j != i} 1/(1 - alpha_j/alpha_i)|
+# for which basic_zeta_check assembles the zeta side from geometric tails.
+# Cancellation among the tails costs digits in proportion to the weights.  On
+# 30,000 random unitary lists of rank 3 and 4 with p <= 13, those with every
+# |c_i| <= 30 stayed below 5e-12, against the 1e-10 tolerance.
+_MAX_PF_WEIGHT = 30.0
 
 
-def _distinct(alpha) -> bool:
-    for i in range(len(alpha)):
-        for j in range(i + 1, len(alpha)):
-            if abs(alpha[i] - alpha[j]) < 1e-8:
-                return False
-    return True
+def _pf_weights(alpha) -> list[complex] | None:
+    """c_i with h_m(alpha) = sum_i c_i alpha_i^m, or None when two Satake
+    parameters coincide or some |c_i| exceeds _MAX_PF_WEIGHT."""
+    weights = []
+    for i, ai in enumerate(alpha):
+        c = 1.0 + 0.0j
+        for j, aj in enumerate(alpha):
+            if j != i:
+                gap = 1.0 - aj / ai
+                if gap == 0:
+                    return None
+                c /= gap
+        if abs(c) > _MAX_PF_WEIGHT:
+            return None
+        weights.append(c)
+    return weights
 
 
 def basic_zeta_check(alpha, chi: MultChar | None = None, window: int = 10,
-                     p: int | None = None) -> BasicCheckReport:
+                     p: int | None = None) -> IdentityReport:
     """Z(s, L_pi, chi) == L(s, pi x chi) for unramified chi.
 
-    The zeta side is assembled from the shell values: with distinct Satake
-    parameters, via partial fractions into closed-form geometric tails
+    The zeta side is assembled from the shell values: when the Satake
+    parameters are well separated (every partial-fraction weight |c_i| at
+    most 30), via partial fractions into closed-form geometric tails
     (sum_i c_i / (1 - alpha_i t q^... X) after the s-1/2 shift); otherwise by
-    matching the first `window` shell coefficients against the L-series and
-    requiring the same denominator.  An extra spot check ties the assembled
+    matching the first `window` shell coefficients against the L-series
+    (meta["route"] says which).  An extra spot check ties the assembled
     series back to the defining shell values.
     """
     if chi is None:
@@ -118,18 +125,14 @@ def basic_zeta_check(alpha, chi: MultChar | None = None, window: int = 10,
     twisted = [a * t for a in fn.alpha]
     rhs = l_factor_satake(q, twisted)
     vol = 1.0 - 1.0 / q
-    if _distinct(fn.alpha):
+    weights = _pf_weights(fn.alpha)
+    if weights is not None:
         # partial fractions: h_m(alpha) = sum_i c_i alpha_i^m
         lhs = RationalFunc.zero(q)
-        for i, ai in enumerate(fn.alpha):
-            c = 1.0 + 0.0j
-            for j, aj in enumerate(fn.alpha):
-                if j != i:
-                    c /= (1.0 - aj / ai)
+        for ai, c in zip(fn.alpha, weights):
             # shell m contributes value*vol*t^m*(q^(1/2)X)^m; value has
             # q^(-m/2)/vol, so the shell series is sum_m c_i (alpha_i t X)^m
             lhs = lhs + geometric_series(q, ai * t, 1, RationalFunc.const(q, c))
-        route = "partial-fractions"
     else:
         coeffs = [fn.shell_value(m) * vol * (t ** m) * float(q) ** (m / 2.0)
                   for m in range(window + 1)]
@@ -139,23 +142,24 @@ def basic_zeta_check(alpha, chi: MultChar | None = None, window: int = 10,
         want = rf_series_coeffs(rhs, 0, window)
         got = rf_series_coeffs(series, 0, window)
         diff = max(abs(w - g) for w, g in zip(want, got))
-        return BasicCheckReport(series, rhs, diff, "series-window")
+        return IdentityReport(series, rhs, diff, {"route": "series-window"})
     # spot check: assembled series coefficients reproduce the shell values
     got = rf_series_coeffs(lhs, 0, min(window, 6))
     for m, c in enumerate(got):
         want = fn.shell_value(m) * vol * (t ** m) * float(q) ** (m / 2.0)
         if abs(c - want) > 1e-9 * max(1.0, abs(want)):
             raise ArithmeticError("shell value mismatch at m=%d" % m)
-    return BasicCheckReport(lhs, rhs, rf_discrepancy(lhs, rhs), route)
+    return IdentityReport(lhs, rhs, rf_discrepancy(lhs, rhs),
+                          {"route": "partial-fractions"})
 
 
-def basic_fourier_check(alpha, p: int, c_max: int = 1) -> BasicCheckReport:
+def basic_fourier_check(alpha, p: int) -> IdentityReport:
     """F_pi(L_pi) == L_{pi~}, checked in the Mellin domain.
 
     The trivial component must satisfy
         [gamma(s, pi) * M(L_pi)](s -> 1-s) = M(L_{pi~}),
     with epsilon = 1 in the unramified case; ramified components vanish on
-    both sides (checked for conductor <= c_max).
+    both sides, so the trivial component carries the whole identity.
     """
     from .zetagamma import normalize_pi
     fn = BasicFunction(p, tuple(complex(a) for a in alpha))
@@ -165,7 +169,4 @@ def basic_fourier_check(alpha, p: int, c_max: int = 1) -> BasicCheckReport:
     z_in = fn.mellin_component().scale_x(rt_q)       # Z(s, L_pi, triv) = L(s, pi)
     lhs = rf_dual_subst(gam * z_in).scale_x(1.0 / rt_q)
     rhs = fn.dual().mellin_component()
-    # ramified components vanish identically on both sides; the trivial
-    # component carries the whole identity.
-    del c_max
-    return BasicCheckReport(lhs, rhs, rf_discrepancy(lhs, rhs), "mellin")
+    return IdentityReport(lhs, rhs, rf_discrepancy(lhs, rhs))

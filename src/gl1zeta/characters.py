@@ -92,9 +92,6 @@ class MultChar:
 
     # -- structure -----------------------------------------------------------
 
-    def is_unramified(self) -> bool:
-        return self.cond == 0
-
     def is_unitary(self) -> bool:
         return abs(abs(self.t) - 1.0) < 1e-12
 
@@ -170,14 +167,6 @@ def char_product(a: MultChar, b: MultChar) -> MultChar:
         return MultChar(a.p, 0, (), t)
     return _from_phase(a.p, level,
                        lambda u: (a.unit_phase(u) + b.unit_phase(u)) % 1, t)
-
-
-def char_inverse(a: MultChar) -> MultChar:
-    return a.inverse()
-
-
-def char_eval(chi: MultChar, x: PAdicElt) -> complex:
-    return chi.eval(x)
 
 
 def unitary_components(p: int, c_max: int) -> list[MultChar]:

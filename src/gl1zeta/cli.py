@@ -6,7 +6,8 @@ starts; outputs are deterministic (canonical JSON) for identical inputs and
 settings.
 
 Exit codes: 0 success, 1 verification failure (a checked identity exceeded
-its tolerance), 2 input error.  Failures carry machine-readable reason codes.
+its tolerance, or an internal invariant broke: `run/shellguarderror`), 2 input
+error.  Failures carry machine-readable reason codes.
 """
 
 from __future__ import annotations
@@ -15,22 +16,22 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import serialize
-from .arch import arch_fe_check, arch_gamma, arch_zeta
+from .arch import arch_fe_check
 from .basicfn import BasicFunction, basic_fourier_check, basic_zeta_check
-from .characters import MultChar
+from .characters import MultChar, char_to_json
 from .corpus import corpus_generate
-from .defaults import ARCH_FE_TOL, CACHE_ENV_VAR, COEFF_TOL
+from .defaults import ARCH_FE_TOL, COEFF_TOL
 from .kernel import (Gl1Kernel, gamma_symbol, hankel_convolve, hankel_mellin,
-                     homogeneous_identity_check, lemma31_grid,
-                     trace_average_check)
+                     lemma31_grid, trace_average_check)
+from .ratfunc import rf_to_json
 from .serialize import InputFormatError, dumps
-from .stepfn import MultStepFunction, mellin, mellin_invert
-from .zetagamma import FEReport, gamma_pv, gamma_report_json, verify_fe, zeta
+from .stepfn import MultStepFunction, mellin_invert
+from .zetagamma import (ShellGuardError, gamma_pv, gamma_report_json, verify_fe,
+                        zeta)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -69,9 +70,9 @@ def _emit(spec: JobSpec, payload: dict) -> None:
             fh.write(text)
 
 
-def _fail(code: str, message: str) -> int:
+def _fail(code: str, message: str, status: int = EXIT_INPUT) -> int:
     sys.stdout.write(dumps({"error": {"code": code, "message": message}}))
-    return EXIT_INPUT
+    return status
 
 
 # -- subcommand bodies -------------------------------------------------------
@@ -86,12 +87,8 @@ def _cmd_gamma(spec: JobSpec) -> int:
 
 def _cmd_zeta(spec: JobSpec) -> int:
     rf = zeta(spec.inputs["phi"], spec.inputs["chi"])
-    _emit(spec, serialize.rf_json(rf))
+    _emit(spec, rf_to_json(rf))
     return EXIT_OK
-
-
-def _fe_entry(entry) -> FEReport:
-    return verify_fe(entry["phi"], entry["chi"], entry["pi"])
 
 
 def _cmd_fe_check(spec: JobSpec) -> int:
@@ -102,8 +99,7 @@ def _cmd_fe_check(spec: JobSpec) -> int:
         corpus = corpus_generate(spec.inputs["seed"],
                                  {"fe": spec.inputs["size"]})
         entries = corpus["fe"]
-    with ThreadPoolExecutor(max_workers=spec.inputs.get("jobs", 4)) as pool:
-        reports = list(pool.map(_fe_entry, entries))
+    reports = [verify_fe(e["phi"], e["chi"], e["pi"]) for e in entries]
     rows = [{"index": i, "kind": e["kind"], "p": e["p"],
              "max_coeff_diff": r.max_coeff_diff, "ok": bool(r.ok(spec.tol))}
             for i, (e, r) in enumerate(zip(entries, reports))]
@@ -135,7 +131,7 @@ def _cmd_hankel(spec: JobSpec) -> int:
         sym = gamma_symbol(constituents, c_max, p=p)
         out = hankel_mellin(phi, sym)
         payload["mellin"] = {
-            str(i): serialize.rf_json(rf)
+            str(i): rf_to_json(rf)
             for i, (_, rf) in enumerate(sorted(
                 out.nonzero_components(),
                 key=lambda wr: (wr[0].cond, wr[0].unit_char)))}
@@ -175,7 +171,8 @@ def _cmd_basic(spec: JobSpec) -> int:
         "p": p,
         "alpha": [[a.real, a.imag] for a in fn.alpha],
         "shell_values": [[m, v.real, v.imag] for m, v in fn.table(window)],
-        "zeta_check": {"max_coeff_diff": z_rep.max_coeff_diff, "route": z_rep.route},
+        "zeta_check": {"max_coeff_diff": z_rep.max_coeff_diff,
+                       "route": z_rep.meta["route"]},
         "fourier_check": {"max_coeff_diff": f_rep.max_coeff_diff},
     })
     ok = z_rep.ok(spec.tol) and f_rep.ok(spec.tol)
@@ -229,7 +226,7 @@ def _cmd_corpus(spec: JobSpec) -> int:
         phi = (serialize.step_to_json(e["phi"]) if e["kind"] == "step"
                else serialize.mult_to_json(e["phi"]))
         fe_json.append({"kind": e["kind"], "p": e["p"], "phi": phi,
-                        "chi": serialize.multchar_to_json(e["chi"]),
+                        "chi": char_to_json(e["chi"]),
                         "pi": serialize.pi_to_json(e["pi"])})
     files = {
         "fe.json": fe_json,
@@ -238,7 +235,7 @@ def _cmd_corpus(spec: JobSpec) -> int:
                         for e in corpus["hankel"]],
         "satake.json": [[[a.real, a.imag] for a in alpha]
                         for alpha in corpus["satake"]],
-        "gamma.json": [serialize.multchar_to_json(c) for c in corpus["gamma"]],
+        "gamma.json": [char_to_json(c) for c in corpus["gamma"]],
     }
     for name, obj in files.items():
         with open(os.path.join(out_dir, name), "w") as fh:
@@ -259,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gl1zeta",
         description="Exact p-adic zeta/gamma/Hankel identities on GL(1), "
                     "with a numeric Archimedean companion.")
-    ap.add_argument("--cache-dir", help="unit-group disk cache directory "
-                                        "(also %s)" % CACHE_ENV_VAR)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p_):
@@ -283,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     fe.add_argument("--corpus", default=None, help="'default' for the seeded corpus")
     fe.add_argument("--seed", type=int, default=42)
     fe.add_argument("--size", type=int, default=50)
-    fe.add_argument("--jobs", type=int, default=4)
     fe.add_argument("--phi", default=None)
     fe.add_argument("--chi", default=None)
     fe.add_argument("--pi", default=None)
@@ -366,7 +360,6 @@ def _load_job(args) -> JobSpec:
             spec.inputs["size"] = args.size
         else:
             raise InputFormatError("fe/inputs", "pass --corpus or --phi/--chi/--pi")
-        spec.inputs["jobs"] = args.jobs
     elif cmd == "hankel":
         spec.inputs["phi"] = serialize.mult_from_json(_read_json_arg(args.phi))
         spec.inputs["pi"] = serialize.pi_from_json(
@@ -433,8 +426,6 @@ def main(argv=None) -> int:
             argv[i:i + 2] = ["--shells=" + argv[i + 1]]
             break
     args = build_parser().parse_args(argv)
-    if args.cache_dir:
-        os.environ[CACHE_ENV_VAR] = args.cache_dir
     try:
         spec = _load_job(args)
     except InputFormatError as exc:
@@ -444,7 +435,9 @@ def main(argv=None) -> int:
     try:
         return run(spec)
     except (ValueError, ArithmeticError, KeyError) as exc:
-        return _fail("run/%s" % type(exc).__name__.lower(), str(exc))
+        # a guard shell that failed to vanish is a program fault, not bad input
+        status = EXIT_VERIFY if isinstance(exc, ShellGuardError) else EXIT_INPUT
+        return _fail("run/%s" % type(exc).__name__.lower(), str(exc), status)
 
 
 if __name__ == "__main__":

@@ -7,9 +7,6 @@ COEFF_TOL = 1e-10
 # and dropped during normalization.
 PRUNE_REL_EPS = 1e-13
 
-# Tolerance for scalar (pointwise) identity checks.
-SCALAR_TOL = 1e-10
-
 # Working precision (number of p-adic digits carried by a unit residue) used
 # when elements are built from rationals or integers.  Locally constant
 # evaluations never look deeper than conductor + |valuation| + 2 digits, so
@@ -19,7 +16,3 @@ DEFAULT_PREC = 24
 # Archimedean targets.
 ARCH_QUAD_TOL = 1e-8
 ARCH_FE_TOL = 1e-5
-ARCH_GAMMA_TOL = 1e-9
-
-# Environment variable naming the unit-group disk cache directory.
-CACHE_ENV_VAR = "GL1ZETA_CACHE_DIR"

@@ -37,9 +37,10 @@ from fractions import Fraction
 from functools import cached_property
 
 from .characters import MultChar, char_product, unitary_components
-from .defaults import COEFF_TOL, DEFAULT_PREC
+from .defaults import DEFAULT_PREC
 from .padic import PAdicElt, check_prime, psi_value
-from .ratfunc import RationalFunc, rf_discrepancy, rf_dual_subst, root_of_unity
+from .ratfunc import (IdentityReport, RationalFunc, rf_discrepancy,
+                      rf_dual_subst, root_of_unity)
 from .stepfn import MellinData, MultStepFunction, mellin
 from .zetagamma import (gamma_closed, gamma_pv, gamma_product, normalize_pi,
                         psi_chi_coset_integral, shell_psi_chi_integral)
@@ -78,10 +79,6 @@ class TruncatedKernel:
         if x.val < -self.ell:
             return 0.0 + 0.0j
         return self.base.eval(x)
-
-
-def kernel_eval(k: Gl1Kernel, x: PAdicElt) -> complex:
-    return k.eval(x)
 
 
 def kernel_shell_coefficient(k: Gl1Kernel, m: int,
@@ -259,7 +256,7 @@ class GammaSymbol:
             if self.route == "closed":
                 comp = comp * gamma_closed(prod)
             else:
-                comp = comp * gamma_pv(prod).gamma_pv
+                comp = comp * gamma_pv(prod).rhs
         self.components[key] = comp
         return comp
 
@@ -331,12 +328,6 @@ class ShellTable:
                 return v
         raise KeyError("no row covers %r" % (x,))
 
-    def max_diff(self, other: "ShellTable") -> float:
-        worst = 0.0
-        for m, rep, v in self.rows:
-            worst = max(worst, abs(v - other.value_at(rep)))
-        return worst
-
 
 def _grid_units(p: int, level: int) -> list[int]:
     if level == 0:
@@ -378,16 +369,6 @@ def hankel_convolve(phi: MultStepFunction, k: Gl1Kernel,
                 total += t.coeff * kernel_coset_integral(k, a, t.k)
             rows.append((m, x, total))
     return ShellTable(p, level, rows)
-
-
-@dataclass
-class IdentityReport:
-    lhs: RationalFunc
-    rhs: RationalFunc
-    max_coeff_diff: float
-
-    def ok(self, tol: float = COEFF_TOL) -> bool:
-        return self.max_coeff_diff <= tol
 
 
 def homogeneous_identity_check(chi: MultChar, pi_params,

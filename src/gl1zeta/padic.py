@@ -1,4 +1,4 @@
-"""Finite-precision elements of Q_p^x, shells, the level-0 additive character,
+"""Finite-precision elements of Q_p^x, shell volumes, the level-0 additive character,
 and the structure of the unit groups (Z/p^a)^x.
 
 Conventions fixed once for the whole package:
@@ -16,13 +16,11 @@ Conventions fixed once for the whole package:
 from __future__ import annotations
 
 import functools
-import json
-import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .defaults import CACHE_ENV_VAR, DEFAULT_PREC
+from .defaults import DEFAULT_PREC
 from .ratfunc import root_of_unity
 
 
@@ -109,10 +107,6 @@ class PAdicElt:
     def lift(self) -> Fraction:
         """The canonical rational lift p^val * unit of this residue class."""
         return Fraction(self.unit) * Fraction(self.p) ** self.val
-
-    def abs_q(self) -> float:
-        """|x| = q^(-val)."""
-        return float(self.p) ** (-self.val)
 
     def __repr__(self) -> str:
         return "PAdicElt(%d^%d * %d mod %d^%d)" % (
@@ -205,31 +199,10 @@ def psi_frac(p: int, x: Fraction, inverse: bool = False) -> complex:
     return psi_value(PAdicElt.from_rational(p, x, max(-elt.val, 1)), inverse)
 
 
-def shell_volume(m: int, p: int) -> float:
-    """Volume of S_m = {|x| = q^(-m)} under dx* = d+x/|x|: always 1 - 1/p."""
+def shell_volume(p: int) -> float:
+    """Volume of every shell S_m = {|x| = q^(-m)} under dx* = d+x/|x|: 1 - 1/p."""
     check_prime(p)
     return 1.0 - 1.0 / p
-
-
-@dataclass(frozen=True)
-class Shell:
-    """The shell S_m = p^m Z_p^x."""
-
-    p: int
-    m: int
-
-    def volume(self) -> float:
-        return shell_volume(self.m, self.p)
-
-    def cosets(self, k: int):
-        """Representatives p^m*u, u over (Z/p^k)^x, of the 1+p^k Z_p cosets
-        tiling this shell (k >= 1); each has multiplicative volume p^(-k)."""
-        if k < 1:
-            raise ValueError("coset level must be >= 1")
-        prec = max(k, 1)
-        for u in range(1, self.p ** k):
-            if u % self.p != 0:
-                yield PAdicElt(self.p, self.m, u, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -320,50 +293,8 @@ _table_cache: dict[tuple[int, int], UnitGroupTable] = {}
 _table_lock = threading.Lock()
 
 
-def _cache_dir() -> str | None:
-    return os.environ.get(CACHE_ENV_VAR) or None
-
-
-def _disk_path(p: int, a: int) -> str | None:
-    d = _cache_dir()
-    if not d:
-        return None
-    return os.path.join(d, "unitgroup_%d_%d.json" % (p, a))
-
-
-def _load_disk(p: int, a: int) -> UnitGroupTable | None:
-    path = _disk_path(p, a)
-    if not path or not os.path.exists(path):
-        return None
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-        gens = tuple((int(g), int(o)) for g, o in obj["generators"])
-        dlog = {int(k): tuple(v) for k, v in obj["dlog"].items()}
-        return UnitGroupTable(int(obj["p"]), int(obj["a"]), gens, dlog)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError):
-        return None
-
-
-def _store_disk(table: UnitGroupTable) -> None:
-    path = _disk_path(table.p, table.a)
-    if not path:
-        return
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    obj = {
-        "p": table.p,
-        "a": table.a,
-        "generators": [[g, o] for g, o in table.generators],
-        "dlog": {str(k): list(v) for k, v in table.dlog.items()},
-    }
-    tmp = path + ".tmp.%d" % os.getpid()
-    with open(tmp, "w") as fh:
-        json.dump(obj, fh, sort_keys=True)
-    os.replace(tmp, path)
-
-
 def unit_group(p: int, a: int) -> UnitGroupTable:
-    """The cached structure table of (Z/p^a)^x (a >= 1)."""
+    """The structure table of (Z/p^a)^x (a >= 1), built once per process."""
     key = (p, a)
     table = _table_cache.get(key)
     if table is not None:
@@ -371,9 +302,6 @@ def unit_group(p: int, a: int) -> UnitGroupTable:
     with _table_lock:
         table = _table_cache.get(key)
         if table is None:
-            table = _load_disk(p, a)
-            if table is None:
-                table = _build_table(p, a)
-                _store_disk(table)
+            table = _build_table(p, a)
             _table_cache[key] = table
     return table

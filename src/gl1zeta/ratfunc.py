@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .defaults import COEFF_TOL, PRUNE_REL_EPS
 
@@ -73,9 +73,6 @@ class LaurentPoly:
 
     def min_exp(self) -> int:
         return min(self.coeffs)
-
-    def max_exp(self) -> int:
-        return max(self.coeffs)
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
@@ -243,20 +240,6 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Laur
     return num, den
 
 
-# -- module-level operation names matching the package's public surface ----
-
-def rf_add(a: RationalFunc, b: RationalFunc) -> RationalFunc:
-    return a + b
-
-
-def rf_mul(a: RationalFunc, b: RationalFunc) -> RationalFunc:
-    return a * b
-
-
-def rf_div(a: RationalFunc, b: RationalFunc) -> RationalFunc:
-    return a / b
-
-
 def rf_dual_subst(a: RationalFunc) -> RationalFunc:
     """Realize s -> 1-s on X = q^(-s): substitute X -> q^(-1) * X^(-1)."""
     return a.subst_monomial(1.0 / a.q, -1)
@@ -297,6 +280,22 @@ def rf_close(a: RationalFunc, b: RationalFunc, tol: float = COEFF_TOL) -> bool:
     return rf_discrepancy(a, b) <= tol
 
 
+@dataclass
+class IdentityReport:
+    """Both sides of a checked rational-function identity and their
+    coefficient discrepancy; every identity check returns one.  `meta` holds
+    what a check adds: the shell range of `gamma_pv` ("shells") and the
+    route of `basic_zeta_check` ("route")."""
+
+    lhs: RationalFunc
+    rhs: RationalFunc
+    max_coeff_diff: float
+    meta: dict = field(default_factory=dict)
+
+    def ok(self, tol: float = COEFF_TOL) -> bool:
+        return self.max_coeff_diff <= tol
+
+
 def geometric_series(q: int, ratio_coeff: complex, ratio_exp: int,
                      first_term: RationalFunc) -> RationalFunc:
     """Closed form of first_term * sum_{j>=0} (ratio_coeff * X^ratio_exp)^j.
@@ -317,13 +316,6 @@ def rf_to_json(a: RationalFunc) -> dict:
         "num": [[e, c.real, c.imag] for e, c in sorted(a.num.coeffs.items())],
         "den": [[e, c.real, c.imag] for e, c in sorted(a.den.coeffs.items())],
     }
-
-
-def rf_from_json(obj: dict) -> RationalFunc:
-    q = int(obj["q"])
-    num = LaurentPoly(q, {int(e): complex(re, im) for e, re, im in obj["num"]})
-    den = LaurentPoly(q, {int(e): complex(re, im) for e, re, im in obj["den"]})
-    return RationalFunc(num, den)
 
 
 def root_of_unity(phase_num: int, phase_den: int) -> complex:

@@ -17,7 +17,6 @@ from .arch import ArchChar, ArchSeed
 from .characters import MultChar, char_from_json, char_to_json
 from .defaults import DEFAULT_PREC
 from .padic import PAdicElt
-from .ratfunc import RationalFunc, rf_from_json, rf_to_json
 from .stepfn import (MultStepFunction, MultTerm, StepFunction, StepTerm)
 
 
@@ -121,9 +120,6 @@ def multchar_from_json(obj: dict) -> MultChar:
         raise InputFormatError("character/invalid", str(exc)) from exc
 
 
-multchar_to_json = char_to_json
-
-
 def pi_from_json(obj: dict, p: int | None = None):
     """{"kind": "satake", "alpha": [[re,im],...]} |
     {"kind": "gl1", "chi": {...}} | {"kind": "chars", "chis": [{...}]}"""
@@ -180,12 +176,3 @@ def write_shell_csv(path: str, rows, level: int) -> None:
         for m, rep, v in rows:
             lift = rep.lift() if isinstance(rep, PAdicElt) else Fraction(rep)
             w.writerow([m, str(lift), repr(v.real), repr(v.imag)])
-
-
-def rf_json(a: RationalFunc) -> dict:
-    return rf_to_json(a)
-
-
-def rf_parse(obj: dict) -> RationalFunc:
-    validate(obj, "rational_func")
-    return rf_from_json(obj)

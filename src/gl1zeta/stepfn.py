@@ -311,7 +311,7 @@ def mult_convolve(f: MultStepFunction, g: MultStepFunction) -> MultStepFunction:
             if level == 0:
                 # full shells: S_a * S_b spreads over S_{a+b} with volume 1-1/p
                 rep = PAdicElt(p, t1.rep.val + t2.rep.val, 1, DEFAULT_PREC)
-                out.append(MultTerm(t1.coeff * t2.coeff * shell_volume(0, p), rep, 0))
+                out.append(MultTerm(t1.coeff * t2.coeff * shell_volume(p), rep, 0))
                 continue
             vol = float(p) ** (-level)
             for u1 in _refined_units(p, t1, level):
@@ -361,7 +361,7 @@ def mellin(f: MultStepFunction, c_max: int | None = None) -> MellinData:
         for t in f.terms:
             if omega.cond > t.k:
                 continue  # omega nontrivial on the coset subgroup: integral 0
-            vol = shell_volume(0, p) if t.k == 0 else float(p) ** (-t.k)
+            vol = shell_volume(p) if t.k == 0 else float(p) ** (-t.k)
             val = omega.unit_value(t.rep.unit_mod(omega.cond)) \
                 if omega.cond else 1.0 + 0.0j
             m = t.rep.val
@@ -386,7 +386,7 @@ def mellin_invert(d: MellinData, m_lo: int, m_hi: int, c_max: int) -> MultStepFu
             raise ValueError("nonzero component of conductor %d exceeds c_max %d"
                              % (omega.cond, c_max))
     p = d.p
-    vol_units = shell_volume(0, p)
+    vol_units = shell_volume(p)
     omegas = [w for w in unitary_components(p, c_max) if w.unitary_part() in d.comps]
     series = {w: rf_series_coeffs(d.comps[w], m_lo, m_hi) for w in omegas}
     terms = []

@@ -32,13 +32,12 @@ is ramified, and G_{-1} = -1/q, G_{m>=0} = 1 - 1/q when chi is unramified.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
-from .characters import MultChar, char_product, trivial_char, unramified_char
-from .defaults import COEFF_TOL, DEFAULT_PREC
+from .characters import MultChar, char_product, unramified_char
+from .defaults import DEFAULT_PREC
 from .padic import PAdicElt, PrecisionError, shell_volume
-from .ratfunc import (LaurentPoly, RationalFunc, geometric_series, rf_discrepancy,
-                      rf_dual_subst, root_of_unity)
+from .ratfunc import (IdentityReport, LaurentPoly, RationalFunc, geometric_series,
+                      rf_discrepancy, rf_dual_subst, rf_to_json, root_of_unity)
 from .stepfn import MultStepFunction, StepFunction, fourier_transform, mellin
 
 
@@ -150,7 +149,7 @@ def shell_psi_chi_integral(p: int, m: int, chi: MultChar,
         if not brute and cond > 0:
             return 0.0 + 0.0j
         if not brute:
-            return tval * shell_volume(m, p)
+            return tval * shell_volume(p)
     elif not brute and -w > max(cond, 1):
         return 0.0 + 0.0j
     d = max(0, -w)
@@ -223,7 +222,7 @@ def _zeta_step(phi: StepFunction, chi: MultChar) -> RationalFunc:
                 total = total + _shell_monomial(q, m, t.coeff * val)
         if chi.cond == 0:
             first = _shell_monomial(q, m_tail,
-                                    t.coeff * shell_volume(0, q)
+                                    t.coeff * shell_volume(q)
                                     * chi.t ** m_tail)
             total = total + geometric_series(q, chi.t * float(q) ** 0.5, 1, first)
     return total
@@ -272,22 +271,9 @@ def gamma_closed(chi: MultChar, inverse_psi: bool = False) -> RationalFunc:
     return eps * rf_dual_subst(l_factor(chi.inverse())) / l_factor(chi)
 
 
-@dataclass
-class GammaReport:
-    """Agreement record between the closed-form and principal-value routes."""
-
-    gamma_closed: RationalFunc
-    gamma_pv: RationalFunc
-    max_coeff_diff: float
-    shells_used: tuple[int, int]
-
-    def ok(self, tol: float = COEFF_TOL) -> bool:
-        return self.max_coeff_diff <= tol
-
-
 def gamma_pv(chi: MultChar, twist: MultChar | None = None,
              inverse_psi: bool = False, shell_floor: int | None = None,
-             guard_tol: float = 1e-9) -> GammaReport:
+             guard_tol: float = 1e-9) -> IdentityReport:
     """Principal-value Mellin transform of the GL(1) kernel, as gamma(s).
 
     Shell S_m contributes (q^(-1) X^(-1))^m times the exact shell integral
@@ -295,7 +281,9 @@ def gamma_pv(chi: MultChar, twist: MultChar | None = None,
     vanish (two guard shells, brute force, each to within `guard_tol`) and
     then left out of the total, so their roundoff never lands in the result;
     the m >= 0 tail is resummed in closed form.  The result is compared
-    against gamma_closed of the product character.
+    against gamma_closed of the product character: the report's lhs is the
+    closed form, its rhs the pv result, and meta["shells"] the brute-summed
+    shell range.
 
     `shell_floor` extends the brute-forced range downward; any cofinal
     truncation schedule yields the same rational function, which is the
@@ -322,24 +310,15 @@ def gamma_pv(chi: MultChar, twist: MultChar | None = None,
             total = total + RationalFunc.monomial(q, -m, val * float(q) ** (-m))
     if a == 0:
         # int over S_m of psi * chi^(-1) = t^(-m) (1 - 1/q) for m >= 0
-        first = RationalFunc.const(q, shell_volume(0, q))
+        first = RationalFunc.const(q, shell_volume(q))
         total = total + geometric_series(q, 1.0 / (prod.t * q), -1, first)
     closed = gamma_closed(prod, inverse_psi)
-    return GammaReport(closed, total, rf_discrepancy(closed, total), (lo, -1))
+    return IdentityReport(closed, total, rf_discrepancy(closed, total),
+                          {"shells": (lo, -1)})
 
 
 # ---------------------------------------------------------------------------
 # functional equation GL1-FE
-
-
-@dataclass
-class FEReport:
-    lhs: RationalFunc
-    rhs: RationalFunc
-    max_coeff_diff: float
-
-    def ok(self, tol: float = COEFF_TOL) -> bool:
-        return self.max_coeff_diff <= tol
 
 
 def normalize_pi(pi_params, p: int) -> list[MultChar]:
@@ -372,7 +351,7 @@ def gamma_product(constituents, omega: MultChar,
     return out
 
 
-def verify_fe(phi, chi: MultChar, pi_params) -> FEReport:
+def verify_fe(phi, chi: MultChar, pi_params) -> IdentityReport:
     """Check Z(1-s, F_pi(phi), chi^(-1)) = gamma(s, pi x chi, psi) Z(s, phi, chi).
 
     For a StepFunction seed f the rank-1 Fourier operator acts in closed
@@ -393,7 +372,7 @@ def verify_fe(phi, chi: MultChar, pi_params) -> FEReport:
         rhs = gamma_closed(prod) * zeta(phi, prod).scale_x(1.0 / rt_q)
         g = fourier_transform(phi)
         lhs = rf_dual_subst(zeta(g, prod.inverse()).scale_x(1.0 / rt_q))
-        return FEReport(lhs, rhs, rf_discrepancy(lhs, rhs))
+        return IdentityReport(lhs, rhs, rf_discrepancy(lhs, rhs))
     if isinstance(phi, MultStepFunction):
         from .kernel import gamma_symbol, hankel_mellin
         omega = chi.unitary_part()
@@ -405,15 +384,15 @@ def verify_fe(phi, chi: MultChar, pi_params) -> FEReport:
         lhs = rf_dual_subst(z_out)
         gam = gamma_product(constituents, omega).scale_x(chi.t)
         rhs = gam * md.component(omega).scale_x(chi.t * rt_q)
-        return FEReport(lhs, rhs, rf_discrepancy(lhs, rhs))
+        return IdentityReport(lhs, rhs, rf_discrepancy(lhs, rhs))
     raise TypeError("unsupported function model %r" % type(phi).__name__)
 
 
-def gamma_report_json(report: GammaReport) -> dict:
-    from .ratfunc import rf_to_json
+def gamma_report_json(report: IdentityReport) -> dict:
+    """The `gamma_pv` report in the wire format of schemas/gamma_report.json."""
     return {
-        "gamma_closed": rf_to_json(report.gamma_closed),
-        "gamma_pv": rf_to_json(report.gamma_pv),
+        "gamma_closed": rf_to_json(report.lhs),
+        "gamma_pv": rf_to_json(report.rhs),
         "max_coeff_diff": report.max_coeff_diff,
-        "shells": [report.shells_used[0], report.shells_used[1]],
+        "shells": list(report.meta["shells"]),
     }

@@ -1,8 +1,11 @@
 import cmath
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl1zeta.basicfn import (BasicFunction, basic_fourier_check,
                              basic_zeta_check, complete_homogeneous)
@@ -81,7 +84,36 @@ def test_zeta_check_requires_unramified():
 
 def test_zeta_check_repeated_roots_route():
     rep = basic_zeta_check([0.5, 0.5], trivial_char(3))
-    assert rep.ok(1e-10) and rep.route == "series-window"
+    assert rep.ok(1e-10) and rep.meta["route"] == "series-window"
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-5])
+def test_zeta_check_near_coincident_pair(gap):
+    # partial fractions once gave 5.6e-10 at gap 1e-3 and a "shell value
+    # mismatch" ArithmeticError at gap 1e-5: weights |c_i| grow like 1/gap
+    alpha = [cmath.exp(0.5j), cmath.exp((0.5 + gap) * 1j), cmath.exp(2j),
+             cmath.exp(-1j)]
+    rep = basic_zeta_check(alpha, trivial_char(5))
+    assert rep.meta["route"] == "series-window"
+    assert rep.ok(1e-13)
+
+
+def test_zeta_check_separated_pair_keeps_partial_fractions():
+    rep = basic_zeta_check([0.6 + 0.8j, 0.6 - 0.8j], trivial_char(3))
+    assert rep.meta["route"] == "partial-fractions" and rep.ok(1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]),
+       st.floats(0.0, 2 * math.pi),
+       st.integers(min_value=1, max_value=9),
+       st.sampled_from([1, -1]),
+       st.lists(st.floats(0.0, 2 * math.pi), max_size=2))
+def test_zeta_check_unitary_with_close_pair(p, theta, k, sign, others):
+    # unitary Satake lists of rank <= 4 with one pair at gap 10^-k
+    alpha = [cmath.exp(1j * theta), cmath.exp(1j * (theta + sign * 10.0 ** -k))]
+    alpha += [cmath.exp(1j * phi) for phi in others]
+    assert basic_zeta_check(alpha, trivial_char(p)).ok()
 
 
 def test_fourier_check_rank1_trivial():

@@ -1,0 +1,24 @@
+"""The benchmark in perfbench/ wraps library functions by name.
+
+`Tracer.install` raises when a name it wraps is gone, and the workloads
+import the library functions they call; both run here in a fresh
+interpreter, so a deletion or rename in src/ that breaks the benchmark fails
+this test.  Nothing under perfbench/ is changed.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_benchmark_tracer_installs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
+    code = ("import tracing, workloads\n"
+            "tracing.Tracer().install(also=(workloads,))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

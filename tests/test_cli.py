@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from gl1zeta import serialize
 from gl1zeta.cli import main
 from gl1zeta.serialize import dumps
 
@@ -24,6 +25,7 @@ def test_gamma_report(capsys):
     code, out = run_cli(capsys, "gamma", "--chi", CHI_QUAD5)
     assert code == 0
     obj = json.loads(out)
+    serialize.validate(obj, "gamma_report")
     assert set(obj) == {"gamma_closed", "gamma_pv", "max_coeff_diff", "shells"}
     assert obj["max_coeff_diff"] <= 1e-10
 
@@ -34,6 +36,15 @@ def test_gamma_large_t_passes(capsys):
                         '{"p":7,"cond":2,"unit_char":[1],"t":[100,0]}')
     assert code == 0
     assert json.loads(out)["max_coeff_diff"] <= 1e-10
+
+
+def test_gamma_guard_shell_failure_exit_one(capsys):
+    # at t = 1000 guard shell -4 comes back as 8.8e-7: a broken internal
+    # invariant, reported as a verification failure, not as bad input
+    code, out = run_cli(capsys, "gamma", "--chi",
+                        '{"p":7,"cond":2,"unit_char":[1],"t":[1000,0]}')
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "run/shellguarderror"
 
 
 def test_gamma_byte_identical(tmp_path, capsys):

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl1zeta.defaults import CACHE_ENV_VAR
-from gl1zeta.padic import (PAdicElt, PrecisionError, Shell, psi_frac,
-                           psi_value, shell_volume, unit_group)
+from gl1zeta.padic import (PAdicElt, PrecisionError, psi_frac, psi_value,
+                           shell_volume, unit_group)
 
 PRIMES = (2, 3, 5, 7)
 
@@ -58,18 +57,21 @@ def test_psi_insufficient_precision():
 def test_psi_nontrivial_on_first_negative_shell():
     # integral of psi over S_{-1} equals -1/p with vol(S_m) = 1 - 1/p
     for p in PRIMES:
-        total = sum(psi_value(rep) for rep in Shell(p, -1).cosets(1)) / p
+        total = sum(psi_value(PAdicElt(p, -1, u, 1)) for u in range(1, p)) / p
         assert abs(total + 1.0 / p) < 1e-12
 
 
 def test_shell_volume_translation_invariance():
-    # d^x is invariant under x -> p x, so every shell has vol(Z_p^x)
-    assert abs(shell_volume(0, 5) - 0.8) < 1e-15
-    assert abs(shell_volume(7, 3) - 2 / 3) < 1e-15
-    assert abs(shell_volume(-2, 2) - 0.5) < 1e-15
+    # d^x is invariant under x -> p x, so every shell has vol(Z_p^x) and
+    # shell_volume takes no shell index
+    assert abs(shell_volume(5) - 0.8) < 1e-15
+    assert abs(shell_volume(3) - 2 / 3) < 1e-15
+    assert abs(shell_volume(2) - 0.5) < 1e-15
     for p in PRIMES:
-        vols = {shell_volume(m, p) for m in range(-5, 6)}
-        assert vols == {shell_volume(0, p)}
+        # the 1 + p^k Z_p cosets tiling a shell, each of volume p^(-k)
+        for k in (1, 2, 3):
+            units = sum(1 for u in range(1, p ** k) if u % p)
+            assert abs(units * float(p) ** -k - shell_volume(p)) < 1e-15
 
 
 def test_unit_group_small_cases():
@@ -105,17 +107,6 @@ def test_arithmetic_and_lift():
     assert s is None  # exact cancellation reads as zero
     w = x.add(y)
     assert w is not None and w.val == -2  # 10/49 + 21/49 = 31/49
-
-
-def test_disk_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-    import gl1zeta.padic as padic
-    padic._table_cache.pop((11, 2), None)
-    t1 = unit_group(11, 2)
-    assert (tmp_path / "unitgroup_11_2.json").exists()
-    padic._table_cache.pop((11, 2), None)
-    t2 = unit_group(11, 2)  # read back from disk
-    assert t1.generators == t2.generators and t1.dlog == t2.dlog
 
 
 def test_from_rational_rejects_zero():

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl1zeta.ratfunc import (LaurentPoly, RationalFunc, ZeroDenominatorError,
-                             rf_add, rf_close, rf_discrepancy, rf_div,
-                             rf_dual_subst, rf_mul, rf_series_coeffs)
+                             rf_close, rf_discrepancy, rf_dual_subst,
+                             rf_series_coeffs)
 
 Q = 5
 
@@ -20,12 +20,12 @@ def geom(q, alpha=1.0):
 def test_inverse_pair():
     one = RationalFunc.one(Q)
     x = RationalFunc.monomial(Q, 1)
-    assert rf_close(rf_mul(geom(Q), one - x), one)
+    assert rf_close(geom(Q) * (one - x), one)
 
 
 def test_common_denominator():
     a, b = 0.3 + 0.1j, -0.7j
-    lhs = rf_add(geom(Q, a), geom(Q, b))
+    lhs = geom(Q, a) + geom(Q, b)
     num = LaurentPoly(Q, {0: 2.0, 1: -(a + b)})
     den = (LaurentPoly.one(Q) - LaurentPoly.monomial(Q, 1, a)) * \
           (LaurentPoly.one(Q) - LaurentPoly.monomial(Q, 1, b))
@@ -39,7 +39,7 @@ def test_cancellation_to_one():
 
 def test_division_by_zero_polynomial():
     with pytest.raises(ZeroDenominatorError):
-        rf_div(RationalFunc.one(Q), RationalFunc.zero(Q))
+        RationalFunc.one(Q) / RationalFunc.zero(Q)
     with pytest.raises(ZeroDenominatorError):
         RationalFunc(LaurentPoly.one(Q), LaurentPoly.zero(Q))
 

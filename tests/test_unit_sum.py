@@ -51,7 +51,7 @@ def _naive_shell(p, m, chi, b=None, inverse_psi=False, brute=False):
         if not brute and cond > 0:
             return 0.0 + 0.0j
         if not brute:
-            return tval * shell_volume(m, p)
+            return tval * shell_volume(p)
     elif not brute and -w > max(cond, 1):
         return 0.0 + 0.0j
     k = max(1, cond, -w if (b is not None and w < 0) else 0)

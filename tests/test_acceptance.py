@@ -8,9 +8,6 @@ import cmath
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
-
-import pytest
 
 from gl1zeta.arch import (ArchChar, ArchSeed, arch_fe_check, arch_gamma,
                           arch_zeta, gamma_r)
@@ -22,7 +19,6 @@ from gl1zeta.kernel import (Gl1Kernel, gamma_symbol, hankel_convolve,
                             hankel_mellin, homogeneous_identity_check,
                             lemma31_grid, pointwise_threshold,
                             stability_threshold, trace_average_check)
-from gl1zeta.padic import PAdicElt
 from gl1zeta.stepfn import (fourier_transform, mellin_invert,
                             step_distance_sq, step_l2)
 from gl1zeta.zetagamma import gamma_closed, gamma_pv, verify_fe

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from gl1zeta.arch import (ArchChar, ArchPoleError, ArchSeed, arch_fe_check,
-                          arch_gamma, arch_zeta, arch_zeta_closed_gaussian,
-                          fourier_seed, gamma_c, gamma_r)
+from gl1zeta.arch import (ArchChar, ArchPoleError, ArchQuadratureError,
+                          ArchSeed, _loggamma, arch_fe_check, arch_gamma,
+                          arch_zeta, arch_zeta_closed_gaussian, fourier_seed,
+                          gamma_c, gamma_r)
 
 TRIV = ArchChar("real", 0)
 SGN = ArchChar("real", 1)
@@ -120,3 +121,62 @@ def test_angular_orthogonality():
     # z^k seed pairs only with frequency -k
     z = arch_zeta(ArchSeed("complex", (1.0,), hol=1), ArchChar("complex", 1), 0.6)
     assert abs(z) < 1e-12
+
+
+# Off the poles; real parts on both sides of the reflection (1/2) and of the
+# Stirling radius (15), imaginary parts on both sides of the large-|Im z|
+# log-sine branch (|Im z| > 111).
+LOGGAMMA_GRID = [complex(x, y)
+                 for x in (-6.3, -2.5, -0.7, 0.1, 0.5, 0.9, 1.5, 4.2, 14.5,
+                           15.5, 40.3)
+                 for y in (-150.0, -33.0, -6.0, -0.4, 0.0, 0.8, 14.0, 150.0)]
+
+
+def _close_mod_2pi_i(a: complex, b: complex) -> bool:
+    d = a - b
+    return (abs(complex(d.real, math.remainder(d.imag, 2 * math.pi)))
+            <= 1e-13 * max(1.0, abs(a)))
+
+
+def test_loggamma_matches_lgamma_on_positive_reals():
+    for x in (1e-3, 0.1, 0.5, 1.0, 2.5, 7.3, 14.9, 15.0, 30.0, 171.3):
+        v = _loggamma(x)
+        assert v.imag == 0.0
+        assert abs(v.real - math.lgamma(x)) <= 1e-13 * max(1.0, abs(v.real))
+
+
+def test_loggamma_recurrence_and_reflection():
+    for z in LOGGAMMA_GRID:
+        # Gamma(z + 1) = z Gamma(z)
+        assert _close_mod_2pi_i(_loggamma(z + 1), _loggamma(z) + cmath.log(z))
+        # Gamma(z) Gamma(1 - z) = pi / sin(pi z)
+        assert _close_mod_2pi_i(_loggamma(z) + _loggamma(1 - z),
+                                math.log(math.pi)
+                                - cmath.log(cmath.sin(math.pi * z)))
+
+
+def test_loggamma_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    for z in LOGGAMMA_GRID:
+        assert _close_mod_2pi_i(_loggamma(z), complex(special.loggamma(z)))
+
+
+@pytest.mark.parametrize("place", ["real", "complex"])
+@pytest.mark.parametrize("t", [0.0, 3.0])
+def test_quadrature_hard_samples(place, t):
+    # slow decay at 0 (small Re s) and fast oscillation (large Im s)
+    chi = ArchChar(place, 0, t)
+    for s in (0.05, 0.15, 0.25 + 5j, 0.5 + 20j, 0.5 + 60j):
+        z = arch_zeta(ArchSeed(place), chi, s)
+        assert abs(z - arch_zeta_closed_gaussian(chi, s)) <= 1e-10
+
+
+def test_quadrature_failure_is_named():
+    seed = ArchSeed("real")
+    # divergent: the integrand has not decayed at the truncation limit near 0
+    for s in (0.0, -0.5, -3.0, 0.01 + 1j):
+        with pytest.raises(ArchQuadratureError):
+            arch_zeta(seed, TRIV, s)
+    # convergent, but x^(i Im s) oscillates faster than the finest level
+    with pytest.raises(ArchQuadratureError):
+        arch_zeta(seed, TRIV, 0.05 + 200j)

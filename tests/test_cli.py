@@ -1,8 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 
-import pytest
-
+import gl1zeta
 from gl1zeta import serialize
 from gl1zeta.cli import main
 from gl1zeta.serialize import dumps
@@ -131,6 +132,33 @@ def test_arch_fe_command(capsys):
                         "--seed-spec", '{"place":"real","poly":[[0,0],[1,0]]}')
     assert code == 0
     assert json.loads(out)["max_err"] <= 1e-5
+
+
+def test_arch_fe_quadrature_failure_exit_one(capsys):
+    # at Re(1 - s) = -0.5 the left-hand zeta integral diverges: the rule
+    # cannot converge, which is a verification failure, not bad input
+    code, out = run_cli(capsys, "arch-fe", "--place", "real",
+                        "--chi", '{"eps":0,"t":0}', "--samples", "[[1.5,0]]")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "run/archquadratureerror"
+
+
+def test_arch_fe_pole_exit_two(capsys):
+    # s = 1 puts L(1 - s) on the pole of Gamma_R at 0: bad input
+    code, out = run_cli(capsys, "arch-fe", "--place", "real",
+                        "--chi", '{"eps":0,"t":0}', "--samples", "[[1,0]]")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "run/archpoleerror"
+
+
+def test_import_loads_no_scipy_or_numpy():
+    src = os.path.dirname(os.path.dirname(gl1zeta.__file__))
+    probe = ("import sys, gl1zeta, gl1zeta.cli; print(sorted("
+             "m for m in ('scipy', 'numpy') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.stdout.strip() == "[]"
 
 
 def test_corpus_deterministic(tmp_path, capsys):

@@ -16,7 +16,7 @@ from gl1zeta.padic import PAdicElt
 from gl1zeta.ratfunc import RationalFunc, rf_close, rf_dual_subst
 from gl1zeta.stepfn import (delta_approximant, mellin, mellin_invert,
                             unit_indicator)
-from gl1zeta.zetagamma import (gamma_closed, gamma_pv, l_factor, l_factor_satake,
+from gl1zeta.zetagamma import (gamma_closed, gamma_pv, l_factor_satake,
                                normalize_pi)
 
 

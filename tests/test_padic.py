@@ -1,5 +1,4 @@
 import cmath
-import random
 from fractions import Fraction
 
 import pytest

@@ -10,7 +10,7 @@ from gl1zeta.padic import PAdicElt, unit_group
 from gl1zeta.ratfunc import (LaurentPoly, RationalFunc, rf_close,
                              rf_discrepancy, rf_dual_subst)
 from gl1zeta.stepfn import indicator_ball, unit_indicator
-from gl1zeta.zetagamma import (ShellGuardError, epsilon_factor, gamma_closed,
+from gl1zeta.zetagamma import (epsilon_factor, gamma_closed,
                                gamma_pv, l_factor, l_factor_satake, verify_fe,
                                zeta)
 

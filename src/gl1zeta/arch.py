@@ -31,7 +31,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .defaults import ARCH_FE_TOL, ARCH_QUAD_TOL
+from .defaults import ARCH_FE_TOL, ARCH_POLE_GUARD, ARCH_QUAD_TOL
 
 
 class ArchPoleError(ArithmeticError):
@@ -107,14 +107,23 @@ def _loggamma(z: complex) -> complex:
             - cmath.log(prod))
 
 
+def _log_gamma_r(s: complex) -> complex:
+    return -s / 2 * math.log(math.pi) + _loggamma(s / 2)
+
+
+def _log_gamma_c(s: complex) -> complex:
+    """log(Gamma_C(s) / 2)."""
+    return -s * math.log(2 * math.pi) + _loggamma(s)
+
+
 def gamma_r(s: complex) -> complex:
     """Gamma_R(s) = pi^(-s/2) Gamma(s/2)."""
-    return cmath.exp(-s / 2 * math.log(math.pi) + _loggamma(s / 2))
+    return cmath.exp(_log_gamma_r(s))
 
 
 def gamma_c(s: complex) -> complex:
     """Gamma_C(s) = 2 (2 pi)^(-s) Gamma(s)."""
-    return 2.0 * cmath.exp(-s * math.log(2 * math.pi) + _loggamma(s))
+    return 2.0 * cmath.exp(_log_gamma_c(s))
 
 
 def _pole_distance_r(s: complex) -> float:
@@ -133,15 +142,20 @@ def _pole_distance_c(s: complex) -> float:
     return abs(s - (-max(n, 0)))
 
 
-def arch_l_factor(chi: ArchChar, s: complex) -> complex:
+def _log_l_factor(chi: ArchChar, s: complex) -> complex:
+    """log L(s, chi) modulo 2 pi i, less log 2 at the complex place."""
     if chi.place == "real":
-        return gamma_r(s + 1j * chi.t + chi.eps)
-    return gamma_c(s + 1j * chi.t + abs(chi.eps) / 2.0)
+        return _log_gamma_r(s + 1j * chi.t + chi.eps)
+    return _log_gamma_c(s + 1j * chi.t + abs(chi.eps) / 2.0)
 
 
-def arch_gamma(chi: ArchChar, s: complex, inverse_psi: bool = False,
-               pole_guard: float = 1e-8) -> complex:
-    """gamma(s, chi, psi) = eps(chi, psi) L(1-s, chi^(-1)) / L(s, chi)."""
+def arch_gamma(chi: ArchChar, s: complex, inverse_psi: bool = False) -> complex:
+    """gamma(s, chi, psi) = eps(chi, psi) L(1-s, chi^(-1)) / L(s, chi).
+
+    The ratio is taken as one exponential of a log-gamma difference: both
+    L-values underflow to 0 once |Im s| is near 1000, while their ratio stays
+    of size 1 on the critical line.
+    """
     s = complex(s)
     inv = chi.inverse()
     if chi.place == "real":
@@ -154,9 +168,9 @@ def arch_gamma(chi: ArchChar, s: complex, inverse_psi: bool = False,
         num_arg = (1 - s) + 1j * inv.t + abs(inv.eps) / 2.0
         pole = _pole_distance_c(num_arg)
         root = (-1j if inverse_psi else 1j) ** abs(chi.eps)
-    if pole < pole_guard:
-        raise ArchPoleError("gamma argument within %g of a pole" % pole_guard)
-    return root * arch_l_factor(inv, 1 - s) / arch_l_factor(chi, s)
+    if pole < ARCH_POLE_GUARD:
+        raise ArchPoleError("gamma argument within %g of a pole" % ARCH_POLE_GUARD)
+    return root * cmath.exp(_log_l_factor(inv, 1 - s) - _log_l_factor(chi, s))
 
 
 # ---------------------------------------------------------------------------

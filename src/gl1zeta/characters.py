@@ -5,18 +5,66 @@ A quasi-character chi is stored as (conductor exponent, character of
 generators, and the unramified value t = chi(p)).  The |x|^s part is never
 evaluated here; downstream code carries it as powers of X = q^(-s).
 
-Unit-part values are roots of unity handled through exact rational phases,
-so that products, inverses and exact-conductor reduction involve no floating
-point at all.
+Unit-part values are roots of unity whose order divides the exponent n of
+(Z/p^cond)^x, so a unit's phase is an integer mod n: products, inverses and
+exact-conductor reduction involve no floating point at all.  `unit_values`,
+one memoized table per unit character, is the only place where phases become
+complex numbers.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .padic import PAdicElt, PrecisionError, check_prime, unit_group
+from .padic import PAdicElt, PrecisionError, UnitGroupTable, check_prime, unit_group
 from .ratfunc import root_of_unity
+
+
+def _exponent(table: UnitGroupTable) -> int:
+    """The exponent of (Z/p^a)^x: its largest generator order."""
+    return max((o for _, o in table.generators), default=1)
+
+
+def _phase(table: UnitGroupTable, unit_char: tuple[int, ...], u: int, n: int) -> int:
+    """r mod n with chi(u) = exp(2*pi*i*r/n), for the character of (Z/p^a)^x
+    with exponent vector `unit_char`, a unit u and a multiple n of the
+    exponent of (Z/p^a)^x."""
+    vec = table.dlog[u % (table.p ** table.a)]
+    return sum(k * x * (n // o)
+               for k, x, (_, o) in zip(unit_char, vec, table.generators)) % n
+
+
+def _exact(table: UnitGroupTable, unit_char: tuple[int, ...]) -> bool:
+    """True if the character of (Z/p^a)^x has conductor exactly a: it is
+    nontrivial on 1 + p^(a-1) Z_p (for a = 1: nontrivial at all)."""
+    if table.a == 1:
+        return any(unit_char)
+    # 1 + p^(a-1) generates the layer (1+p^(a-1))/(1+p^a) in every case
+    # that reaches here (p odd, or p = 2 with a != 1).
+    return _phase(table, unit_char, 1 + table.p ** (table.a - 1),
+                  _exponent(table)) != 0
+
+
+@functools.cache
+def unit_values(p: int, cond: int, unit_char: tuple[int, ...]) -> tuple[complex, ...]:
+    """chi(u) for every residue u mod p^cond (0 at non-units), where chi has
+    conductor `cond` and unit character `unit_char`."""
+    if cond == 0:
+        return (1.0 + 0.0j,)
+    table = unit_group(p, cond)
+    n = _exponent(table)
+    values = []
+    for u in range(p ** cond):
+        if u % p == 0:
+            values.append(0j)
+            continue
+        r = _phase(table, unit_char, u, n)
+        g = math.gcd(r, n)
+        values.append(root_of_unity(r // g, n // g))
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -49,34 +97,14 @@ class MultChar:
                                 self.p, self.cond))
         vec = tuple(k % o for k, (_, o) in zip(self.unit_char, table.generators))
         object.__setattr__(self, "unit_char", vec)
-        if not self._nontrivial_on_level(self.cond):
+        if not _exact(table, vec):
             raise ValueError("conductor %d is not exact" % (self.cond,))
-
-    def _nontrivial_on_level(self, a: int) -> bool:
-        """True if the unit character is nontrivial on 1 + p^(a-1) Z_p
-        (for a = 1: nontrivial on Z_p^x at all)."""
-        if a == 1:
-            return any(k != 0 for k in self.unit_char)
-        # 1 + p^(a-1) generates the layer (1+p^(a-1))/(1+p^a) in every case
-        # that reaches here (p odd, or p = 2 with a != 1).
-        return self.unit_phase(1 + self.p ** (a - 1)) != 0
 
     # -- evaluation ----------------------------------------------------------
 
-    def unit_phase(self, u: int) -> Fraction:
-        """Exact phase r in Q/Z with chi(u) = exp(2*pi*i*r), for gcd(u,p)=1."""
-        if self.cond == 0:
-            return Fraction(0)
-        table = unit_group(self.p, self.cond)
-        vec = table.dlog[u % (self.p ** self.cond)]
-        r = Fraction(0)
-        for k, x, (_, o) in zip(self.unit_char, vec, table.generators):
-            r += Fraction(k * x, o)
-        return r % 1
-
     def unit_value(self, u: int) -> complex:
-        r = self.unit_phase(u)
-        return root_of_unity(r.numerator, r.denominator)
+        """chi(u) for an integer u prime to p."""
+        return unit_values(self.p, self.cond, self.unit_char)[u % self.p ** self.cond]
 
     def eval(self, x: PAdicElt) -> complex:
         """chi(x) = t^{v(x)} * unit_char(unit part of x mod p^cond)."""
@@ -87,7 +115,7 @@ class MultChar:
                                  "element carries %d" % (self.cond, self.cond, x.prec))
         value = self.t ** x.val if x.val >= 0 else (1.0 / self.t) ** (-x.val)
         if self.cond:
-            value *= self.unit_value(x.unit_mod(self.cond))
+            value *= self.unit_value(x.unit)
         return value
 
     # -- structure -----------------------------------------------------------
@@ -115,62 +143,37 @@ def unramified_char(p: int, t: complex) -> MultChar:
     return MultChar(p, 0, (), t)
 
 
-def _phase_func_conductor(p: int, level: int, phase) -> int:
-    """Exact conductor of a character of (Z/p^level)^x given by its phase
-    function: the smallest a with the character trivial on 1 + p^a Z_p."""
-    for a in range(level + 1):
-        if a == 0:
-            table = unit_group(p, level)
-            if all(phase(g) == 0 for g, _ in table.generators):
-                return 0
-            continue
-        if p == 2 and a == 1:
-            continue  # conductor 1 impossible at p = 2
-        # 1 + p^a generates the cyclic group (1+p^a)/(1+p^level); at p=2, a=1
-        # is skipped and a>=2 is again cyclic with generator 1+2^a.
-        trivial = True
-        for b in range(a, level):
-            if phase(1 + p ** b) != 0:
-                trivial = False
-                break
-        if trivial:
-            return a
-    return level
-
-
-def _from_phase(p: int, level: int, phase, t: complex) -> MultChar:
-    """Build the canonical MultChar (at its exact conductor) out of an exact
-    phase function defined on units modulo p^level."""
-    if level == 0:
-        return MultChar(p, 0, (), t)
-    cond = _phase_func_conductor(p, level, phase)
-    if cond == 0:
-        return MultChar(p, 0, (), t)
-    table = unit_group(p, cond)
-    vec = []
-    for g, o in table.generators:
-        r = phase(g) * o
-        if r.denominator != 1:
-            raise RuntimeError("phase %r at generator %d is not order-%d rational"
-                               % (phase(g), g, o))
-        vec.append(int(r) % o)
-    return MultChar(p, cond, tuple(vec), t)
-
-
 def char_product(a: MultChar, b: MultChar) -> MultChar:
     """chi_a * chi_b with the exact conductor recomputed after cancellation."""
     if a.p != b.p:
         raise ValueError("characters at different primes")
+    p = a.p
     level = max(a.cond, b.cond)
     t = a.t * b.t
     if level == 0:
-        return MultChar(a.p, 0, (), t)
-    return _from_phase(a.p, level,
-                       lambda u: (a.unit_phase(u) + b.unit_phase(u)) % 1, t)
+        return MultChar(p, 0, (), t)
+    table = unit_group(p, level)
+    n = _exponent(table)
+    factors = [(unit_group(p, c.cond), c.unit_char) for c in (a, b) if c.cond]
+
+    def phase(u: int) -> int:
+        return sum(_phase(tab, vec, u, n) for tab, vec in factors) % n
+
+    if all(phase(g) == 0 for g, _ in table.generators):
+        return MultChar(p, 0, (), t)
+    # the conductor is the least c with the product trivial on 1 + p^c Z_p;
+    # 1 + p^c generates (1+p^c)/(1+p^level) (at p = 2 for c >= 2 only, and
+    # c = 1 there would mean triviality on every unit, ruled out above)
+    cond = next(c for c in range(1, level + 1)
+                if not (p == 2 and c == 1) and phase(1 + p ** c) == 0)
+    # chi(g)^o = 1 for a generator g of order o, so phase(g) * o / n is exact
+    vec = tuple(phase(g) * o // n for g, o in unit_group(p, cond).generators)
+    return MultChar(p, cond, vec, t)
 
 
 def unitary_components(p: int, c_max: int) -> list[MultChar]:
-    """All characters of (Z/p^c_max)^x with t = 1, tagged by exact conductor.
+    """All characters of (Z/p^c_max)^x with t = 1, tagged by exact conductor,
+    in order of (conductor, exponent vector).
 
     This is the component set Omega^ used for Mellin inversion, truncated at
     conductor c_max.
@@ -178,22 +181,12 @@ def unitary_components(p: int, c_max: int) -> list[MultChar]:
     check_prime(p)
     if c_max < 0:
         raise ValueError("c_max must be >= 0")
-    if c_max == 0:
-        return [trivial_char(p)]
-    table = unit_group(p, c_max)
-    out = []
-    vecs = [()]
-    for _, o in table.generators:
-        vecs = [v + (k,) for v in vecs for k in range(o)]
-    for vec in vecs:
-        def phase(u, vec=vec):
-            dvec = table.dlog[u % (p ** c_max)]
-            r = Fraction(0)
-            for k, x, (_, o) in zip(vec, dvec, table.generators):
-                r += Fraction(k * x, o)
-            return r % 1
-        out.append(_from_phase(p, c_max, phase, 1.0 + 0.0j))
-    out.sort(key=lambda ch: (ch.cond, ch.unit_char))
+    out = [trivial_char(p)]
+    for cond in range(1, c_max + 1):
+        table = unit_group(p, cond)
+        for vec in itertools.product(*(range(o) for _, o in table.generators)):
+            if _exact(table, vec):
+                out.append(MultChar(p, cond, vec, 1.0 + 0.0j))
     return out
 
 

@@ -259,10 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "with a numeric Archimedean companion.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p_):
+    def common(p_, tol=True, emit=False):
+        """--out everywhere; --tol and --emit only where the command reads them."""
         p_.add_argument("--out", default=None, help="output path ('-' = stdout)")
-        p_.add_argument("--tol", type=float, default=None)
-        p_.add_argument("--emit", choices=["json", "csv"], default="json")
+        if tol:
+            p_.add_argument("--tol", type=float, default=None)
+        if emit:
+            p_.add_argument("--emit", choices=["json", "csv"], default="json")
 
     g = sub.add_parser("gamma", help="two-route gamma report for a character")
     g.add_argument("--p", type=int, required=False)
@@ -273,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     z = sub.add_parser("zeta", help="exact zeta integral of a step function")
     z.add_argument("--phi", required=True)
     z.add_argument("--chi", required=True)
-    common(z)
+    common(z, tol=False)
 
     fe = sub.add_parser("fe-check", help="functional-equation verification")
     fe.add_argument("--corpus", default=None, help="'default' for the seeded corpus")
@@ -291,13 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="window lo:hi")
     h.add_argument("--route", choices=["mellin", "convolve", "both"],
                    default="both")
-    common(h)
+    common(h, emit=True)
 
     b = sub.add_parser("basic", help="basic-function table and identities")
     b.add_argument("--alpha", required=True, help="JSON [[re,im],...] (inline or path)")
     b.add_argument("--p", type=int, required=True)
     b.add_argument("--window", type=int, default=12)
-    common(b)
+    common(b, emit=True)
 
     l31 = sub.add_parser("lemma31", help="finite trace-average verifier")
     l31.add_argument("--p", type=int, required=True)
@@ -322,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--size-fe", type=int, default=50)
     c.add_argument("--size-hankel", type=int, default=20)
     c.add_argument("--size-satake", type=int, default=20)
-    common(c)
+    common(c, tol=False)
     return ap
 
 

@@ -7,6 +7,10 @@ COEFF_TOL = 1e-10
 # and dropped during normalization.
 PRUNE_REL_EPS = 1e-13
 
+# Absolute bound on a guard shell of the principal-value gamma integral,
+# which must vanish identically (zetagamma.gamma_pv).
+SHELL_GUARD_TOL = 1e-9
+
 # Working precision (number of p-adic digits carried by a unit residue) used
 # when elements are built from rationals or integers.  Locally constant
 # evaluations never look deeper than conductor + |valuation| + 2 digits, so
@@ -16,3 +20,6 @@ DEFAULT_PREC = 24
 # Archimedean targets.
 ARCH_QUAD_TOL = 1e-8
 ARCH_FE_TOL = 1e-5
+# An Archimedean gamma argument this close to a pole of the numerator
+# L-factor is rejected (arch.arch_gamma).
+ARCH_POLE_GUARD = 1e-8

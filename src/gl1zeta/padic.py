@@ -88,11 +88,6 @@ class PAdicElt:
         unit = (num * pow(den, -1, mod)) % mod
         return cls(p, val, unit, prec)
 
-    @classmethod
-    def uniformizer(cls, p: int, m: int = 1, prec: int = DEFAULT_PREC) -> "PAdicElt":
-        """p^m as an element of Q_p^x."""
-        return cls(p, m, 1, prec)
-
     # -- views -------------------------------------------------------------
 
     def unit_mod(self, k: int) -> int:
@@ -132,14 +127,6 @@ class PAdicElt:
     def neg(self) -> "PAdicElt":
         mod = self.p ** self.prec
         return PAdicElt(self.p, self.val, (-self.unit) % mod, self.prec)
-
-    def pow(self, n: int) -> "PAdicElt":
-        if n == 0:
-            return PAdicElt(self.p, 0, 1, self.prec)
-        if n < 0:
-            return self.inv().pow(-n)
-        mod = self.p ** self.prec
-        return PAdicElt(self.p, self.val * n, pow(self.unit, n, mod), self.prec)
 
     def add(self, other: "PAdicElt") -> "PAdicElt | None":
         """x + y, or None when the sum vanishes to the joint precision.

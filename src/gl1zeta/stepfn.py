@@ -362,8 +362,7 @@ def mellin(f: MultStepFunction, c_max: int | None = None) -> MellinData:
             if omega.cond > t.k:
                 continue  # omega nontrivial on the coset subgroup: integral 0
             vol = shell_volume(p) if t.k == 0 else float(p) ** (-t.k)
-            val = omega.unit_value(t.rep.unit_mod(omega.cond)) \
-                if omega.cond else 1.0 + 0.0j
+            val = omega.unit_value(t.rep.unit_mod(omega.cond))
             m = t.rep.val
             acc[m] = acc.get(m, 0.0) + t.coeff * val * vol
         comps[omega] = acc
@@ -402,8 +401,7 @@ def mellin_invert(d: MellinData, m_lo: int, m_hi: int, c_max: int) -> MultStepFu
                 c = series[w][i]
                 if c == 0:
                     continue
-                wu = w.unit_value(u) if w.cond else 1.0 + 0.0j
-                v += c * wu.conjugate()
+                v += c * w.unit_value(u).conjugate()
             v /= vol_units
             if v != 0:
                 terms.append(MultTerm(v, PAdicElt(p, m, u, DEFAULT_PREC), c_max))

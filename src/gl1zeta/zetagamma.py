@@ -16,10 +16,11 @@ Everything is exact in X = q^(-s):
   coefficientwise is the package's central identity check.
 
 Every shell and coset sum, here and in `kernel`, runs through one kernel,
-`_unit_sum`: a loop over the units with integer psi phases and a per-character
-table of unit values.  It is memoized on its exact integer inputs, which leave
-out t, so the t^m * volume factors are applied outside it; the gamma symbols
-of a corpus re-read the same few unit characters at many t and shells.
+`_unit_sum`: a loop over the units with integer psi phases, reading the
+character's value table `characters.unit_values`.  It is memoized on its
+exact integer inputs, which leave out t, so the t^m * volume factors are
+applied outside it; the gamma symbols of a corpus re-read the same few unit
+characters at many t and shells.
 
 Shell integral conventions (q = p, level-0 psi, vol(S_m, dx*) = 1 - 1/q):
 
@@ -33,8 +34,8 @@ from __future__ import annotations
 
 import functools
 
-from .characters import MultChar, char_product, unramified_char
-from .defaults import DEFAULT_PREC
+from .characters import MultChar, char_product, unit_values, unramified_char
+from .defaults import DEFAULT_PREC, SHELL_GUARD_TOL
 from .padic import PAdicElt, PrecisionError, shell_volume
 from .ratfunc import (IdentityReport, LaurentPoly, RationalFunc, geometric_series,
                       rf_discrepancy, rf_dual_subst, rf_to_json, root_of_unity)
@@ -61,23 +62,13 @@ class ShellGuardError(ArithmeticError):
 
 
 @functools.cache
-def _unit_values(p: int, cond: int, unit_char: tuple[int, ...]) -> tuple[complex, ...]:
-    """chi(u) for every residue u mod p^cond (0 at non-units), where chi has
-    the given unit character; the entries are `MultChar.unit_value` itself."""
-    if cond == 0:
-        return (1.0 + 0.0j,)
-    chi = MultChar(p, cond, unit_char, 1.0 + 0.0j)
-    return tuple(chi.unit_value(u) if u % p else 0j for u in range(p ** cond))
-
-
-@functools.cache
 def _unit_sum(p: int, cond: int, unit_char: tuple[int, ...],
               k0: int, k: int, d: int, r: int) -> complex:
     """sum of chi(u) * root_of_unity(r*u, p^d) over the units u < p^k with
     u = 1 mod p^k0 (every unit for k0 = 0), in increasing order; d = 0
     drops the psi factor.  chi has conductor `cond` and unit character
     `unit_char`, and cond <= k, d <= k."""
-    values = _unit_values(p, cond, unit_char)
+    values = unit_values(p, cond, unit_char)
     mod = len(values)
     pd = p ** d
     total = 0.0 + 0.0j
@@ -272,15 +263,15 @@ def gamma_closed(chi: MultChar, inverse_psi: bool = False) -> RationalFunc:
 
 
 def gamma_pv(chi: MultChar, twist: MultChar | None = None,
-             inverse_psi: bool = False, shell_floor: int | None = None,
-             guard_tol: float = 1e-9) -> IdentityReport:
+             inverse_psi: bool = False,
+             shell_floor: int | None = None) -> IdentityReport:
     """Principal-value Mellin transform of the GL(1) kernel, as gamma(s).
 
     Shell S_m contributes (q^(-1) X^(-1))^m times the exact shell integral
     of psi * (chi*twist)^(-1); shells below -max(cond, 1) are verified to
-    vanish (two guard shells, brute force, each to within `guard_tol`) and
-    then left out of the total, so their roundoff never lands in the result;
-    the m >= 0 tail is resummed in closed form.  The result is compared
+    vanish (two guard shells, brute force, each to within `SHELL_GUARD_TOL`)
+    and then left out of the total, so their roundoff never lands in the
+    result; the m >= 0 tail is resummed in closed form.  The result is compared
     against gamma_closed of the product character: the report's lhs is the
     closed form, its rhs the pv result, and meta["shells"] the brute-summed
     shell range.
@@ -301,7 +292,7 @@ def gamma_pv(chi: MultChar, twist: MultChar | None = None,
         val = shell_psi_chi_integral(q, m, chi_inv, b=one,
                                      inverse_psi=inverse_psi, brute=True)
         if m < m_last:
-            if abs(val) > guard_tol:
+            if abs(val) > SHELL_GUARD_TOL:
                 raise ShellGuardError(
                     "shell %d of the kernel Mellin integral should vanish, got %r"
                     % (m, val))

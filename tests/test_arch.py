@@ -63,6 +63,22 @@ def test_gamma_unitary_on_critical_line():
             assert abs(abs(arch_gamma(chi, 0.5 + 1j * t)) - 1) < 1e-9
 
 
+def test_gamma_unitary_far_up_the_critical_line():
+    # both L-values underflow to 0 from |t| of about 900; their ratio does not
+    for t in (900.0, 1000.0, 5000.0, -3000.0):
+        for chi in (TRIV, SGN, ArchChar("real", 1, 0.4),
+                    ArchChar("complex", 0), ArchChar("complex", 2, -0.3)):
+            assert abs(abs(arch_gamma(chi, 0.5 + 1j * t)) - 1) < 1e-12
+
+
+def test_gamma_matches_l_quotient_where_representable():
+    for s in (0.3 + 40j, 0.5 - 200j, 0.7 + 300j):
+        want = gamma_r(1 - s) / gamma_r(s)
+        assert abs(arch_gamma(TRIV, s) - want) < 1e-11 * abs(want)
+        want = gamma_c(1 - s) / gamma_c(s)
+        assert abs(arch_gamma(ArchChar("complex", 0), s) - want) < 1e-11 * abs(want)
+
+
 def test_gamma_psi_involution():
     for chi in (TRIV, SGN, ArchChar("complex", 1, 0.2)):
         for s in (0.3, 0.8 + 0.5j):

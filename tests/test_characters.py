@@ -1,11 +1,16 @@
 import cmath
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl1zeta.characters import (MultChar, char_product, trivial_char,
                                 unitary_components, unramified_char)
 from gl1zeta.padic import PAdicElt, PrecisionError, unit_group
+from gl1zeta.ratfunc import root_of_unity
 
 
 def test_unramified_evaluation():
@@ -111,3 +116,129 @@ def test_trivial_char():
     chi = trivial_char(7)
     assert chi.cond == 0 and chi.t == 1
     assert abs(chi.eval(PAdicElt.from_int(7, 21)) - 1) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# The integer phase tables against the exact Fraction phases they replaced.
+# The oracle below is the earlier implementation: a phase in Q/Z per unit,
+# summed as Fractions, and the exact conductor found by scanning every layer.
+
+PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+def _fraction_phase(p, level, vec):
+    """u -> the phase in Q/Z of the character of (Z/p^level)^x with
+    exponent vector vec."""
+    table = unit_group(p, level)
+
+    def phase(u):
+        r = Fraction(0)
+        for k, x, (_, o) in zip(vec, table.dlog[u % p ** level], table.generators):
+            r += Fraction(k * x, o)
+        return r % 1
+    return phase
+
+
+def _char_phase(chi):
+    if chi.cond == 0:
+        return lambda u: Fraction(0)
+    return _fraction_phase(chi.p, chi.cond, chi.unit_char)
+
+
+def _oracle_unit_value(chi, u):
+    r = _char_phase(chi)(u)
+    return root_of_unity(r.numerator, r.denominator)
+
+
+def _oracle_conductor(p, level, phase):
+    for a in range(level + 1):
+        if a == 0:
+            if all(phase(g) == 0 for g, _ in unit_group(p, level).generators):
+                return 0
+            continue
+        if p == 2 and a == 1:
+            continue
+        if all(phase(1 + p ** b) == 0 for b in range(a, level)):
+            return a
+    return level
+
+
+def _oracle_from_phase(p, level, phase, t):
+    cond = _oracle_conductor(p, level, phase) if level else 0
+    if cond == 0:
+        return MultChar(p, 0, (), t)
+    vec = []
+    for g, o in unit_group(p, cond).generators:
+        r = phase(g) * o
+        assert r.denominator == 1
+        vec.append(int(r) % o)
+    return MultChar(p, cond, tuple(vec), t)
+
+
+def _oracle_product(a, b):
+    pa, pb = _char_phase(a), _char_phase(b)
+    return _oracle_from_phase(a.p, max(a.cond, b.cond),
+                              lambda u: (pa(u) + pb(u)) % 1, a.t * b.t)
+
+
+def _oracle_components(p, c_max):
+    if c_max == 0:
+        return [trivial_char(p)]
+    table = unit_group(p, c_max)
+    vecs = itertools.product(*(range(o) for _, o in table.generators))
+    out = [_oracle_from_phase(p, c_max, _fraction_phase(p, c_max, vec), 1.0)
+           for vec in vecs]
+    return sorted(out, key=lambda ch: (ch.cond, ch.unit_char))
+
+
+@st.composite
+def _level_chars(draw, p, level):
+    """Any character of (Z/p^level)^x, at its exact conductor, with t drawn
+    from unitary and non-unitary values."""
+    t = complex(draw(st.sampled_from([1.0, 0.5, -1.7, 0.6 + 0.8j, 2j])))
+    if level == 0:
+        return MultChar(p, 0, (), t)
+    vec = tuple(draw(st.integers(0, o - 1)) for _, o in unit_group(p, level).generators)
+    return _oracle_from_phase(p, level, _fraction_phase(p, level, vec), t)
+
+
+@st.composite
+def _char_pairs(draw):
+    """(a, b) at one prime, level <= 3.  Half the pairs are b = a^(-1) * d
+    for a character d of lower level, so that the product's conductor
+    drops, down to 0."""
+    p = draw(st.sampled_from(PRIMES))
+    level = draw(st.integers(0, 3))
+    a = draw(_level_chars(p, level))
+    if draw(st.booleans()):
+        return a, draw(_level_chars(p, draw(st.integers(0, 3))))
+    d = draw(_level_chars(p, draw(st.integers(0, level))))
+    return a, _oracle_product(a.inverse(), d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PRIMES), st.integers(1, 3), st.data())
+def test_unit_value_matches_fraction_phases(p, level, data):
+    chi = data.draw(_level_chars(p, level))
+    val = data.draw(st.integers(-3, 3))
+    for u in range(1, p ** chi.cond):
+        if u % p:
+            assert chi.unit_value(u) == _oracle_unit_value(chi, u)
+            x = PAdicElt(p, val, u, 24)
+            want = chi.t ** x.val if x.val >= 0 else (1.0 / chi.t) ** (-x.val)
+            if chi.cond:
+                want *= _oracle_unit_value(chi, u)
+            assert chi.eval(x) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_char_pairs())
+def test_char_product_matches_fraction_phases(pair):
+    a, b = pair
+    assert char_product(a, b) == _oracle_product(a, b)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("c_max", [0, 1, 2, 3])
+def test_unitary_components_match_fraction_phases(p, c_max):
+    assert unitary_components(p, c_max) == _oracle_components(p, c_max)

@@ -143,6 +143,16 @@ def test_arch_fe_quadrature_failure_exit_one(capsys):
     assert json.loads(out)["error"]["code"] == "run/archquadratureerror"
 
 
+def test_arch_fe_far_up_the_critical_line_exit_one(capsys):
+    # gamma stays finite at |Im s| = 1000 (L(1-s) / L(s) once divided two
+    # underflowed zeros); the zeta integrals oscillate past the quadrature's
+    # convergence limit of about |Im s| = 1000 Re s
+    code, out = run_cli(capsys, "arch-fe", "--place", "real",
+                        "--chi", '{"eps":0,"t":0}', "--samples", "[[0.5,1000]]")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "run/archquadratureerror"
+
+
 def test_arch_fe_pole_exit_two(capsys):
     # s = 1 puts L(1 - s) on the pole of Gamma_R at 0: bad input
     code, out = run_cli(capsys, "arch-fe", "--place", "real",

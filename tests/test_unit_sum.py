@@ -1,10 +1,11 @@
 """The memoized unit-sum kernel against the plain per-unit loops.
 
 `_naive_coset` and `_naive_shell` are the plain reference loops: one
-`PAdicElt` per unit, `psi_value` on it and the `Fraction`-phase
-`MultChar.unit_value`.  The kernel keeps their summation order and float
-operations, so the results must be equal, not just close, and
-`PrecisionError` must be raised in exactly the same cases.
+`PAdicElt` per unit, `psi_value` on it and `MultChar.unit_value`.  The
+kernel keeps their summation order and float operations, so the results must
+be equal, not just close, and `PrecisionError` must be raised in exactly the
+same cases.  `MultChar.unit_value` reads the kernel's own value table; that
+table is checked against exact `Fraction` phases in tests/test_characters.py.
 """
 
 from hypothesis import assume, given, settings

@@ -110,12 +110,16 @@ class MultChar:
         """chi(x) = t^{v(x)} * unit_char(unit part of x mod p^cond)."""
         if x.p != self.p:
             raise ValueError("element lives at p=%d, character at p=%d" % (x.p, self.p))
-        if x.prec < self.cond:
+        return self.value_at(x.val, x.unit, x.prec)
+
+    def value_at(self, val: int, unit: int, prec: int) -> complex:
+        """chi(p^val * unit) for an integer unit known to `prec` digits."""
+        if prec < self.cond:
             raise PrecisionError("character of conductor %d needs %d unit digits, "
-                                 "element carries %d" % (self.cond, self.cond, x.prec))
-        value = self.t ** x.val if x.val >= 0 else (1.0 / self.t) ** (-x.val)
+                                 "element carries %d" % (self.cond, self.cond, prec))
+        value = self.t ** val if val >= 0 else (1.0 / self.t) ** (-val)
         if self.cond:
-            value *= self.unit_value(x.unit)
+            value *= self.unit_value(unit)
         return value
 
     # -- structure -----------------------------------------------------------
@@ -125,14 +129,16 @@ class MultChar:
 
     def unitary_part(self) -> "MultChar":
         """The same unit-group character with t = 1."""
+        # t = 1 - 0j compares equal to 1 but signs zeros differently in the
+        # products that use it, so only the exact 1 + 0j is returned as is.
+        if self.t == 1 and math.copysign(1.0, self.t.imag) == 1.0:
+            return self
         return MultChar(self.p, self.cond, self.unit_char, 1.0 + 0.0j)
 
     def inverse(self) -> "MultChar":
-        if self.cond == 0:
-            return MultChar(self.p, 0, (), 1.0 / self.t)
-        table = unit_group(self.p, self.cond)
-        vec = tuple((-k) % o for k, (_, o) in zip(self.unit_char, table.generators))
-        return MultChar(self.p, self.cond, vec, 1.0 / self.t)
+        # __post_init__ reduces the negated exponents mod the generator orders
+        return MultChar(self.p, self.cond, tuple(-k for k in self.unit_char),
+                        1.0 / self.t)
 
 
 def trivial_char(p: int) -> MultChar:

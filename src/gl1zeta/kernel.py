@@ -22,9 +22,15 @@ symbol, the map omega -> gamma(s, pi x omega, psi) built multiplicatively
 from Satake parameters, one component at a time as it is read; both routes
 exist (and are compared) at n = 1.
 
-The Gauss-type coset sums of the convolution route go through the memoized
-unit-sum kernel of `zetagamma` (via `shell_psi_chi_integral` and
-`psi_chi_coset_integral`), so no second summation loop lives here.
+The convolution route runs on integers.  `hankel_convolve` forms each
+x * rep as a (valuation, unit) pair, and `kernel_coset_integral` takes those
+integers to the memoized unit-sum kernel of `zetagamma`, through
+`coset_integral` (the integer form behind `psi_chi_coset_integral`) or
+`shell_psi_chi_integral`; no second summation loop lives here.  Within one
+`hankel_convolve` call each coset integral is computed once per key
+(valuation, unit mod p^max(cond, d), level), d = max(0, -valuation); the
+memo belongs to the call, so concurrent calls share nothing.  `PAdicElt`
+appears only in the returned rows.
 
 `trace_average_check` is the finite verifier of the vanishing lemma for
 averages of psi(tr(g h)) over principal congruence subgroups of SL_2.
@@ -42,8 +48,8 @@ from .padic import PAdicElt, check_prime, psi_value
 from .ratfunc import (IdentityReport, RationalFunc, rf_discrepancy,
                       rf_dual_subst, root_of_unity)
 from .stepfn import MellinData, MultStepFunction, mellin
-from .zetagamma import (gamma_closed, gamma_pv, gamma_product, normalize_pi,
-                        psi_chi_coset_integral, shell_psi_chi_integral)
+from .zetagamma import (coset_integral, gamma_closed, gamma_pv, gamma_product,
+                        normalize_pi, shell_psi_chi_integral)
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +93,8 @@ def kernel_shell_coefficient(k: Gl1Kernel, m: int,
     multiplying X^(-m)-type bookkeeping in the kernel's Mellin transform."""
     p = k.p
     prod = char_product(k.chi, twist) if twist is not None else k.chi
-    one = PAdicElt(p, 0, 1, DEFAULT_PREC)
-    val = shell_psi_chi_integral(p, m, prod.inverse(), b=one, brute=True)
+    val = shell_psi_chi_integral(p, m, prod.inverse(), b=PAdicElt.one(p),
+                                 brute=True)
     return val * float(p) ** (-m / 2.0)
 
 
@@ -335,17 +341,20 @@ def _grid_units(p: int, level: int) -> list[int]:
     return [u for u in range(1, p ** level) if u % p]
 
 
-def kernel_coset_integral(k: Gl1Kernel, a: PAdicElt, level: int) -> complex:
-    """int over a*(1+p^level Z_p) (level >= 1) or a*Z_p^x (level 0) of
-    psi(y) chi^(-1)(y) |y|^(1/2) dy*, as a finite Gauss-type sum."""
+def kernel_coset_integral(k: Gl1Kernel, val: int, unit: int,
+                          level: int) -> complex:
+    """int over p^val*unit*(1+p^level Z_p) (level >= 1) or p^val*Z_p^x
+    (level 0) of psi(y) chi^(-1)(y) |y|^(1/2) dy*, as a finite Gauss-type
+    sum; the unit is known to DEFAULT_PREC digits."""
     p = k.p
-    one = PAdicElt(p, 0, 1, DEFAULT_PREC)
     chi_inv = k.chi_inv
     if level == 0:
-        val = shell_psi_chi_integral(p, a.val, chi_inv, b=one)
+        value = shell_psi_chi_integral(p, val, chi_inv, b=PAdicElt.one(p))
     else:
-        val = psi_chi_coset_integral(a, level, chi_inv, b=one)
-    return val * float(p) ** (-a.val / 2.0)
+        # psi(y) is psi(b y) at b = 1, so the twisted point is the coset rep
+        value = coset_integral(chi_inv, level, val, unit, DEFAULT_PREC,
+                               val, unit, DEFAULT_PREC)
+    return value * float(p) ** (-val / 2.0)
 
 
 def hankel_convolve(phi: MultStepFunction, k: Gl1Kernel,
@@ -355,19 +364,32 @@ def hankel_convolve(phi: MultStepFunction, k: Gl1Kernel,
 
     Values are reported on 1+p^level cosets; F phi is invariant at the
     smoothness level of phi, so the default level is phi's coset level.
+    The coset integral at a = x * rep depends on a only through its
+    valuation and its unit mod p^max(cond, d), d = max(0, -v(a)), so each
+    call computes it once per such key; the memo lives for the call.
     """
     p = phi.p
+    if k.p != p:
+        raise ValueError("mixed primes %d, %d" % (p, k.p))
     if level is None:
         level = phi.max_level()
+    cond = k.chi.cond
+    # every rep of a MultStepFunction carries DEFAULT_PREC digits
+    terms = [(t.coeff, t.rep.val, t.rep.unit, t.k) for t in phi.terms]
+    memo: dict[tuple[int, int, int], complex] = {}
     rows: list[tuple[int, PAdicElt, complex]] = []
     for m in range(m_lo, m_hi + 1):
         for u in _grid_units(p, level):
-            x = PAdicElt(p, m, u, DEFAULT_PREC)
             total = 0.0 + 0.0j
-            for t in phi.terms:
-                a = x.mul(t.rep)
-                total += t.coeff * kernel_coset_integral(k, a, t.k)
-            rows.append((m, x, total))
+            for coeff, rep_val, rep_unit, rep_k in terms:
+                val = m + rep_val
+                unit = u * rep_unit
+                key = (val, unit % p ** max(cond, -val), rep_k)
+                value = memo.get(key)
+                if value is None:
+                    value = memo[key] = kernel_coset_integral(k, val, unit, rep_k)
+                total += coeff * value
+            rows.append((m, PAdicElt(p, m, u, DEFAULT_PREC), total))
     return ShellTable(p, level, rows)
 
 

@@ -67,6 +67,13 @@ class PAdicElt:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    @functools.cache
+    def one(cls, p: int) -> "PAdicElt":
+        """1 at DEFAULT_PREC digits, built once per prime and shared (the
+        class is immutable)."""
+        return cls(p, 0, 1, DEFAULT_PREC)
+
+    @classmethod
     def from_int(cls, p: int, n: int, prec: int = DEFAULT_PREC) -> "PAdicElt":
         return cls.from_rational(p, Fraction(n), prec)
 
@@ -131,9 +138,9 @@ class PAdicElt:
     def add(self, other: "PAdicElt") -> "PAdicElt | None":
         """x + y, or None when the sum vanishes to the joint precision.
 
-        Absolute precision of the sum is min over the operands; a None result
-        is treated as exact zero downstream, which is sound for locally
-        constant evaluations at desk scale (see defaults.DEFAULT_PREC).
+        Absolute precision of the sum is min over the operands.  None says
+        only that x + y lies in p^(that precision) Z_p; each caller checks
+        that this decides its question (see `stepfn`).
         """
         self._same_p(other)
         a, b = (self, other) if self.val <= other.val else (other, self)

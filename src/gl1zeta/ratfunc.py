@@ -16,6 +16,7 @@ below a tolerance.  No polynomial gcd is attempted (coefficients are floats).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -59,6 +60,7 @@ class LaurentPoly:
         return cls(q, {})
 
     @classmethod
+    @functools.cache
     def one(cls, q: int) -> "LaurentPoly":
         return cls(q, {0: 1.0 + 0.0j})
 
@@ -167,10 +169,12 @@ class RationalFunc:
         return cls(LaurentPoly(q, {0: complex(c)}), LaurentPoly.one(q))
 
     @classmethod
+    @functools.cache
     def zero(cls, q: int) -> "RationalFunc":
         return cls(LaurentPoly.zero(q), LaurentPoly.one(q))
 
     @classmethod
+    @functools.cache
     def one(cls, q: int) -> "RationalFunc":
         return cls.const(q, 1.0)
 
@@ -235,6 +239,8 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Laur
     # then divide both by den's constant term.
     e = den.min_exp()
     c0 = den.coeffs[e]
+    if e == 0 and c0 == 1:
+        return num, den     # already canonical
     den = LaurentPoly(den.q, {k - e: v / c0 for k, v in den.coeffs.items()})
     num = LaurentPoly(num.q, {k - e: v / c0 for k, v in num.coeffs.items()})
     return num, den

@@ -10,21 +10,26 @@ Two function models:
 
 * MultStepFunction -- finite sums coeff * 1_{rep*(1+p^k Z_p)} (k = 0 meaning
   rep*Z_p^x), the compactly supported locally constant functions on Q_p^x.
-  Cosets are disjointified per shell on construction.
+  Cosets are disjointified per shell on construction, which also builds the
+  index `eval` reads: shell -> (level, unit mod p^level -> coeff).  The
+  index never changes afterwards, so threads may share the function.
 
 MellinData maps each unitary unit-group character omega (with t = 1) to the
 rational function M(f)(omega)(X) = integral of f(x) omega(x) |x|^s dx*; for a
 compactly supported f each component is a Laurent polynomial and the finite
-character sum inverts it exactly.
+character sum inverts it exactly.  `mellin_invert` sums on integer unit
+residues and reads each component's value table once per call.
+
+`PAdicElt` is the boundary type: `MultTerm.rep` and the argument of `eval`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .characters import MultChar, unitary_components
+from .characters import MultChar, unit_values, unitary_components
 from .defaults import DEFAULT_PREC, PRUNE_REL_EPS
-from .padic import PAdicElt, check_prime, psi_value, shell_volume
+from .padic import PAdicElt, PrecisionError, check_prime, psi_value, shell_volume
 from .ratfunc import LaurentPoly, RationalFunc, rf_series_coeffs
 
 
@@ -45,7 +50,21 @@ class StepTerm:
         if self.center is None:
             return x.val >= self.rad
         d = x.sub(self.center)
-        return d is None or d.val >= self.rad
+        if d is None:
+            # x - center vanishes to the joint absolute precision, which
+            # decides membership only if it reaches the radius
+            known = _abs_prec(x, self.center)
+            if known < self.rad:
+                raise PrecisionError(
+                    "ball of radius p^%d needs %d absolute digits, the point "
+                    "and the center share %d" % (self.rad, self.rad, known))
+            return True
+        return d.val >= self.rad
+
+
+def _abs_prec(x: PAdicElt, y: PAdicElt) -> int:
+    """The absolute precision of x - y: both are known modulo p^this."""
+    return min(x.val + x.prec, y.val + y.prec)
 
 
 class StepFunction:
@@ -138,6 +157,9 @@ def _ball_intersection(t1: StepTerm, t2: StepTerm):
     if a.center is None:
         return (b.center, b.rad) if b.center.val >= a.rad else None
     d = b.center.sub(a.center)
+    # d = None is exact containment: `StepFunction._reduce` leaves every
+    # center known to at least its radius in absolute digits, so the
+    # difference is known to min(a.rad, b.rad) = a.rad digits.
     if d is not None and d.val < a.rad:
         return None
     return (b.center, b.rad)
@@ -164,6 +186,16 @@ def step_inner(f: StepFunction, g: StepFunction) -> complex:
                 b = t2.twist.neg()
             else:
                 b = t1.twist.sub(t2.twist)
+                if b is None:
+                    # the twists agree to their joint absolute precision;
+                    # psi(b x) = 1 on the ball needs that precision to reach
+                    # -rad and -v(center)
+                    need = -min(rad, center.val if center is not None else rad)
+                    known = _abs_prec(t1.twist, t2.twist)
+                    if known < need:
+                        raise PrecisionError(
+                            "twist difference needs %d absolute digits, the "
+                            "twists share %d" % (need, known))
             if b is not None and b.val + rad < 0:
                 continue  # full additive character sum over the ball: 0
             val = float(p) ** (-rad)
@@ -204,6 +236,13 @@ class MultStepFunction:
         check_prime(p)
         self.p = p
         self.terms = self._normalize([t for t in terms if t.coeff != 0])
+        # shell -> (its common level, unit residue mod p^level -> coeff);
+        # built here, before the object is shared, so reading it needs no lock
+        self._shells: dict[int, tuple[int, dict[int, complex]]] = {}
+        for t in self.terms:
+            if t.rep.val not in self._shells:
+                self._shells[t.rep.val] = (t.k, {})
+            self._shells[t.rep.val][1][t.rep.unit_mod(t.k)] = t.coeff
 
     def _normalize(self, terms) -> tuple[MultTerm, ...]:
         p = self.p
@@ -237,12 +276,11 @@ class MultStepFunction:
         return sorted({t.rep.val for t in self.terms})
 
     def eval(self, x: PAdicElt) -> complex:
-        for t in self.terms:
-            if x.val != t.rep.val:
-                continue
-            if t.k == 0 or x.unit_mod(t.k) == t.rep.unit_mod(t.k):
-                return t.coeff
-        return 0.0 + 0.0j
+        shell = self._shells.get(x.val)
+        if shell is None:
+            return 0.0 + 0.0j
+        level, coeffs = shell
+        return coeffs.get(x.unit_mod(level), 0.0 + 0.0j)
 
     def scaled_arg(self, a: PAdicElt) -> "MultStepFunction":
         """The translate x -> f(a^(-1) x), supported on a * supp(f)."""
@@ -386,22 +424,28 @@ def mellin_invert(d: MellinData, m_lo: int, m_hi: int, c_max: int) -> MultStepFu
                              % (omega.cond, c_max))
     p = d.p
     vol_units = shell_volume(p)
-    omegas = [w for w in unitary_components(p, c_max) if w.unitary_part() in d.comps]
-    series = {w: rf_series_coeffs(d.comps[w], m_lo, m_hi) for w in omegas}
-    terms = []
     if c_max == 0:
         unit_reps = [1]
     else:
         mod = p ** c_max
         unit_reps = [u for u in range(1, mod) if u % p]
+    # per component: its series coefficients on the window and the conjugate
+    # of its value at each unit rep, each read once
+    columns = []
+    for w in unitary_components(p, c_max):
+        rf = d.comps.get(w)
+        if rf is None:
+            continue
+        values = unit_values(p, w.cond, w.unit_char)
+        columns.append((rf_series_coeffs(rf, m_lo, m_hi),
+                        [values[u % len(values)].conjugate() for u in unit_reps]))
+    terms = []
     for i, m in enumerate(range(m_lo, m_hi + 1)):
-        for u in unit_reps:
+        live = [(series[i], conj) for series, conj in columns if series[i] != 0]
+        for j, u in enumerate(unit_reps):
             v = 0.0 + 0.0j
-            for w in omegas:
-                c = series[w][i]
-                if c == 0:
-                    continue
-                v += c * w.unit_value(u).conjugate()
+            for c, conj in live:
+                v += c * conj[j]
             v /= vol_units
             if v != 0:
                 terms.append(MultTerm(v, PAdicElt(p, m, u, DEFAULT_PREC), c_max))

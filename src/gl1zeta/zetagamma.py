@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 
 from .characters import MultChar, char_product, unit_values, unramified_char
-from .defaults import DEFAULT_PREC, SHELL_GUARD_TOL
+from .defaults import SHELL_GUARD_TOL
 from .padic import PAdicElt, PrecisionError, shell_volume
 from .ratfunc import (IdentityReport, LaurentPoly, RationalFunc, geometric_series,
                       rf_discrepancy, rf_dual_subst, rf_to_json, root_of_unity)
@@ -82,16 +82,36 @@ def _unit_sum(p: int, cond: int, unit_char: tuple[int, ...],
     return total
 
 
-def _psi_phase(x: PAdicElt, d: int, inverse_psi: bool) -> int:
-    """The psi residue r of a twist x: psi(y*u) = root_of_unity(r*u, p^d)
-    for every unit u and every y of valuation -d with the unit digits of x
-    (psi^(-1) with inverse_psi).  0 when d = 0; x must carry d digits."""
+def _psi_phase(p: int, unit: int, prec: int, d: int, inverse_psi: bool) -> int:
+    """The psi residue r of a twist p^(-d) * unit: psi(y*u) =
+    root_of_unity(r*u, p^d) for every unit u and every y of valuation -d
+    with these unit digits (psi^(-1) with inverse_psi).  0 when d = 0; the
+    unit must be known to d digits (`prec`)."""
     if d == 0:
         return 0
-    if x.prec < d:
+    if prec < d:
         raise PrecisionError(
-            "psi needs %d digits below the point, element carries %d" % (d, x.prec))
-    return (-x.unit if inverse_psi else x.unit) % x.p ** d
+            "psi needs %d digits below the point, element carries %d" % (d, prec))
+    return (-unit if inverse_psi else unit) % p ** d
+
+
+def coset_integral(chi: MultChar, k: int, val: int, unit: int, prec: int,
+                   w: int = 0, twist: int = 1, twist_prec: int = 0,
+                   inverse_psi: bool = False) -> complex:
+    """`psi_chi_coset_integral` on integer coordinates: the coset is
+    p^val * unit * (1 + p^k Z_p), k >= 1, with the unit known to `prec`
+    digits, and b * p^val * unit = p^w * twist, with the twist known to
+    `twist_prec` digits.  Without b, w = 0 and the twist is never read."""
+    p = chi.p
+    cond = chi.cond
+    if w < -max(cond, k):
+        return 0.0 + 0.0j  # oscillation strictly finer than any character scale
+    level = k + max(0, cond - k, -w - k)
+    vol = float(p) ** (-level)
+    chi_rep = chi.value_at(val, unit, prec)
+    d = max(0, -w)
+    r = _psi_phase(p, twist, twist_prec, d, inverse_psi)
+    return chi_rep * vol * _unit_sum(p, cond, chi.unit_char, k, level, d, r)
 
 
 def psi_chi_coset_integral(rep: PAdicElt, k: int, chi: MultChar,
@@ -106,20 +126,15 @@ def psi_chi_coset_integral(rep: PAdicElt, k: int, chi: MultChar,
     if k < 1:
         raise ValueError("coset level must be >= 1")
     p = chi.p
-    cond = chi.cond
-    w = (b.val + rep.val) if b is not None else 0
-    if b is not None and w < -max(cond, k):
-        return 0.0 + 0.0j  # oscillation strictly finer than any character scale
-    extra = max(0, cond - k)
-    if b is not None:
-        extra = max(extra, -w - k)
-    level = k + extra
-    vol = float(p) ** (-level)
-    beff = b.mul(rep) if b is not None else None
-    chi_rep = chi.eval(rep)
-    d = max(0, -w)
-    r = _psi_phase(beff, d, inverse_psi) if beff is not None else 0
-    return chi_rep * vol * _unit_sum(p, cond, chi.unit_char, k, level, d, r)
+    for x in (rep, b):
+        if x is not None and x.p != p:
+            raise ValueError("mixed primes %d, %d" % (p, x.p))
+    if b is None:
+        return coset_integral(chi, k, rep.val, rep.unit, rep.prec)
+    # the unit digits of b * rep, as far as both operands know them
+    return coset_integral(chi, k, rep.val, rep.unit, rep.prec,
+                          b.val + rep.val, b.unit * rep.unit,
+                          min(b.prec, rep.prec), inverse_psi)
 
 
 def shell_psi_chi_integral(p: int, m: int, chi: MultChar,
@@ -150,12 +165,8 @@ def shell_psi_chi_integral(p: int, m: int, chi: MultChar,
     if b is not None:
         if b.p != p:
             raise ValueError("mixed primes %d, %d" % (p, b.p))
-        r = _psi_phase(b, d, inverse_psi)
+        r = _psi_phase(p, b.unit, b.prec, d, inverse_psi)
     return tval * vol * _unit_sum(p, cond, chi.unit_char, 0, k, d, r)
-
-
-def _one(p: int) -> PAdicElt:
-    return PAdicElt(p, 0, 1, DEFAULT_PREC)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +262,7 @@ def epsilon_factor(chi: MultChar, inverse_psi: bool = False) -> RationalFunc:
     a = chi.cond
     if a == 0:
         return RationalFunc.one(q)
-    gauss = shell_psi_chi_integral(q, -a, chi.inverse(), b=_one(q),
+    gauss = shell_psi_chi_integral(q, -a, chi.inverse(), b=PAdicElt.one(q),
                                    inverse_psi=inverse_psi)
     return RationalFunc.monomial(q, a, gauss * float(q) ** a)
 
@@ -286,7 +297,7 @@ def gamma_pv(chi: MultChar, twist: MultChar | None = None,
     m_last = -max(a, 1)
     lo = m_last - 2 if shell_floor is None else min(shell_floor, m_last - 2)
     chi_inv = prod.inverse()
-    one = _one(q)
+    one = PAdicElt.one(q)
     total = RationalFunc.zero(q)
     for m in range(lo, 0):
         val = shell_psi_chi_integral(q, m, chi_inv, b=one,

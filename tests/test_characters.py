@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gl1zeta import characters
 from gl1zeta.characters import (MultChar, char_product, trivial_char,
                                 unitary_components, unramified_char)
 from gl1zeta.padic import PAdicElt, PrecisionError, unit_group
@@ -50,6 +51,23 @@ def test_product_with_inverse_is_trivial():
     chi = MultChar(5, 1, (1,), 0.5 + 0.2j)
     prod = char_product(chi, chi.inverse())
     assert prod.cond == 0 and prod.unit_char == () and abs(prod.t - 1) < 1e-14
+
+
+def test_inverse_and_unitary_part_skip_rebuilding(monkeypatch):
+    looked_up = []
+    table = characters.unit_group
+    monkeypatch.setattr(characters, "unit_group",
+                        lambda p, a: looked_up.append((p, a)) or table(p, a))
+    chi = MultChar(5, 2, (3,), 2.0 + 1j)
+    looked_up.clear()
+    inv = chi.inverse()
+    assert looked_up == [(5, 2)]
+    assert inv == MultChar(5, 2, (17,), 1 / (2.0 + 1j))
+    w = chi.unitary_part()
+    assert w.t == 1 and w.unitary_part() is w
+    # t = 1 - 0j is not returned as is: its zero sign differs from 1 + 0j
+    v = MultChar(5, 0, (), complex(1.0, -0.0)).unitary_part()
+    assert cmath.isclose(v.t, 1) and str(v.t) == "(1+0j)"
 
 
 def test_inverse_unit_parts_cancel_conductor():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gl1zeta import kernel
 from gl1zeta.characters import (MultChar, char_product, trivial_char,
                                 unitary_components)
 from gl1zeta.corpus import random_char, random_mult_step, random_satake
@@ -14,8 +15,8 @@ from gl1zeta.kernel import (Gl1Kernel, TruncatedKernel,
                             truncation_stability)
 from gl1zeta.padic import PAdicElt
 from gl1zeta.ratfunc import RationalFunc, rf_close, rf_dual_subst
-from gl1zeta.stepfn import (delta_approximant, mellin, mellin_invert,
-                            unit_indicator)
+from gl1zeta.stepfn import (MultStepFunction, MultTerm, delta_approximant,
+                            mellin, mellin_invert, unit_indicator)
 from gl1zeta.zetagamma import (gamma_closed, gamma_pv, l_factor_satake,
                                normalize_pi)
 
@@ -298,3 +299,34 @@ def test_homogeneous_identity_scaling_covariance():
     r1 = homogeneous_identity_check(chi, trivial_char(p), phi0)
     r2 = homogeneous_identity_check(chi, trivial_char(p), phi0.scaled_arg(a))
     assert r1.max_coeff_diff <= 1e-9 and r2.max_coeff_diff <= 1e-9
+
+
+def test_hankel_convolve_work_counts(monkeypatch):
+    # One PAdicElt per row and one coset integral per distinct key
+    # (valuation, unit mod p^max(cond, d), level): the work the memo saves,
+    # counted without a clock.
+    p = 3
+    chi = MultChar(p, 1, (1,), 1.3 - 0.4j)
+    phi = MultStepFunction(p, [
+        MultTerm(1 + 0.5j, PAdicElt(p, -1, 2, 24), 2),
+        MultTerm(-0.3 + 1j, PAdicElt(p, 1, 4, 24), 1),
+        MultTerm(2.0, PAdicElt(p, 0, 1, 24), 0)])
+    kern = Gl1Kernel(chi)
+    hankel_convolve(phi, kern, -5, 5, level=2)   # fills the shared caches
+    built, keys = [], []
+    post_init = PAdicElt.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counting_integral(k, val, unit, level):
+        keys.append((val, unit % p ** max(chi.cond, -val), level))
+        return coset_integral(k, val, unit, level)
+
+    coset_integral = kernel.kernel_coset_integral
+    monkeypatch.setattr(PAdicElt, "__post_init__", counting_post_init)
+    monkeypatch.setattr(kernel, "kernel_coset_integral", counting_integral)
+    table = hankel_convolve(phi, kern, -5, 5, level=2)
+    assert len(built) == len(table.rows) == 11 * 6
+    assert len(keys) == len(set(keys)) == 114     # of 66 rows x 3 terms

@@ -3,13 +3,14 @@ import random
 import pytest
 
 from gl1zeta.corpus import random_mult_step, random_step
-from gl1zeta.padic import PAdicElt
+from gl1zeta.padic import PAdicElt, PrecisionError
 from gl1zeta.ratfunc import RationalFunc, rf_close
 from gl1zeta.stepfn import (MultStepFunction, MultTerm, StepFunction,
                             StepTerm, coset_indicator, delta_approximant,
                             fourier_transform, indicator_ball, mellin,
                             mellin_invert, mult_convolve, mult_distance,
-                            step_distance_sq, step_l2, unit_indicator)
+                            step_distance_sq, step_inner, step_l2,
+                            unit_indicator)
 
 
 def test_fourier_self_dual_lattice():
@@ -103,6 +104,40 @@ def test_cosets_disjoint_after_normalization():
     # function values are the sums of the overlapping pieces
     assert abs(f.eval(PAdicElt(p, 0, 4, 24)) - (3.0 + 1j)) < 1e-14
     assert abs(f.eval(PAdicElt(p, 0, 2, 24)) - 1j) < 1e-14
+
+
+def test_ball_membership_needs_digits_to_the_radius():
+    ball = indicator_ball(3, PAdicElt(3, 0, 4, 24), 2)     # 4 + 9 Z_3
+    # 1 and 4 agree mod 3, the only digit the point carries
+    with pytest.raises(PrecisionError):
+        ball.eval(PAdicElt(3, 0, 1, 1))
+    assert ball.eval(PAdicElt(3, 0, 1, 2)) == 0
+    assert ball.eval(PAdicElt(3, 0, 13, 2)) == 1
+    assert ball.eval(PAdicElt(3, 2, 1, 1)) == 0     # valuation decides
+
+
+def test_ball_intersection_of_centers_given_to_the_radius():
+    # the two centers agree to every digit they carry; reduction keeps a
+    # center's digits down to its radius, which decides nesting exactly
+    big = indicator_ball(3, PAdicElt(3, 0, 1, 1), 1)        # 1 + 3 Z_3
+    small = indicator_ball(3, PAdicElt(3, 0, 4, 2), 2)      # 4 + 9 Z_3
+    apart = indicator_ball(3, PAdicElt(3, 0, 7, 2), 2)      # 7 + 9 Z_3
+    assert step_inner(big, small) == 3.0 ** -2
+    assert step_inner(small, apart) == 0
+
+
+def test_step_inner_needs_twist_digits():
+    def wave(unit, prec):
+        return indicator_ball(3, None, 0, twist=PAdicElt(3, -3, unit, prec))
+    # psi(a x) on Z_3 for a = 3^-3 * unit: the twists 1 and 4 differ by
+    # 3^-2, which two digits see and one digit does not
+    with pytest.raises(PrecisionError):
+        step_inner(wave(1, 1), wave(4, 1))
+    assert step_inner(wave(1, 2), wave(4, 2)) == 0
+    # equal twists cancel on Z_3 only if they are known down to 3^0
+    with pytest.raises(PrecisionError):
+        step_inner(wave(1, 2), wave(1, 2))
+    assert step_inner(wave(1, 3), wave(1, 3)) == 1
 
 
 def test_mellin_unit_indicator():

@@ -43,6 +43,11 @@ class ArchQuadratureError(ArithmeticError):
     or the integrand had not decayed at the truncation limits."""
 
 
+class ArchUnresolvedError(ArithmeticError):
+    """Both sides of a functional-equation sample are within their own
+    quadrature error bounds of zero, so their agreement verifies nothing."""
+
+
 @dataclass(frozen=True)
 class ArchChar:
     """A unitary character of R^x or C^x.
@@ -369,7 +374,13 @@ class ArchFEReport:
 def arch_fe_check(seed: ArchSeed, chi: ArchChar, s_samples) -> ArchFEReport:
     """Z(1-s, F_psi f, chi^(-1)) = gamma(s, chi, psi) Z(s, f, chi) at each
     sample (samples should sit in the common convergence strip 0 < Re s < 1,
-    widened by the seed's vanishing order)."""
+    widened by the seed's vanishing order).
+
+    Each zeta integral is known to within ARCH_QUAD_TOL, so the right side
+    to within |gamma| * ARCH_QUAD_TOL.  A sample where both sides lie within
+    those bounds of zero (far up the critical line, where the true values
+    underflow, or an integrand that vanishes by parity) compares roundoff
+    with roundoff: it raises ArchUnresolvedError instead of passing."""
     fhat = fourier_seed(seed)
     inv = chi.inverse()
     rows = []
@@ -378,5 +389,10 @@ def arch_fe_check(seed: ArchSeed, chi: ArchChar, s_samples) -> ArchFEReport:
         gamma = arch_gamma(chi, s)  # a pole is bad input: raise it first
         lhs = arch_zeta(fhat, inv, 1 - s)
         rhs = gamma * arch_zeta(seed, chi, s)
+        if abs(lhs) <= ARCH_QUAD_TOL and abs(rhs) <= abs(gamma) * ARCH_QUAD_TOL:
+            raise ArchUnresolvedError(
+                "at s = %r both sides (|lhs| %.3g, |rhs| %.3g) are within the "
+                "quadrature error of 0: the sample verifies nothing"
+                % (s, abs(lhs), abs(rhs)))
         rows.append(ArchFERow(s, lhs, rhs))
     return ArchFEReport(rows)

@@ -182,8 +182,14 @@ def unitary_components(p: int, c_max: int) -> list[MultChar]:
     in order of (conductor, exponent vector).
 
     This is the component set Omega^ used for Mellin inversion, truncated at
-    conductor c_max.
+    conductor c_max.  Each set is built once; every call returns a new list
+    of the same (frozen) characters.
     """
+    return list(_unitary_components(p, c_max))
+
+
+@functools.cache
+def _unitary_components(p: int, c_max: int) -> tuple[MultChar, ...]:
     check_prime(p)
     if c_max < 0:
         raise ValueError("c_max must be >= 0")
@@ -193,7 +199,7 @@ def unitary_components(p: int, c_max: int) -> list[MultChar]:
         for vec in itertools.product(*(range(o) for _, o in table.generators)):
             if _exact(table, vec):
                 out.append(MultChar(p, cond, vec, 1.0 + 0.0j))
-    return out
+    return tuple(out)
 
 
 def char_to_json(chi: MultChar) -> dict:

@@ -7,8 +7,10 @@ settings.
 
 Exit codes: 0 success, 1 verification failure (a checked identity exceeded
 its tolerance, or an internal invariant broke: `run/shellguarderror`, or an
-Archimedean zeta integral did not converge: `run/archquadratureerror`), 2
-input error.  Failures carry machine-readable reason codes.
+Archimedean zeta integral did not converge: `run/archquadratureerror`, or
+both sides of an Archimedean sample were within the quadrature error of 0:
+`run/archunresolvederror`), 2 input error.  Failures carry machine-readable
+reason codes.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import serialize
-from .arch import ArchQuadratureError, arch_fe_check
+from .arch import ArchQuadratureError, ArchUnresolvedError, arch_fe_check
 from .basicfn import BasicFunction, basic_fourier_check, basic_zeta_check
 from .characters import MultChar, char_to_json
 from .corpus import corpus_generate
@@ -440,9 +442,11 @@ def main(argv=None) -> int:
         return run(spec)
     except (ValueError, ArithmeticError, KeyError) as exc:
         # a guard shell that failed to vanish, or a quadrature that did not
-        # converge, is a program fault, not bad input
+        # converge or resolve its values, is a verification failure, not bad
+        # input
         status = (EXIT_VERIFY
-                  if isinstance(exc, (ShellGuardError, ArchQuadratureError))
+                  if isinstance(exc, (ShellGuardError, ArchQuadratureError,
+                                      ArchUnresolvedError))
                   else EXIT_INPUT)
         return _fail("run/%s" % type(exc).__name__.lower(), str(exc), status)
 

@@ -40,7 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import repeat
+from operator import add
 
 from .characters import MultChar, char_product, unitary_components
 from .defaults import DEFAULT_PREC
@@ -157,6 +159,14 @@ def trace_average_check(p: int, g, l0: int, L: int) -> complex:
     guard rails: p in {2, 3} and L - l0 <= 3 (at most p^9 cosets), with
     L >= l0 + d where d is the largest denominator exponent in g (so the
     integrand is constant on level-L cosets).
+
+    h = [[a, b], [c, (1 + bc)/a]] runs over a = 1 + p^l0 ia, b = p^l0 ib,
+    c = p^l0 ic.  The phase of psi(tr(g h)) lives mod p^d, and p^d divides
+    p^L (L >= l0 + d > d), so reducing a, b and a^(-1) mod p^L first changes
+    nothing mod p^d.  tr(g h) is affine in c, so the phase in the innermost
+    index is (r0 + ic * delta) mod p^d, with r0 and delta fixed by (a, b):
+    the roots are read from one table and added in the order of the plain
+    triple loop over (ia, ib, ic).
     """
     check_prime(p)
     if p not in (2, 3):
@@ -187,20 +197,18 @@ def trace_average_check(p: int, g, l0: int, L: int) -> complex:
     step = p ** l0
     roots = [root_of_unity(r, modD) for r in range(modD)]
     total = 0.0 + 0.0j
-    count = 0
     for ia in range(span):
-        a = (1 + step * ia) % modL
+        a = 1 + step * ia
         a_inv = pow(a, -1, modL)
         for ib in range(span):
-            b = (step * ib) % modL
-            for ic in range(span):
-                c = (step * ic) % modL
-                dd = ((1 + b * c) * a_inv) % modL
-                # tr(g h) for h = [[a, b], [c, dd]]
-                r = (n00 * a + n01 * c + n10 * b + n11 * dd) % modD
-                total += roots[r]
-                count += 1
-    return total / count
+            b = step * ib
+            # tr(g h) = n00 a + n10 b + n11 a^(-1) + c (n01 + n11 b a^(-1))
+            r0 = (n00 * a + n10 * b + n11 * a_inv) % modD
+            delta = (step * (n01 + n11 * b * a_inv)) % modD
+            phases = (repeat(r0, span) if delta == 0 else
+                      [(r0 + ic * delta) % modD for ic in range(span)])
+            total = reduce(add, map(roots.__getitem__, phases), total)
+    return total / span ** 3
 
 
 def lemma31_grid(p: int, l0: int) -> list[list[list[Fraction]]]:

@@ -324,6 +324,15 @@ def rf_to_json(a: RationalFunc) -> dict:
     }
 
 
+TWO_PI = 2 * math.pi
+
+
 def root_of_unity(phase_num: int, phase_den: int) -> complex:
-    """exp(2*pi*i*phase_num/phase_den), the package's only transcendental."""
-    return cmath.exp(2j * cmath.pi * (phase_num % phase_den) / phase_den)
+    """exp(2*pi*i*phase_num/phase_den), the package's only transcendental.
+
+    The angle is fl(fl(2*pi*j) / n) for the reduced phase j, and `rect`
+    returns (cos, sin) of it from the platform libm: the same bits as
+    cmath.exp(2j*cmath.pi*j/n), which computes the same angle and multiplies
+    the same cos and sin by exp(0.0) = 1.0.  `zetagamma._unit_sum` writes
+    this expression out inline."""
+    return cmath.rect(1.0, TWO_PI * (phase_num % phase_den) / phase_den)

@@ -261,11 +261,15 @@ class MultStepFunction:
             for t in shell_terms:
                 for u in _refined_units(p, t, level):
                     merged[u] = merged.get(u, 0.0) + t.coeff
+            # an input rep equal to the one the loop would build is shared
+            # (the class is frozen): a residue u < p^level at DEFAULT_PREC
+            given = {t.rep.unit: t.rep for t in shell_terms
+                     if t.rep.prec == DEFAULT_PREC}
             for u in sorted(merged):
                 c = merged[u]
                 if abs(c) <= cut or c == 0:
                     continue
-                rep = PAdicElt(p, m, u, DEFAULT_PREC)
+                rep = given.get(u) or PAdicElt(p, m, u, DEFAULT_PREC)
                 out.append(MultTerm(complex(c), rep, level))
         return tuple(out)
 

@@ -16,11 +16,12 @@ Everything is exact in X = q^(-s):
   coefficientwise is the package's central identity check.
 
 Every shell and coset sum, here and in `kernel`, runs through one kernel,
-`_unit_sum`: a loop over the units with integer psi phases, reading the
-character's value table `characters.unit_values`.  It is memoized on its
-exact integer inputs, which leave out t, so the t^m * volume factors are
-applied outside it; the gamma symbols of a corpus re-read the same few unit
-characters at many t and shells.
+`_unit_sum`: a loop over the units with integer psi phases, in blocks of
+(unit residue, chi value) pairs read once from the character's value table
+`characters.unit_values`, with psi evaluated by one `cmath.rect` per unit.
+It is memoized on its exact integer inputs, which leave out t, so the
+t^m * volume factors are applied outside it; the gamma symbols of a corpus
+re-read the same few unit characters at many t and shells.
 
 Shell integral conventions (q = p, level-0 psi, vol(S_m, dx*) = 1 - 1/q):
 
@@ -33,12 +34,13 @@ is ramified, and G_{-1} = -1/q, G_{m>=0} = 1 - 1/q when chi is unramified.
 from __future__ import annotations
 
 import functools
+from cmath import rect
 
 from .characters import MultChar, char_product, unit_values, unramified_char
 from .defaults import SHELL_GUARD_TOL
 from .padic import PAdicElt, PrecisionError, shell_volume
 from .ratfunc import (IdentityReport, LaurentPoly, RationalFunc, geometric_series,
-                      rf_discrepancy, rf_dual_subst, rf_to_json, root_of_unity)
+                      TWO_PI, rf_discrepancy, rf_dual_subst, rf_to_json)
 from .stepfn import MultStepFunction, StepFunction, fourier_transform, mellin
 
 
@@ -55,10 +57,11 @@ class ShellGuardError(ArithmeticError):
 #     sum over units u mod p^k, u = 1 mod p^k0, of  chi(u) * psi(p^(-d) r u),
 #
 # which sees chi only through its unit character, and the shell, coset and
-# twist only through the integers (k0, k, d, r).  The summation order and
-# the float operations must stay those of the plain per-unit loop through
-# `psi_value` and `MultChar.unit_value`, so that both give the same bits
-# (tests/test_unit_sum.py compares them with ==).
+# twist only through the integers (k0, k, d, r).  The kernel adds the same
+# terms in the same order as the plain per-unit loop through `psi_value` and
+# `MultChar.unit_value`, each term chi(u) * psi computed with the same float
+# operations, psi through `rect` as in `root_of_unity`; so both give the
+# same bits (tests/test_unit_sum.py compares them with ==).
 
 
 @functools.cache
@@ -67,18 +70,32 @@ def _unit_sum(p: int, cond: int, unit_char: tuple[int, ...],
     """sum of chi(u) * root_of_unity(r*u, p^d) over the units u < p^k with
     u = 1 mod p^k0 (every unit for k0 = 0), in increasing order; d = 0
     drops the psi factor.  chi has conductor `cond` and unit character
-    `unit_char`, and cond <= k, d <= k."""
+    `unit_char`, and cond <= k, d <= k.
+
+    The units are walked in blocks: for k0 = 0, blocks of max(p^cond, p)
+    residues against one list of (r * unit, chi value) pairs, so no u is
+    tested for divisibility by p or reduced mod p^cond; for k0 >= 1 every u
+    is a unit and one block holds them all.  psi is the body of `root_of_unity` written out,
+    one `cmath.rect` per unit."""
     values = unit_values(p, cond, unit_char)
     mod = len(values)
     pd = p ** d
+    if k0:
+        block = p ** k
+        units = range(1, block, p ** k0)
+    else:
+        block = max(mod, p)
+        units = [u for u in range(1, block) if u % p]
+    pairs = [(u * r, values[u % mod]) for u in units]
     total = 0.0 + 0.0j
-    for u in range(1, p ** k, p ** k0):
-        if u % p == 0:
+    for base in range(0, p ** k, block):
+        if not d:
+            for _, v in pairs:
+                total += v
             continue
-        v = values[u % mod]
-        if d:
-            v *= root_of_unity(u * r, pd)
-        total += v
+        br = base * r
+        for ur, v in pairs:
+            total += v * rect(1.0, TWO_PI * ((br + ur) % pd) / pd)
     return total
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from gl1zeta.arch import (ArchChar, ArchPoleError, ArchQuadratureError,
-                          ArchSeed, _loggamma, arch_fe_check, arch_gamma,
+                          ArchSeed, ArchUnresolvedError, _loggamma, arch_fe_check, arch_gamma,
                           arch_zeta, arch_zeta_closed_gaussian, fourier_seed,
                           gamma_c, gamma_r)
 
@@ -107,6 +107,18 @@ def test_fe_complex_gaussian():
     rep = arch_fe_check(ArchSeed("complex"), ArchChar("complex", 0),
                         (0.3, 0.5, 0.8))
     assert rep.ok(1e-5)
+
+
+def test_fe_unresolved_sample_raises():
+    # at s = 1/2 + 300i both zeta integrals are about 1e-103: the quadrature
+    # returns roundoff near 2e-15 on each side, which agrees and means nothing
+    with pytest.raises(ArchUnresolvedError):
+        arch_fe_check(ArchSeed("real"), TRIV, (0.5, 0.5 + 300j))
+    # a parity-odd seed against the even character vanishes identically
+    with pytest.raises(ArchUnresolvedError):
+        arch_fe_check(ArchSeed("real", (0.0, 1.0)), TRIV, (0.5,))
+    # the resolved samples of the same seed pass
+    assert arch_fe_check(ArchSeed("real"), TRIV, (0.5, 0.5 + 3j)).ok(1e-5)
 
 
 def test_fe_complex_twisted():

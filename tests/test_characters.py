@@ -91,6 +91,21 @@ def test_unitary_components_counts():
     assert len(unitary_components(2, 3)) == 4
 
 
+def test_unitary_components_built_once_returned_fresh(monkeypatch):
+    first = unitary_components(7, 2)
+    built = []
+    post_init = MultChar.__post_init__
+    monkeypatch.setattr(MultChar, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    first.clear()
+    first.append(trivial_char(5))
+    built.clear()
+    again = unitary_components(7, 2)
+    assert built == []
+    assert again == unitary_components(7, 2) and len(again) == 42
+    assert again is not unitary_components(7, 2)
+
+
 def test_exact_conductor_invariant():
     # for cond = a >= 1 there is u = 1 mod p^(a-1) with chi(u) != 1
     for p, c_max in [(3, 2), (5, 2), (2, 3), (7, 1)]:

@@ -153,6 +153,15 @@ def test_arch_fe_far_up_the_critical_line_exit_one(capsys):
     assert json.loads(out)["error"]["code"] == "run/archquadratureerror"
 
 
+def test_arch_fe_unresolved_exit_one(capsys):
+    # both sides come out near 2e-15 while the true values are about 1e-103:
+    # the quadrature resolves neither, so the check verified nothing
+    code, out = run_cli(capsys, "arch-fe", "--place", "real",
+                        "--chi", '{"eps":0,"t":0}', "--samples", "[[0.5,300]]")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "run/archunresolvederror"
+
+
 def test_arch_fe_pole_exit_two(capsys):
     # s = 1 puts L(1 - s) on the pole of Gamma_R at 0: bad input
     code, out = run_cli(capsys, "arch-fe", "--place", "real",

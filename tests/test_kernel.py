@@ -330,3 +330,44 @@ def test_hankel_convolve_work_counts(monkeypatch):
     table = hankel_convolve(phi, kern, -5, 5, level=2)
     assert len(built) == len(table.rows) == 11 * 6
     assert len(keys) == len(set(keys)) == 114     # of 66 rows x 3 terms
+
+
+def _plain_trace_average(p, g, l0, L):
+    """The triple loop over (a, b, c) that `trace_average_check` replaces:
+    the same root table (in exp form), read once per coset in the same
+    order, the phase recomputed from h = [[a, b], [c, (1 + bc)/a]]."""
+    entries = [Fraction(g[i][j]) for i in range(2) for j in range(2)]
+    # the least d with every (p-power) denominator dividing p^d
+    d = next(k for k in range(L + 1)
+             if all(p ** k % e.denominator == 0 for e in entries))
+    modD, modL = p ** d, p ** L
+    n00, n01, n10, n11 = (int(e * modD) % modD for e in entries)
+    span, step = p ** (L - l0), p ** l0
+    roots = [cmath.exp(2j * cmath.pi * r / modD) for r in range(modD)]
+    total = 0.0 + 0.0j
+    count = 0
+    for ia in range(span):
+        a = (1 + step * ia) % modL
+        a_inv = pow(a, -1, modL)
+        for ib in range(span):
+            b = (step * ib) % modL
+            for ic in range(span):
+                c = (step * ic) % modL
+                dd = ((1 + b * c) * a_inv) % modL
+                total += roots[(n00 * a + n01 * c + n10 * b + n11 * dd) % modD]
+                count += 1
+    return total / count
+
+
+def test_trace_average_matches_plain_loop():
+    cases = [(p, g, l0, l0 + 3) for p in (2, 3) for l0 in (1, 2)
+             for g in lemma31_grid(p, l0)]
+    cases.append((3, [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]], 1, 3))
+    # the grid's lower-right entries are integral, so its phase slopes miss
+    # the n11 * b / a term, which needs d > 2 l0 to survive mod p^d
+    for p in (2, 3):
+        for den in (p ** 2, p ** 3):
+            g = [[Fraction(1, p), Fraction(1, p * p)], [Fraction(2, p), Fraction(5, den)]]
+            cases += [(p, g, 1, 4), (p, g, 2, 5)]
+    for p, g, l0, L in cases:
+        assert trace_average_check(p, g, l0, L) == _plain_trace_average(p, g, l0, L)

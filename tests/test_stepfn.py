@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gl1zeta.corpus import random_mult_step, random_step
+from gl1zeta.defaults import DEFAULT_PREC
 from gl1zeta.padic import PAdicElt, PrecisionError
 from gl1zeta.ratfunc import RationalFunc, rf_close
 from gl1zeta.stepfn import (MultStepFunction, MultTerm, StepFunction,
@@ -215,3 +216,48 @@ def test_mellin_invert_rejects_hidden_conductor():
     md = mellin(f, 2)
     with pytest.raises(ValueError):
         mellin_invert(md, 0, 0, 1)
+
+
+def test_normalize_shares_reps_it_would_rebuild(monkeypatch):
+    # Work counts, no clock: a rep that already is PAdicElt(p, m, u,
+    # DEFAULT_PREC) for its residue u mod p^level is kept, not rebuilt, so
+    # mellin_invert's output costs one PAdicElt per coset.
+    p = 3
+    at_level = [PAdicElt(p, 0, u, DEFAULT_PREC) for u in (1, 2, 4)]
+    coarse = PAdicElt(p, 1, 2, DEFAULT_PREC)   # level 1 in a level-2 shell
+    fine = PAdicElt(p, 1, 5, DEFAULT_PREC)
+    short = PAdicElt(p, 2, 1, 5)               # fewer digits: rebuilt
+    terms = ([MultTerm(1.0, x, 2) for x in at_level]
+             + [MultTerm(0.5j, coarse, 1), MultTerm(2.0, fine, 2),
+                MultTerm(-1.0, short, 1)])
+    built = []
+    post_init = PAdicElt.__post_init__
+
+    def counting_post_init(self):
+        built.append((self.val, self.unit))
+        post_init(self)
+
+    monkeypatch.setattr(PAdicElt, "__post_init__", counting_post_init)
+    f = MultStepFunction(p, terms)
+    # coarse splits into residues 2, 5, 8 mod 9, and only 8 has no rep yet
+    assert built == [(1, 8), (2, 1)]
+    reps = {(t.rep.val, t.rep.unit): t.rep for t in f.terms}
+    assert [reps[(0, x.unit)] for x in at_level] == at_level
+    assert all(reps[(0, x.unit)] is x for x in at_level)
+    assert reps[(1, 2)] is coarse and reps[(1, 5)] is fine
+    assert all(t.rep == PAdicElt(p, t.rep.val, t.rep.unit, DEFAULT_PREC)
+               for t in f.terms)
+    # mellin_invert builds each rep at DEFAULT_PREC: normalizing adds none
+    md = mellin(f, 2)
+    in_normalize = []
+    normalize = MultStepFunction._normalize
+
+    def counting_normalize(self, terms):
+        start = len(built)
+        out = normalize(self, terms)
+        in_normalize.append(len(built) - start)
+        return out
+
+    monkeypatch.setattr(MultStepFunction, "_normalize", counting_normalize)
+    back = mellin_invert(md, 0, 2, 2)
+    assert in_normalize == [0] and mult_distance(f, back) < 1e-12

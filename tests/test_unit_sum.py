@@ -6,13 +6,22 @@ kernel keeps their summation order and float operations, so the results must
 be equal, not just close, and `PrecisionError` must be raised in exactly the
 same cases.  `MultChar.unit_value` reads the kernel's own value table; that
 table is checked against exact `Fraction` phases in tests/test_characters.py.
+
+The oracle skips sums over more than MAX_UNITS residues, which are the guard
+shells gamma_pv spends its time in; a few of those are compared with == to
+the plain loop with psi in its exp form, and `root_of_unity` is pinned to
+that exp form on every modulus p^d <= MAX_UNITS with p <= 13, and 11^5.
 """
 
+import cmath
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gl1zeta.characters import MultChar
+from gl1zeta.characters import MultChar, unit_values
 from gl1zeta.padic import PAdicElt, PrecisionError, psi_value, shell_volume, unit_group
+from gl1zeta.ratfunc import root_of_unity
 from gl1zeta.zetagamma import psi_chi_coset_integral, shell_psi_chi_integral
 
 PRIMES = [2, 3, 5, 7, 11, 13]
@@ -147,3 +156,44 @@ def test_coset_sum_matches_naive_loop(case):
     want = _outcome(_naive_coset, rep, k, chi, b, inverse_psi)
     got = _outcome(psi_chi_coset_integral, rep, k, chi, b, inverse_psi)
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the guard shells past MAX_UNITS, where gamma_pv spends its time
+
+
+def _old_root(j, n):
+    """The exp form of `root_of_unity` that `rect` replaced."""
+    return cmath.exp(2j * cmath.pi * (j % n) / n)
+
+
+def _plain_guard_shell(p, m, chi, inverse_psi):
+    """shell_psi_chi_integral(p, m, chi, b=1, brute=True) for m < 0 as the
+    plain loop: chi(u) * psi in increasing u, psi in the exp form."""
+    d = -m
+    k = max(1, chi.cond, d)
+    values = unit_values(p, chi.cond, chi.unit_char)
+    r = (-1 if inverse_psi else 1) % p ** d
+    total = 0.0 + 0.0j
+    for u in range(1, p ** k):
+        if u % p == 0:
+            continue
+        total += values[u % len(values)] * _old_root(u * r, p ** d)
+    return (1.0 / chi.t) ** (-m) * float(p) ** (-k) * total
+
+
+@pytest.mark.parametrize("p, cond, unit_char, d", [
+    (11, 3, (91,), 4), (11, 3, (91,), 5), (13, 2, (5,), 4)])
+def test_large_guard_shells_match_plain_loop(p, cond, unit_char, d):
+    chi = MultChar(p, cond, unit_char, 1.3 - 0.4j)
+    for inverse_psi in (False, True):
+        got = shell_psi_chi_integral(p, -d, chi, b=PAdicElt.one(p),
+                                     inverse_psi=inverse_psi, brute=True)
+        assert got == _plain_guard_shell(p, -d, chi, inverse_psi)
+
+
+def test_root_of_unity_matches_exp_form():
+    moduli = [p ** d for p in PRIMES for d in range(1, 15) if p ** d <= MAX_UNITS]
+    for n in moduli + [11 ** 5]:
+        assert [root_of_unity(j, n) for j in range(n)] == \
+            [_old_root(j, n) for j in range(n)], n

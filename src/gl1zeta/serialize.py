@@ -102,7 +102,7 @@ def mult_from_json(obj: dict) -> MultStepFunction:
 
 
 def function_from_json(obj: dict):
-    model = obj.get("model")
+    model = obj.get("model") if isinstance(obj, dict) else None
     if model == "step":
         return step_from_json(obj)
     if model == "mult":
@@ -120,7 +120,7 @@ def multchar_from_json(obj: dict) -> MultChar:
         raise InputFormatError("character/invalid", str(exc)) from exc
 
 
-def pi_from_json(obj: dict, p: int | None = None):
+def pi_from_json(obj: dict):
     """{"kind": "satake", "alpha": [[re,im],...]} |
     {"kind": "gl1", "chi": {...}} | {"kind": "chars", "chis": [{...}]}"""
     validate(obj, "pi_params")
@@ -167,12 +167,11 @@ def dumps(obj) -> str:
                       allow_nan=False) + "\n"
 
 
-def write_shell_csv(path: str, rows, level: int) -> None:
-    """Shell-value table: m, coset representative (exact rational lift),
-    re, im."""
+def write_shell_csv(path: str, rows) -> None:
+    """Shell-value table of (m, PAdicElt rep, value) rows: m, coset
+    representative (exact rational lift), re, im."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["m", "rep", "re", "im"])
         for m, rep, v in rows:
-            lift = rep.lift() if isinstance(rep, PAdicElt) else Fraction(rep)
-            w.writerow([m, str(lift), repr(v.real), repr(v.imag)])
+            w.writerow([m, str(rep.lift()), repr(v.real), repr(v.imag)])

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import gl1zeta
 from gl1zeta import serialize
 from gl1zeta.cli import main
@@ -20,6 +22,10 @@ CHI_TRIV5 = '{"p":5,"cond":0,"unit_char":[],"t":[1,0]}'
 PHI_UNIT5 = ('{"model":"mult","p":5,"terms":[{"coeff":[1,0],'
              '"rep":{"p":5,"val":0,"unit":1,"prec":4},"k":0}]}')
 PI_TRIV5 = '{"kind":"gl1","chi":%s}' % CHI_TRIV5
+CHI_QUAD3 = '{"p":3,"cond":1,"unit_char":[1],"t":[1,0]}'
+PI_QUAD3 = '{"kind":"gl1","chi":%s}' % CHI_QUAD3
+PI_SATAKE = '{"kind":"satake","alpha":[[0.6,0.8],[0.6,-0.8]]}'
+ALPHA = "[[0.6,0.8],[0.6,-0.8]]"
 
 
 def test_gamma_report(capsys):
@@ -211,6 +217,71 @@ def test_missing_file_exit_two(capsys):
     code, out = run_cli(capsys, "gamma", "--chi", "no_such_file.json")
     assert code == 2
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["gamma", "--p", "7", "--chi", CHI_QUAD5], "gamma/p-mismatch"),
+    (["fe-check"], "fe/inputs"),
+    (["lemma31", "--p", "3"], "lemma31/inputs"),
+    (["hankel", "--phi", PHI_UNIT5, "--pi", PI_SATAKE, "--route", "convolve"],
+     "hankel/rank"),
+    (["hankel", "--phi", PHI_UNIT5, "--pi", PI_TRIV5, "--route", "mellin",
+      "--emit", "csv"], "hankel/emit"),
+    # the math layer rejects these while computing; they are still bad input
+    (["gamma", "--chi", CHI_QUAD5, "--twist", CHI_QUAD3], "run/valueerror"),
+    (["lemma31", "--p", "5", "--grid", "default"], "run/valueerror"),
+    (["lemma31", "--p", "3", "--grid", "default", "--L", "9"], "run/valueerror"),
+    (["hankel", "--phi", PHI_UNIT5, "--pi", PI_QUAD3], "run/valueerror"),
+    (["basic", "--alpha", "[[0,0]]", "--p", "3"], "run/valueerror"),
+    (["basic", "--alpha", ALPHA, "--p", "4"], "run/valueerror"),
+])
+def test_input_error_exit_two(capsys, argv, code):
+    status, out = run_cli(capsys, *argv)
+    assert status == 2
+    assert json.loads(out)["error"]["code"] == code
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["basic", "--alpha", "[1]", "--p", "3"], "schema/complex_list"),
+    (["arch-fe", "--chi", '{"eps":0,"t":0}', "--samples", "[1]"],
+     "schema/complex_list"),
+    (["arch-fe", "--chi", '{"eps":0,"t":0}', "--samples", "[[0.5,0]]",
+      "--seed-spec", "[1]"], "schema/arch_seed"),
+    (["fe-check", "--phi", PHI_UNIT5], "fe/inputs"),
+    (["zeta", "--phi", "[1]", "--chi", CHI_TRIV5], "function/model"),
+])
+def test_malformed_input_exit_two(capsys, argv, code):
+    # each of these once escaped as a Python traceback with exit 1
+    status, out = run_cli(capsys, *argv)
+    assert status == 2
+    assert json.loads(out)["error"]["code"] == code
+
+
+@pytest.mark.parametrize("argv", [
+    ["basic", "--alpha", ALPHA, "--p", "3"],
+    ["hankel", "--phi", PHI_UNIT5, "--pi", PI_TRIV5, "--shells", "-2:2"],
+])
+def test_csv_keeps_the_verdict(tmp_path, capsys, argv):
+    out_csv = tmp_path / "t.csv"
+    code, out = run_cli(capsys, *argv, "--tol", "-1", "--emit", "csv",
+                        "--out", str(out_csv))
+    assert code == 1 and out == ""
+    assert out_csv.read_text().startswith("m,rep,re,im\n")
+
+
+@pytest.mark.parametrize("place, chi", [
+    ("real", '{"eps":1,"t":0}'),
+    ("complex", '{"eps":2,"t":0}'),
+    ("complex", '{"eps":-2,"t":0}'),
+])
+def test_arch_fe_default_seed_follows_parity(capsys, place, chi):
+    # the even Gaussian makes both sides vanish identically for these
+    code, out = run_cli(capsys, "arch-fe", "--place", place, "--chi", chi,
+                        "--samples", "[[0.4,0],[0.6,0]]")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["max_err"] <= 1e-10
+    assert all(abs(complex(*row["lhs"])) > 1e-3 for row in obj["rows"])
 
 
 def test_dumps_is_canonical():

@@ -27,8 +27,8 @@ from .stepfn import (MellinData, MultStepFunction, MultTerm, StepFunction,
                      StepTerm, coset_indicator, delta_approximant,
                      fourier_transform, indicator_ball, mellin, mellin_invert,
                      mult_convolve, step_inner, step_l2, unit_indicator)
-from .zetagamma import (epsilon_factor, gamma_closed, gamma_product, gamma_pv,
-                        l_factor, l_factor_satake, verify_fe, zeta)
+from .zetagamma import (epsilon_factor, gamma_closed, gamma_pv, l_factor,
+                        l_factor_satake, verify_fe, zeta)
 
 __version__ = "0.1.0"
 

@@ -131,15 +131,6 @@ def gamma_c(s: complex) -> complex:
     return 2.0 * cmath.exp(_log_gamma_c(s))
 
 
-def _pole_distance_r(s: complex) -> float:
-    # Gamma(s/2) poles at s = 0, -2, -4, ...
-    half = s / 2
-    if half.real > 0.25:
-        return abs(half.imag) + 1.0
-    n = round(-half.real)
-    return abs(half - (-max(n, 0)))
-
-
 def _pole_distance_c(s: complex) -> float:
     if s.real > 0.25:
         return abs(s.imag) + 1.0
@@ -165,7 +156,7 @@ def arch_gamma(chi: ArchChar, s: complex, inverse_psi: bool = False) -> complex:
     inv = chi.inverse()
     if chi.place == "real":
         num_arg = (1 - s) + 1j * inv.t + inv.eps
-        pole = _pole_distance_r(num_arg)
+        pole = _pole_distance_c(num_arg / 2)      # Gamma_R(s) has Gamma(s/2)
         # psi(x) = e^{2 pi i x} (kernel e^{+2 pi i x y}): x e^{-pi x^2} is a
         # (+i)-eigenfunction, forcing eps(sgn, psi) = i.
         root = (-1j if inverse_psi else 1j) ** chi.eps

@@ -23,10 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characters import MultChar, trivial_char
+from .kernel import gamma_symbol
 from .padic import check_prime
 from .ratfunc import (IdentityReport, RationalFunc, geometric_series,
                       rf_discrepancy, rf_dual_subst, rf_series_coeffs)
-from .zetagamma import gamma_product, l_factor_satake
+from .zetagamma import l_factor_satake
 
 
 def complete_homogeneous(m: int, alpha, p: int = 2) -> complex:
@@ -161,11 +162,9 @@ def basic_fourier_check(alpha, p: int) -> IdentityReport:
     with epsilon = 1 in the unramified case; ramified components vanish on
     both sides, so the trivial component carries the whole identity.
     """
-    from .zetagamma import normalize_pi
     fn = BasicFunction(p, tuple(complex(a) for a in alpha))
     rt_q = float(p) ** 0.5
-    constituents = normalize_pi(list(fn.alpha), p)
-    gam = gamma_product(constituents, trivial_char(p))
+    gam = gamma_symbol(list(fn.alpha), 0, p).component(trivial_char(p))
     z_in = fn.mellin_component().scale_x(rt_q)       # Z(s, L_pi, triv) = L(s, pi)
     lhs = rf_dual_subst(gam * z_in).scale_x(1.0 / rt_q)
     rhs = fn.dual().mellin_component()

@@ -9,8 +9,9 @@ references, then returns a closure that computes; outputs are deterministic
 checked identity exceeded its tolerance (`--emit csv` keeps this verdict), or
 the computation raised `ShellGuardError`, `ArchQuadratureError` or
 `ArchUnresolvedError`.  2: an input failed to parse or validate (`input/...`
-or the `InputFormatError` code), or the computation rejected it with any
-other `ValueError`, `ArithmeticError` or `KeyError` (`run/<exception type>`).
+or the `InputFormatError` code), the computation rejected it with any
+other `ValueError`, `ArithmeticError` or `KeyError` (`run/<exception type>`),
+or an output file could not be written (`output/<exception type>`).
 """
 
 from __future__ import annotations
@@ -38,20 +39,13 @@ from .zetagamma import (ShellGuardError, gamma_pv, gamma_report_json, verify_fe,
                         zeta)
 
 
-def _read_json_arg(arg: str, schema: str | None = None):
+def _read_json_arg(arg: str):
     """Accept an inline JSON literal or a path to a JSON file."""
     text = arg
     if not arg.lstrip().startswith(("{", "[")):
         with open(arg) as fh:
             text = fh.read()
-    obj = json.loads(text)
-    if schema is not None:
-        serialize.validate(obj, schema)
-    return obj
-
-
-def _read_complex_list(arg: str) -> list[complex]:
-    return [complex(re, im) for re, im in _read_json_arg(arg, "complex_list")]
+    return json.loads(text)
 
 
 def _fail(code: str, message: str, status: int = 2) -> int:
@@ -62,8 +56,8 @@ def _fail(code: str, message: str, status: int = 2) -> int:
 # -- subcommands: parse, then return compute() -> (payload | None if CSV, ok)
 
 def _gamma(args):
-    chi = serialize.multchar_from_json(_read_json_arg(args.chi, "character"))
-    twist = (serialize.multchar_from_json(_read_json_arg(args.twist, "character"))
+    chi = serialize.multchar_from_json(_read_json_arg(args.chi))
+    twist = (serialize.multchar_from_json(_read_json_arg(args.twist))
              if args.twist else None)
     if args.p and args.p != chi.p:
         raise InputFormatError("gamma/p-mismatch",
@@ -77,15 +71,15 @@ def _gamma(args):
 
 def _zeta(args):
     phi = serialize.function_from_json(_read_json_arg(args.phi))
-    chi = serialize.multchar_from_json(_read_json_arg(args.chi, "character"))
+    chi = serialize.multchar_from_json(_read_json_arg(args.chi))
     return lambda: (rf_to_json(zeta(phi, chi)), True)
 
 
 def _fe_check(args):
     if args.phi and args.chi and args.pi:
         phi = serialize.function_from_json(_read_json_arg(args.phi))
-        chi = serialize.multchar_from_json(_read_json_arg(args.chi, "character"))
-        pi = serialize.pi_from_json(_read_json_arg(args.pi, "pi_params"))
+        chi = serialize.multchar_from_json(_read_json_arg(args.chi))
+        pi = serialize.pi_from_json(_read_json_arg(args.pi))
         single = [{"phi": phi, "chi": chi, "pi": pi, "kind": "single", "p": chi.p}]
     elif args.corpus and not args.phi:
         single = None
@@ -105,7 +99,7 @@ def _fe_check(args):
 
 def _hankel(args):
     phi = serialize.mult_from_json(_read_json_arg(args.phi))
-    constituents = serialize.pi_from_json(_read_json_arg(args.pi, "pi_params"))
+    constituents = serialize.pi_from_json(_read_json_arg(args.pi))
     convolve = args.route in ("convolve", "both")
     if convolve and (len(constituents) != 1
                      or not isinstance(constituents[0], MultChar)):
@@ -113,6 +107,8 @@ def _hankel(args):
     if args.emit == "csv" and not convolve:
         raise InputFormatError("hankel/emit", "csv emission needs the convolve route")
     m_lo, m_hi = args.shells
+    if m_lo > m_hi:
+        raise InputFormatError("hankel/shells", "empty window [%d, %d]" % args.shells)
 
     def compute():
         c_max = max([phi.max_level()] + [c.cond for c in constituents
@@ -148,7 +144,7 @@ def _hankel(args):
 
 
 def _basic(args):
-    alpha = _read_complex_list(args.alpha)
+    alpha = serialize.complex_list_from_json(_read_json_arg(args.alpha))
     p, window = args.p, args.window
 
     def compute():
@@ -174,7 +170,7 @@ def _basic(args):
 def _lemma31(args):
     if not (args.grid or args.g):
         raise InputFormatError("lemma31/inputs", "pass --g or --grid default")
-    g = None if args.grid else _read_json_arg(args.g, "matrix2")
+    g = None if args.grid else serialize.matrix2_from_json(_read_json_arg(args.g))
 
     def compute():
         mats = (lemma31_grid(args.p, args.l0) if g is None
@@ -190,15 +186,15 @@ def _lemma31(args):
 
 
 def _arch_fe(args):
-    chi_obj = _read_json_arg(args.chi, "arch_char")
-    chi_obj.setdefault("place", args.place)
+    chi_obj = _read_json_arg(args.chi)
+    if isinstance(chi_obj, dict):  # anything else fails the schema below
+        chi_obj.setdefault("place", args.place)
     chi = serialize.arch_char_from_json(chi_obj)
-    samples = _read_complex_list(args.samples)
+    samples = serialize.complex_list_from_json(_read_json_arg(args.samples))
     # without --seed-spec, a seed of the character's parity: against the even
     # Gaussian alone both sides vanish identically for eps = 1 on R, n != 0 on C
     if args.seed_spec:
-        seed = serialize.arch_seed_from_json(
-            _read_json_arg(args.seed_spec, "arch_seed"))
+        seed = serialize.arch_seed_from_json(_read_json_arg(args.seed_spec))
     elif chi.place == "real":
         seed = ArchSeed("real", (0,) * chi.eps + (1,))  # x^eps exp(-pi x^2)
     else:
@@ -348,18 +344,20 @@ def main(argv=None) -> int:
         return _fail("input/%s" % type(exc).__name__.lower(), str(exc))
     try:
         payload, ok = compute()
-        text = None if payload is None else dumps(payload)
+        if payload is not None:
+            text = dumps(payload)
+            if args.out in (None, "-"):
+                sys.stdout.write(text)
+            else:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+    except OSError as exc:
+        return _fail("output/%s" % type(exc).__name__.lower(), str(exc))
     except (ValueError, ArithmeticError, KeyError) as exc:
         status = (1 if isinstance(exc, (ShellGuardError, ArchQuadratureError,
                                         ArchUnresolvedError))
                   else 2)
         return _fail("run/%s" % type(exc).__name__.lower(), str(exc), status)
-    if text is not None:
-        if args.out in (None, "-"):
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(text)
     return 0 if ok else 1
 
 

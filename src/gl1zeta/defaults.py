@@ -8,7 +8,7 @@ COEFF_TOL = 1e-10
 PRUNE_REL_EPS = 1e-13
 
 # Absolute bound on a guard shell of the principal-value gamma integral,
-# which must vanish identically (zetagamma.gamma_pv).
+# which must vanish identically (zetagamma.gamma_pv_total).
 SHELL_GUARD_TOL = 1e-9
 
 # Working precision (number of p-adic digits carried by a unit residue) used

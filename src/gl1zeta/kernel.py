@@ -20,7 +20,8 @@ here the kernel drives the Fourier operator on C_c^inf(F^x) two ways:
 For unramified GL(n) the kernel is represented only through its gamma
 symbol, the map omega -> gamma(s, pi x omega, psi) built multiplicatively
 from Satake parameters, one component at a time as it is read; both routes
-exist (and are compared) at n = 1.
+exist (and are compared) at n = 1.  Every gamma(s, pi x omega, psi) of the
+package is read from a symbol, the only product of rank-1 gamma factors.
 
 The convolution route runs on integers.  `hankel_convolve` forms each
 x * rep as a (valuation, unit) pair, and `kernel_coset_integral` takes those
@@ -50,7 +51,7 @@ from .padic import PAdicElt, check_prime, psi_value
 from .ratfunc import (IdentityReport, RationalFunc, rf_discrepancy,
                       rf_dual_subst, root_of_unity)
 from .stepfn import MellinData, MultStepFunction, mellin
-from .zetagamma import (coset_integral, gamma_closed, gamma_pv, gamma_product,
+from .zetagamma import (coset_integral, gamma_closed, gamma_pv_total,
                         normalize_pi, shell_psi_chi_integral)
 
 
@@ -270,12 +271,12 @@ class GammaSymbol:
             if self.route == "closed":
                 comp = comp * gamma_closed(prod)
             else:
-                comp = comp * gamma_pv(prod).rhs
+                comp = comp * gamma_pv_total(prod)[0]
         self.components[key] = comp
         return comp
 
 
-def gamma_symbol(params, c_max: int, p: int | None = None,
+def gamma_symbol(params, c_max: int, p: int,
                  route: str = "closed") -> GammaSymbol:
     """The gamma symbol of pi from Satake parameters or a GL(1) character
     list, multiplicatively: component at omega is the product of rank-1
@@ -287,11 +288,6 @@ def gamma_symbol(params, c_max: int, p: int | None = None,
     """
     if route not in ("closed", "pv"):
         raise ValueError("route must be 'closed' or 'pv'")
-    if p is None:
-        chis = [c for c in params if isinstance(c, MultChar)]
-        if not chis:
-            raise ValueError("pass p= for a bare Satake list")
-        p = chis[0].p
     if c_max < 0:
         raise ValueError("c_max must be >= 0")
     return GammaSymbol(p, c_max, tuple(normalize_pi(params, p)), route)
@@ -411,16 +407,15 @@ def homogeneous_identity_check(chi: MultChar, pi_params,
       gamma(1/2, pi x chi_s) * (chi_s, phi0)
     and the comparison is a rational-function identity in X."""
     p = chi.p
-    constituents = normalize_pi(pi_params, p)
     omega = chi.unitary_part()
     t = chi.t
     rt_q = float(p) ** 0.5
     c_max = max(phi0.max_level(), omega.cond)
     md = mellin(phi0, c_max)
-    sym = gamma_symbol(constituents, c_max, p=p, route="closed")
+    sym = gamma_symbol(pi_params, c_max, p)
     out = hankel_mellin(phi0, sym, md)
     z_out = out.component(omega.inverse()).scale_x(rt_q / t)
     lhs = z_out.subst_monomial(1.0 / rt_q, -1)        # evaluate at 1/2 - s
-    gam_shift = gamma_product(constituents, omega).scale_x(t / rt_q)
+    gam_shift = sym.component(omega).scale_x(t / rt_q)
     rhs = gam_shift * md.component(omega).scale_x(t)
     return IdentityReport(lhs, rhs, rf_discrepancy(lhs, rhs))

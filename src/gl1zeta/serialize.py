@@ -1,7 +1,7 @@
 """JSON codecs for the package's value types, plus CSV shell tables.
 
 The wire formats are pinned by the schema documents in gl1zeta/schemas/;
-CLI inputs are validated against them before any computation starts.
+each decoder validates its input, so the CLI checks it before computing.
 """
 
 from __future__ import annotations
@@ -53,13 +53,11 @@ def padic_to_json(x: PAdicElt | None) -> dict | None:
     return {"p": x.p, "val": x.val, "unit": x.unit, "prec": x.prec}
 
 
-def padic_from_json(obj, p: int | None = None) -> PAdicElt | None:
+def padic_from_json(obj, p: int) -> PAdicElt | None:
     if obj is None:
         return None
     if isinstance(obj, str):
-        # rational literal like "4/9"
-        if p is None:
-            raise InputFormatError("padic/missing-p", "rational literal needs p")
+        # rational literal like "4/9" at the function's prime p
         return PAdicElt.from_rational(p, Fraction(obj), DEFAULT_PREC)
     return PAdicElt(int(obj["p"]), int(obj["val"]), int(obj["unit"]),
                     int(obj.get("prec", DEFAULT_PREC)))
@@ -150,6 +148,7 @@ def arch_char_from_json(obj: dict) -> ArchChar:
 
 
 def arch_seed_from_json(obj: dict) -> ArchSeed:
+    validate(obj, "arch_seed")
     place = obj.get("place", "real")
     if place == "real":
         poly = tuple(complex(c[0], c[1]) for c in obj.get("poly", [[1, 0]]))
@@ -157,6 +156,17 @@ def arch_seed_from_json(obj: dict) -> ArchSeed:
     coeff = obj.get("coeff", [1, 0])
     return ArchSeed("complex", (complex(coeff[0], coeff[1]),),
                     hol=int(obj.get("hol", 0)), antihol=int(obj.get("antihol", 0)))
+
+
+def complex_list_from_json(obj) -> list[complex]:
+    validate(obj, "complex_list")
+    return [complex(re, im) for re, im in obj]
+
+
+def matrix2_from_json(obj) -> list[list]:
+    """The entries as given: `Fraction` reads them when the average is taken."""
+    validate(obj, "matrix2")
+    return obj
 
 
 # -- deterministic emission --------------------------------------------------

@@ -78,6 +78,9 @@ class StepFunction:
 
     def _reduce(self, t: StepTerm) -> StepTerm:
         coeff, twist, center, rad = t.coeff, t.twist, t.center, t.rad
+        for x in (twist, center):
+            if x is not None and x.p != self.p:
+                raise ValueError("mixed primes %d, %d" % (self.p, x.p))
         if center is not None and center.val >= rad:
             center = None
         if center is not None and center.val < rad:
@@ -250,6 +253,8 @@ class MultStepFunction:
         for t in terms:
             if t.k < 0:
                 raise ValueError("coset level must be >= 0")
+            if t.rep.p != p:
+                raise ValueError("mixed primes %d, %d" % (p, t.rep.p))
             by_shell.setdefault(t.rep.val, []).append(t)
         out: list[MultTerm] = []
         scale = max((abs(t.coeff) for t in terms), default=0.0)

@@ -8,12 +8,13 @@ Everything is exact in X = q^(-s):
 * gamma_closed assembles eps(s,chi,psi) * L(1-s,chi^(-1)) / L(s,chi), with
   the epsilon factor computed as a normalized Gauss sum over the last
   nonvanishing shell;
-* gamma_pv integrates the GL(1) kernel psi(x) chi^(-1)(x) |x|^(1/2) shell by
-  shell (principal value): finitely many negative shells by brute coset
-  summation, the nonnegative tail resummed in closed form.  The two guard
-  shells below the last nonvanishing one are still brute-summed and checked
-  to vanish, then left out of the total.  The two routes agreeing
-  coefficientwise is the package's central identity check.
+* gamma_pv_total integrates the GL(1) kernel psi(x) chi^(-1)(x) |x|^(1/2)
+  shell by shell (principal value): finitely many negative shells by brute
+  coset summation, the nonnegative tail resummed in closed form.  The two
+  guard shells below the last nonvanishing one are still brute-summed and
+  checked to vanish, then left out of the total.  gamma_pv compares the
+  routes; their agreeing coefficientwise is the package's central identity
+  check.  `kernel.GammaSymbol` alone multiplies these rank-1 factors.
 
 Every shell and coset sum, here and in `kernel`, runs through one kernel,
 `_unit_sum`: a loop over the units with integer psi phases, in blocks of
@@ -161,7 +162,7 @@ def shell_psi_chi_integral(p: int, m: int, chi: MultChar,
     """integral over S_m = p^m Z_p^x of psi(b*y) chi(y) dy*.
 
     With brute=True the full coset sum is carried out even where the
-    vanishing shortcut applies; gamma_pv uses this to verify that guard
+    vanishing shortcut applies; gamma_pv_total uses this to verify that guard
     shells vanish identically.
     """
     cond = chi.cond
@@ -290,30 +291,26 @@ def gamma_closed(chi: MultChar, inverse_psi: bool = False) -> RationalFunc:
     return eps * rf_dual_subst(l_factor(chi.inverse())) / l_factor(chi)
 
 
-def gamma_pv(chi: MultChar, twist: MultChar | None = None,
-             inverse_psi: bool = False,
-             shell_floor: int | None = None) -> IdentityReport:
-    """Principal-value Mellin transform of the GL(1) kernel, as gamma(s).
+def gamma_pv_total(chi: MultChar, inverse_psi: bool = False,
+                   shell_floor: int | None = None) -> tuple[RationalFunc, tuple]:
+    """Principal-value Mellin transform of the GL(1) kernel, as gamma(s), and
+    the brute-summed shell range.
 
     Shell S_m contributes (q^(-1) X^(-1))^m times the exact shell integral
-    of psi * (chi*twist)^(-1); shells below -max(cond, 1) are verified to
-    vanish (two guard shells, brute force, each to within `SHELL_GUARD_TOL`)
-    and then left out of the total, so their roundoff never lands in the
-    result; the m >= 0 tail is resummed in closed form.  The result is compared
-    against gamma_closed of the product character: the report's lhs is the
-    closed form, its rhs the pv result, and meta["shells"] the brute-summed
-    shell range.
+    of psi * chi^(-1); shells below -max(cond, 1) are verified to vanish (two
+    guard shells, brute force, each to within `SHELL_GUARD_TOL`) and then left
+    out of the total, so their roundoff never lands in the result; the m >= 0
+    tail is resummed in closed form.
 
     `shell_floor` extends the brute-forced range downward; any cofinal
     truncation schedule yields the same rational function, which is the
     testable shape of the kernel's well-definedness.
     """
-    prod = char_product(chi, twist) if twist is not None else chi
-    q = prod.p
-    a = prod.cond
+    q = chi.p
+    a = chi.cond
     m_last = -max(a, 1)
     lo = m_last - 2 if shell_floor is None else min(shell_floor, m_last - 2)
-    chi_inv = prod.inverse()
+    chi_inv = chi.inverse()
     one = PAdicElt.one(q)
     total = RationalFunc.zero(q)
     for m in range(lo, 0):
@@ -330,10 +327,20 @@ def gamma_pv(chi: MultChar, twist: MultChar | None = None,
     if a == 0:
         # int over S_m of psi * chi^(-1) = t^(-m) (1 - 1/q) for m >= 0
         first = RationalFunc.const(q, shell_volume(q))
-        total = total + geometric_series(q, 1.0 / (prod.t * q), -1, first)
+        total = total + geometric_series(q, 1.0 / (chi.t * q), -1, first)
+    return total, (lo, -1)
+
+
+def gamma_pv(chi: MultChar, twist: MultChar | None = None,
+             inverse_psi: bool = False,
+             shell_floor: int | None = None) -> IdentityReport:
+    """gamma(s, chi * twist, psi) by two routes: the report's lhs is
+    `gamma_closed`, its rhs `gamma_pv_total`, meta["shells"] its shell range."""
+    prod = char_product(chi, twist) if twist is not None else chi
+    total, shells = gamma_pv_total(prod, inverse_psi, shell_floor)
     closed = gamma_closed(prod, inverse_psi)
     return IdentityReport(closed, total, rf_discrepancy(closed, total),
-                          {"shells": (lo, -1)})
+                          {"shells": shells})
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +365,6 @@ def normalize_pi(pi_params, p: int) -> list[MultChar]:
             out.append(unramified_char(p, alpha))
     if not out:
         raise ValueError("empty parameter list")
-    return out
-
-
-def gamma_product(constituents, omega: MultChar,
-                  inverse_psi: bool = False) -> RationalFunc:
-    """gamma(s, pi x omega, psi) = prod_i gamma(s, chi_i * omega, psi)."""
-    out = RationalFunc.one(omega.p)
-    for c in constituents:
-        out = out * gamma_closed(char_product(c, omega), inverse_psi)
     return out
 
 
@@ -401,8 +399,8 @@ def verify_fe(phi, chi: MultChar, pi_params) -> IdentityReport:
         out = hankel_mellin(phi, sym, mellin_data=md)
         z_out = out.component(omega.inverse()).scale_x(rt_q / chi.t)
         lhs = rf_dual_subst(z_out)
-        gam = gamma_product(constituents, omega).scale_x(chi.t)
-        rhs = gam * md.component(omega).scale_x(chi.t * rt_q)
+        closed = gamma_symbol(constituents, omega.cond, p).component(omega)
+        rhs = closed.scale_x(chi.t) * md.component(omega).scale_x(chi.t * rt_q)
         return IdentityReport(lhs, rhs, rf_discrepancy(lhs, rhs))
     raise TypeError("unsupported function model %r" % type(phi).__name__)
 

@@ -234,6 +234,16 @@ def test_missing_file_exit_two(capsys):
     (["hankel", "--phi", PHI_UNIT5, "--pi", PI_QUAD3], "run/valueerror"),
     (["basic", "--alpha", "[[0,0]]", "--p", "3"], "run/valueerror"),
     (["basic", "--alpha", ALPHA, "--p", "4"], "run/valueerror"),
+    # an empty shell window, on each route
+    (["hankel", "--phi", PHI_UNIT5, "--pi", PI_TRIV5, "--shells", "3:-3",
+      "--route", "mellin"], "hankel/shells"),
+    (["hankel", "--phi", PHI_UNIT5, "--pi", PI_TRIV5, "--shells", "3:-3",
+      "--route", "convolve"], "hankel/shells"),
+    (["hankel", "--phi", PHI_UNIT5, "--pi", PI_TRIV5, "--shells", "3:-3"],
+     "hankel/shells"),
+    # a rep at p = 3 in a function at p = 5
+    (["hankel", "--phi", PHI_UNIT5.replace('"p":5,"val"', '"p":3,"val"'),
+      "--pi", PI_TRIV5], "input/valueerror"),
 ])
 def test_input_error_exit_two(capsys, argv, code):
     status, out = run_cli(capsys, *argv)
@@ -249,6 +259,7 @@ def test_input_error_exit_two(capsys, argv, code):
       "--seed-spec", "[1]"], "schema/arch_seed"),
     (["fe-check", "--phi", PHI_UNIT5], "fe/inputs"),
     (["zeta", "--phi", "[1]", "--chi", CHI_TRIV5], "function/model"),
+    (["arch-fe", "--chi", "[1]", "--samples", "[[0.5,0]]"], "schema/arch_char"),
 ])
 def test_malformed_input_exit_two(capsys, argv, code):
     # each of these once escaped as a Python traceback with exit 1
@@ -267,6 +278,51 @@ def test_csv_keeps_the_verdict(tmp_path, capsys, argv):
                         "--out", str(out_csv))
     assert code == 1 and out == ""
     assert out_csv.read_text().startswith("m,rep,re,im\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--chi", CHI_QUAD5, "--twist", CHI_TRIV5],
+    ["zeta", "--phi", PHI_UNIT5, "--chi", CHI_TRIV5],
+    ["fe-check", "--phi", PHI_UNIT5, "--chi", CHI_QUAD5, "--pi", PI_TRIV5],
+    ["hankel", "--phi", PHI_UNIT5, "--pi", PI_TRIV5, "--shells", "-1:1"],
+    ["basic", "--alpha", ALPHA, "--p", "3"],
+    ["lemma31", "--p", "3", "--g", '[["1/27",0],[0,9]]'],
+    ["arch-fe", "--chi", '{"eps":0,"t":0}', "--samples", "[[0.5,0]]",
+     "--seed-spec", '{"place":"real","poly":[[1,0]]}'],
+])
+def test_each_input_validated_once(capsys, monkeypatch, argv):
+    seen = []
+    validate = serialize.validate
+
+    def recording_validate(obj, schema_name):
+        seen.append((schema_name, id(obj)))
+        validate(obj, schema_name)
+
+    monkeypatch.setattr(serialize, "validate", recording_validate)
+    status, _ = run_cli(capsys, *argv)
+    assert status == 0
+    assert seen and len(set(seen)) == len(seen)
+
+
+def _under_a_file(tmp_path) -> str:
+    """A path whose parent is a regular file, so nothing can be written there."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    return str(blocker / "out")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--chi", CHI_QUAD5, "--out"],
+    ["basic", "--alpha", ALPHA, "--p", "3", "--emit", "csv", "--out"],
+    ["hankel", "--phi", PHI_UNIT5, "--pi", PI_TRIV5, "--shells", "-1:1",
+     "--emit", "csv", "--out"],
+    ["corpus", "--size-fe", "2", "--size-hankel", "1", "--size-satake", "1",
+     "--dir"],
+])
+def test_output_error_exit_two(tmp_path, capsys, argv):
+    status, out = run_cli(capsys, *argv, _under_a_file(tmp_path))
+    assert status == 2
+    assert json.loads(out)["error"]["code"] == "output/notadirectoryerror"
 
 
 @pytest.mark.parametrize("place, chi", [

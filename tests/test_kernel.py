@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gl1zeta import kernel
+from gl1zeta import kernel, zetagamma
 from gl1zeta.characters import (MultChar, char_product, trivial_char,
                                 unitary_components)
 from gl1zeta.corpus import random_char, random_mult_step, random_satake
@@ -371,3 +371,53 @@ def test_trace_average_matches_plain_loop():
             cases += [(p, g, 1, 4), (p, g, 2, 5)]
     for p, g, l0, L in cases:
         assert trace_average_check(p, g, l0, L) == _plain_trace_average(p, g, l0, L)
+
+
+def _count_gamma_closed(monkeypatch) -> list:
+    """Record every gamma_closed call, by whichever module makes it."""
+    calls = []
+    closed = zetagamma.gamma_closed
+
+    def counting(chi, inverse_psi=False):
+        calls.append(chi)
+        return closed(chi, inverse_psi)
+
+    for module in (kernel, zetagamma):
+        monkeypatch.setattr(module, "gamma_closed", counting)
+    return calls
+
+
+def test_pv_component_builds_no_closed_form(monkeypatch):
+    # a pv component is the product of pv shell sums alone: neither the
+    # closed form nor its discrepancy is built and thrown away
+    calls = _count_gamma_closed(monkeypatch)
+    sym = gamma_symbol([MultChar(5, 1, (1,), 0.6 + 0.8j), 1.3 - 0.2j], 1, 5,
+                       route="pv")
+    for w in unitary_components(5, 1):
+        sym.component(w)
+    assert len(sym.components) == len(unitary_components(5, 1))
+    assert calls == []
+
+
+def test_homogeneous_identity_reads_gamma_from_its_symbol(monkeypatch):
+    # one gamma_closed per constituent per component the symbol builds; the
+    # check's own gamma(s, pi x omega) is a read of that symbol
+    rng = random.Random(73)
+    symbols = []
+
+    def recording_symbol(*args, **kwargs):
+        symbols.append(gamma_symbol(*args, **kwargs))
+        return symbols[-1]
+
+    monkeypatch.setattr(kernel, "gamma_symbol", recording_symbol)
+    calls = _count_gamma_closed(monkeypatch)
+    for p, pi in [(5, [random_char(rng, 5, 1), 0.8 + 0.6j]),
+                  (3, random_satake(rng, 3))]:
+        calls.clear()
+        symbols.clear()
+        chi = random_char(rng, p, 2)
+        rep = homogeneous_identity_check(chi, pi, random_mult_step(rng, p))
+        assert rep.max_coeff_diff <= 1e-9
+        (sym,) = symbols
+        assert chi.unitary_part() in sym.components
+        assert len(calls) == len(pi) * len(sym.components)

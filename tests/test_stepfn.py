@@ -261,3 +261,15 @@ def test_normalize_shares_reps_it_would_rebuild(monkeypatch):
     monkeypatch.setattr(MultStepFunction, "_normalize", counting_normalize)
     back = mellin_invert(md, 0, 2, 2)
     assert in_normalize == [0] and mult_distance(f, back) < 1e-12
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: MultStepFunction(5, [MultTerm(1.0, PAdicElt(5, 0, 1, 4), 0),
+                                   MultTerm(2.0, x, 1)]),
+    lambda x: StepFunction(5, [StepTerm(1.0, None, x, 2)]),
+    lambda x: StepFunction(5, [StepTerm(1.0, x, None, 0)]),
+])
+def test_elements_at_another_prime_rejected(build):
+    # mellin would read such a rep mod 3^k, the convolution as 5-adic
+    with pytest.raises(ValueError, match="mixed primes 5, 3"):
+        build(PAdicElt(3, -1, 2, DEFAULT_PREC))

@@ -23,10 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characters import MultChar, trivial_char
-from .kernel import gamma_symbol
+from .kernel import gamma_symbol, hankel_component
 from .padic import check_prime
 from .ratfunc import (IdentityReport, RationalFunc, geometric_series,
-                      rf_discrepancy, rf_dual_subst, rf_series_coeffs)
+                      rf_discrepancy, rf_series_coeffs)
+from .stepfn import MellinData
 from .zetagamma import l_factor_satake
 
 
@@ -163,9 +164,8 @@ def basic_fourier_check(alpha, p: int) -> IdentityReport:
     both sides, so the trivial component carries the whole identity.
     """
     fn = BasicFunction(p, tuple(complex(a) for a in alpha))
-    rt_q = float(p) ** 0.5
-    gam = gamma_symbol(list(fn.alpha), 0, p).component(trivial_char(p))
-    z_in = fn.mellin_component().scale_x(rt_q)       # Z(s, L_pi, triv) = L(s, pi)
-    lhs = rf_dual_subst(gam * z_in).scale_x(1.0 / rt_q)
+    triv = trivial_char(p)
+    md = MellinData(p, 0, {triv: fn.mellin_component()})
+    lhs = hankel_component(gamma_symbol(list(fn.alpha), 0, p), md, triv)
     rhs = fn.dual().mellin_component()
     return IdentityReport(lhs, rhs, rf_discrepancy(lhs, rhs))

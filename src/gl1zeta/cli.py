@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(z, _zeta, tol=None)
 
     fe = sub.add_parser("fe-check", help="functional-equation verification")
-    fe.add_argument("--corpus", default=None, help="'default' for the seeded corpus")
+    fe.add_argument("--corpus", choices=["default"], help="the seeded corpus")
     fe.add_argument("--seed", type=int, default=42)
     fe.add_argument("--size", type=int, default=50)
     fe.add_argument("--phi", default=None)
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     l31 = sub.add_parser("lemma31", help="finite trace-average verifier")
     l31.add_argument("--p", type=int, required=True)
     l31.add_argument("--g", default=None, help="2x2 matrix JSON (inline or path)")
-    l31.add_argument("--grid", default=None, help="'default' for the built-in grid")
+    l31.add_argument("--grid", choices=["default"], help="the built-in grid")
     l31.add_argument("--l0", type=int, default=1)
     l31.add_argument("--L", type=int, default=4)
     common(l31, _lemma31)

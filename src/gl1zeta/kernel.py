@@ -10,12 +10,10 @@ here the kernel drives the Fourier operator on C_c^inf(F^x) two ways:
 
 * hankel_convolve -- the convolution (k * phi^v)(x) evaluated pointwise as
   finite Gauss-type coset sums;
-* hankel_mellin -- multiplication by the gamma symbol in the Mellin domain
-  followed by the s -> 1-s substitution,
-
-      M(F phi)(omega)(X) = [Gamma(omega^(-1)) * M(phi)(omega^(-1))](s -> 1-s)
-
-  with the q^(+-1/2) bookkeeping from the |x|^(s-1/2) zeta normalization.
+* hankel_mellin -- the Mellin-domain route, one `hankel_component` (gamma
+  times one component of M(phi), then s -> 1-s) per component; the checks
+  that compare one component (`verify_fe`, `homogeneous_identity_check`,
+  `basic_fourier_check`) call `hankel_component` alone.
 
 For unramified GL(n) the kernel is represented only through its gamma
 symbol, the map omega -> gamma(s, pi x omega, psi) built multiplicatively
@@ -297,29 +295,31 @@ def gamma_symbol(params, c_max: int, p: int,
 # Hankel transform, two routes
 
 
-def hankel_mellin(phi: MultStepFunction, sym: GammaSymbol,
-                  mellin_data: MellinData | None = None) -> MellinData:
-    """Mellin data of F_pi(phi) from the functional-equation contract
+def hankel_component(sym: GammaSymbol, md: MellinData,
+                     omega: MultChar) -> RationalFunc:
+    """M(F phi)(omega^(-1)) from M(phi)(omega) = md.component(omega):
 
-        M(F phi)(omega) = [Gamma(omega^(-1)) * M(phi)(omega^(-1))](s -> 1-s),
+        M(F phi)(omega^(-1)) = [Gamma(omega) * M(phi)(omega)](s -> 1-s),
 
     where both Mellin transforms carry the |x|^s convention and Gamma sits
-    at the gamma(s, .) normalization (hence the q^(+-1/2) rescalings)."""
-    md = mellin_data if mellin_data is not None else mellin(phi, sym.c_max)
-    if md.c_max > sym.c_max:
-        raise KeyError("gamma symbol truncated at conductor %d, Mellin data "
-                       "needs %d" % (sym.c_max, md.c_max))
-    p = phi.p
-    rt_q = float(p) ** 0.5
-    out = MellinData(p, md.c_max)
-    for omega in unitary_components(p, md.c_max):
-        win = omega.inverse()
-        m_in = md.component(win)
-        if m_in.is_zero():
-            continue
-        z_in = m_in.scale_x(rt_q)                    # Z(s, phi, omega^(-1))
-        z_out = rf_dual_subst(sym.component(win) * z_in)
-        out.comps[omega] = z_out.scale_x(1.0 / rt_q)
+    at the gamma(s, .) normalization (hence the q^(+-1/2) rescalings).  A
+    zero M(phi)(omega) gives zero and reads no symbol component."""
+    m_in = md.component(omega)
+    if m_in.is_zero():
+        return RationalFunc.zero(md.p)
+    rt_q = float(md.p) ** 0.5
+    z_in = m_in.scale_x(rt_q)                        # Z(s, phi, omega)
+    return rf_dual_subst(sym.component(omega) * z_in).scale_x(1.0 / rt_q)
+
+
+def hankel_mellin(phi: MultStepFunction, sym: GammaSymbol) -> MellinData:
+    """Mellin data of F_pi(phi), one `hankel_component` per component."""
+    md = mellin(phi, sym.c_max)
+    out = MellinData(phi.p, md.c_max)
+    for omega in unitary_components(phi.p, md.c_max):
+        comp = hankel_component(sym, md, omega.inverse())
+        if not comp.is_zero():
+            out.comps[omega] = comp
     return out
 
 
@@ -413,8 +413,7 @@ def homogeneous_identity_check(chi: MultChar, pi_params,
     c_max = max(phi0.max_level(), omega.cond)
     md = mellin(phi0, c_max)
     sym = gamma_symbol(pi_params, c_max, p)
-    out = hankel_mellin(phi0, sym, md)
-    z_out = out.component(omega.inverse()).scale_x(rt_q / t)
+    z_out = hankel_component(sym, md, omega).scale_x(rt_q / t)
     lhs = z_out.subst_monomial(1.0 / rt_q, -1)        # evaluate at 1/2 - s
     gam_shift = sym.component(omega).scale_x(t / rt_q)
     rhs = gam_shift * md.component(omega).scale_x(t)

@@ -14,7 +14,8 @@ Everything is exact in X = q^(-s):
   guard shells below the last nonvanishing one are still brute-summed and
   checked to vanish, then left out of the total.  gamma_pv compares the
   routes; their agreeing coefficientwise is the package's central identity
-  check.  `kernel.GammaSymbol` alone multiplies these rank-1 factors.
+  check.  `kernel.GammaSymbol` alone multiplies these rank-1 factors;
+  `verify_fe` reads one pv component, through `kernel.hankel_component`.
 
 Every shell and coset sum, here and in `kernel`, runs through one kernel,
 `_unit_sum`: a loop over the units with integer psi phases, in blocks of
@@ -374,9 +375,10 @@ def verify_fe(phi, chi: MultChar, pi_params) -> IdentityReport:
     For a StepFunction seed f the rank-1 Fourier operator acts in closed
     form: the pi-Schwartz function is |x|^(1/2) chi_pi(x) f(x) and
     F(|x|^(1/2) chi_pi f) = |x|^(1/2) chi_pi^(-1) F_psi(f).  For a
-    C_c^inf(F^x) input the left side goes through the Mellin-domain Hankel
-    transform with the principal-value gamma symbol, so the comparison pits
-    the pv route against the closed-form route through the whole pipeline.
+    C_c^inf(F^x) input the left side is one component of the Mellin-domain
+    Hankel transform, at omega^(-1), taken with the principal-value gamma
+    symbol; so the comparison pits the pv route against the closed-form
+    route through the whole pipeline, and builds one pv symbol component.
     """
     p = chi.p
     constituents = normalize_pi(pi_params, p)
@@ -391,13 +393,12 @@ def verify_fe(phi, chi: MultChar, pi_params) -> IdentityReport:
         lhs = rf_dual_subst(zeta(g, prod.inverse()).scale_x(1.0 / rt_q))
         return IdentityReport(lhs, rhs, rf_discrepancy(lhs, rhs))
     if isinstance(phi, MultStepFunction):
-        from .kernel import gamma_symbol, hankel_mellin
+        from .kernel import gamma_symbol, hankel_component
         omega = chi.unitary_part()
         c_max = max(phi.max_level(), omega.cond)
         md = mellin(phi, c_max)
         sym = gamma_symbol(constituents, c_max, p=p, route="pv")
-        out = hankel_mellin(phi, sym, mellin_data=md)
-        z_out = out.component(omega.inverse()).scale_x(rt_q / chi.t)
+        z_out = hankel_component(sym, md, omega).scale_x(rt_q / chi.t)
         lhs = rf_dual_subst(z_out)
         closed = gamma_symbol(constituents, omega.cond, p).component(omega)
         rhs = closed.scale_x(chi.t) * md.component(omega).scale_x(chi.t * rt_q)

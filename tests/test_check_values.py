@@ -22,17 +22,31 @@ def _run(args):
     return proc.stdout.splitlines()
 
 
-def test_check_values_prints_one_line_per_check():
+def _check_labels(workload):
+    """Labels of the `--tiny` checks of `workload`, after checking that the
+    tool prints one line per check and that every line holds a value, not
+    the name of an exception."""
     lines = _run([str(ROOT / "tools" / "check_values.py"),
-                  "--workload", "aux-checks", "--tiny"])
+                  "--workload", workload, "--tiny"])
     (count,) = _run(["-c", "import catalog, workloads\n"
-                     "seed = catalog.WORKLOADS['aux-checks'].seed\n"
-                     "print(len(workloads.build('aux-checks', seed, tiny=True)))"])
+                     "seed = catalog.WORKLOADS[%r].seed\n"
+                     "print(len(workloads.build(%r, seed, tiny=True)))"
+                     % (workload, workload)])
     assert len(lines) == int(count) > 0
     labels = []
     for line in lines:
         name, label, value = line.split(" ")
-        assert name == "aux-checks"
+        assert name == workload
         labels.append(label)
         assert float(value) >= 0.0
+    return labels
+
+
+def test_check_values_prints_one_line_per_check():
+    labels = _check_labels("aux-checks")
     assert labels[-1].startswith("basic/") and "trace/control" in labels
+
+
+def test_check_values_runs_the_fe_corpus():
+    # the verify_fe path, on both branches, through the benchmark's checks
+    _check_labels("fe-corpus")

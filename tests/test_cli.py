@@ -260,12 +260,31 @@ def test_input_error_exit_two(capsys, argv, code):
     (["fe-check", "--phi", PHI_UNIT5], "fe/inputs"),
     (["zeta", "--phi", "[1]", "--chi", CHI_TRIV5], "function/model"),
     (["arch-fe", "--chi", "[1]", "--samples", "[[0.5,0]]"], "schema/arch_char"),
+    # a rational literal with a zero denominator fails its schema
+    (["zeta", "--phi", '{"model":"step","p":5,"terms":[{"coeff":[1,0],'
+      '"center":"1/0","rad":0}]}', "--chi", CHI_TRIV5], "schema/step_function"),
+    (["hankel", "--phi", PHI_UNIT5.replace('{"p":5,"val":0,"unit":1,"prec":4}',
+                                           '"5/0"'),
+      "--pi", PI_TRIV5], "schema/mult_step_function"),
+    (["lemma31", "--p", "3", "--g", '[["1/0",0],[0,1]]'], "schema/matrix2"),
 ])
 def test_malformed_input_exit_two(capsys, argv, code):
     # each of these once escaped as a Python traceback with exit 1
     status, out = run_cli(capsys, *argv)
     assert status == 2
     assert json.loads(out)["error"]["code"] == code
+
+
+@pytest.mark.parametrize("argv", [
+    ["fe-check", "--corpus", "bogus"],
+    ["lemma31", "--p", "3", "--grid", "bogus"],
+])
+def test_unknown_named_input_exit_two(capsys, argv):
+    # 'default' is the only corpus and the only grid
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -178,7 +178,7 @@ def test_invert_matches_per_shell_loop(case, through_hankel):
     p = phi.p
     data = mellin(phi, c_max)
     if through_hankel:       # rational components with infinite series
-        data = hankel_mellin(phi, gamma_symbol([chi], c_max, p=p), data)
+        data = hankel_mellin(phi, gamma_symbol([chi], c_max, p=p))
     for cap in (c_max, phi.max_level()):
         want = _outcome(_naive_invert, data, m_lo, m_hi, cap)
         got = _outcome(mellin_invert, data, m_lo, m_hi, cap)

@@ -9,7 +9,8 @@ from gl1zeta.characters import (MultChar, char_product, trivial_char,
                                 unitary_components)
 from gl1zeta.corpus import random_char, random_mult_step, random_satake
 from gl1zeta.kernel import (Gl1Kernel, TruncatedKernel,
-                            gamma_symbol, hankel_convolve, hankel_mellin,
+                            gamma_symbol, hankel_component, hankel_convolve,
+                            hankel_mellin,
                             homogeneous_identity_check, lemma31_grid, pointwise_threshold,
                             stability_threshold, trace_average_check,
                             truncation_stability)
@@ -233,6 +234,54 @@ def test_hankel_delta_approximant_recovers_symbol():
         assert rf_close(out.component(w), expect, 1e-10)
 
 
+@pytest.mark.parametrize("route", ["closed", "pv"])
+def test_hankel_component_is_the_hankel_mellin_component(route):
+    # one component of F phi, read from M(phi)(omega), is bit-identical to
+    # the component of the whole transform at omega^(-1); where M(phi)(omega)
+    # vanishes it is zero and the symbol builds nothing at omega
+    p, c_max = 5, 2
+    phi = MultStepFunction(p, [MultTerm(0.7 - 0.3j, PAdicElt(p, -1, 2, 24), 1),
+                               MultTerm(-1.1 + 0.4j, PAdicElt(p, 1, 1, 24), 0)])
+    params = [MultChar(5, 1, (1,), 0.6 + 0.8j), 1.3 - 0.2j]
+    md = mellin(phi, c_max)
+    whole = hankel_mellin(phi, gamma_symbol(params, c_max, p=p, route=route))
+    sym = gamma_symbol(params, c_max, p=p, route=route)
+    nonzero = set()
+    for w in unitary_components(p, c_max):
+        got = hankel_component(sym, md, w)
+        want = whole.component(w.inverse())
+        assert got.num.coeffs == want.num.coeffs
+        assert got.den.coeffs == want.den.coeffs
+        if md.component(w).is_zero():
+            assert got.is_zero() and w not in sym.components
+        else:
+            nonzero.add(w)
+    assert 0 < len(nonzero) < len(unitary_components(p, c_max))
+    assert set(sym.components) == nonzero
+
+
+def test_verify_fe_builds_one_pv_component(monkeypatch):
+    # the mult branch reads the Hankel transform at omega^(-1) alone, so its
+    # pv symbol builds the one component that enters the verdict
+    symbols = []
+
+    def recording_symbol(*args, **kwargs):
+        symbols.append(gamma_symbol(*args, **kwargs))
+        return symbols[-1]
+
+    monkeypatch.setattr(kernel, "gamma_symbol", recording_symbol)
+    rng = random.Random(61)
+    for p in (3, 5):
+        symbols.clear()
+        phi = random_mult_step(rng, p)
+        chi = random_char(rng, p, 1)
+        rep = zetagamma.verify_fe(phi, chi, [random_char(rng, p, 1)])
+        assert rep.max_coeff_diff <= 1e-9
+        (pv,) = [sym for sym in symbols if sym.route == "pv"]
+        assert len(mellin(phi, pv.c_max).nonzero_components()) > 1
+        assert list(pv.components) == [chi.unitary_part()]
+
+
 def test_hankel_linearity():
     rng = random.Random(59)
     p = 3
@@ -240,8 +289,8 @@ def test_hankel_linearity():
     f1, f2 = random_mult_step(rng, p), random_mult_step(rng, p)
     a, b = 1.3 - 0.2j, -0.4 + 2j
     lhs = hankel_mellin(a * f1 + b * f2, sym)
-    r1 = hankel_mellin(f1, sym, mellin(f1, 2))
-    r2 = hankel_mellin(f2, sym, mellin(f2, 2))
+    r1 = hankel_mellin(f1, sym)
+    r2 = hankel_mellin(f2, sym)
     for w in unitary_components(p, 2):
         zero = RationalFunc.zero(p)
         want = r1.comps.get(w, zero).scale(a) + r2.comps.get(w, zero).scale(b)
@@ -420,4 +469,5 @@ def test_homogeneous_identity_reads_gamma_from_its_symbol(monkeypatch):
         assert rep.max_coeff_diff <= 1e-9
         (sym,) = symbols
         assert chi.unitary_part() in sym.components
+        assert len(sym.components) == 1
         assert len(calls) == len(pi) * len(sym.components)

@@ -27,7 +27,6 @@ from .kernel import gamma_symbol, hankel_component
 from .padic import check_prime
 from .ratfunc import (IdentityReport, RationalFunc, geometric_series,
                       rf_discrepancy, rf_series_coeffs)
-from .stepfn import MellinData
 from .zetagamma import l_factor_satake
 
 
@@ -65,11 +64,9 @@ class BasicFunction:
         """Basic function of the contragredient: Satake list alpha^(-1)."""
         return BasicFunction(self.p, tuple(1.0 / a for a in self.alpha))
 
-    def mellin_component(self, trivial: bool = True) -> RationalFunc:
-        """M(L_pi)(omega)(X): prod (1 - alpha_i q^(-1/2) X)^(-1) at the
-        trivial omega, zero at every ramified omega."""
-        if not trivial:
-            return RationalFunc.zero(self.p)
+    def mellin_component(self) -> RationalFunc:
+        """M(L_pi)(omega)(X) at the trivial omega: prod (1 - alpha_i q^(-1/2)
+        X)^(-1).  Every ramified component is zero."""
         rt = float(self.p) ** -0.5
         return l_factor_satake(self.p, [a * rt for a in self.alpha])
 
@@ -164,8 +161,7 @@ def basic_fourier_check(alpha, p: int) -> IdentityReport:
     both sides, so the trivial component carries the whole identity.
     """
     fn = BasicFunction(p, tuple(complex(a) for a in alpha))
-    triv = trivial_char(p)
-    md = MellinData(p, 0, {triv: fn.mellin_component()})
-    lhs = hankel_component(gamma_symbol(list(fn.alpha), 0, p), md, triv)
+    lhs = hankel_component(gamma_symbol(list(fn.alpha), 0, p),
+                           fn.mellin_component(), trivial_char(p))
     rhs = fn.dual().mellin_component()
     return IdentityReport(lhs, rhs, rf_discrepancy(lhs, rhs))

@@ -13,7 +13,8 @@ here the kernel drives the Fourier operator on C_c^inf(F^x) two ways:
 * hankel_mellin -- the Mellin-domain route, one `hankel_component` (gamma
   times one component of M(phi), then s -> 1-s) per component; the checks
   that compare one component (`verify_fe`, `homogeneous_identity_check`,
-  `basic_fourier_check`) call `hankel_component` alone.
+  `basic_fourier_check`) compute M(phi)(omega) alone and pass it to
+  `hankel_component`, with a gamma symbol at omega's conductor.
 
 For unramified GL(n) the kernel is represented only through its gamma
 symbol, the map omega -> gamma(s, pi x omega, psi) built multiplicatively
@@ -48,7 +49,7 @@ from .defaults import DEFAULT_PREC
 from .padic import PAdicElt, check_prime, psi_value
 from .ratfunc import (IdentityReport, RationalFunc, rf_discrepancy,
                       rf_dual_subst, root_of_unity)
-from .stepfn import MellinData, MultStepFunction, mellin
+from .stepfn import MellinData, MultStepFunction, mellin, mellin_component
 from .zetagamma import (coset_integral, gamma_closed, gamma_pv_total,
                         normalize_pi, shell_psi_chi_integral)
 
@@ -295,19 +296,18 @@ def gamma_symbol(params, c_max: int, p: int,
 # Hankel transform, two routes
 
 
-def hankel_component(sym: GammaSymbol, md: MellinData,
+def hankel_component(sym: GammaSymbol, m_in: RationalFunc,
                      omega: MultChar) -> RationalFunc:
-    """M(F phi)(omega^(-1)) from M(phi)(omega) = md.component(omega):
+    """M(F phi)(omega^(-1)) from m_in = M(phi)(omega) (`mellin_component`):
 
         M(F phi)(omega^(-1)) = [Gamma(omega) * M(phi)(omega)](s -> 1-s),
 
     where both Mellin transforms carry the |x|^s convention and Gamma sits
     at the gamma(s, .) normalization (hence the q^(+-1/2) rescalings).  A
     zero M(phi)(omega) gives zero and reads no symbol component."""
-    m_in = md.component(omega)
     if m_in.is_zero():
-        return RationalFunc.zero(md.p)
-    rt_q = float(md.p) ** 0.5
+        return RationalFunc.zero(sym.p)
+    rt_q = float(sym.p) ** 0.5
     z_in = m_in.scale_x(rt_q)                        # Z(s, phi, omega)
     return rf_dual_subst(sym.component(omega) * z_in).scale_x(1.0 / rt_q)
 
@@ -317,7 +317,8 @@ def hankel_mellin(phi: MultStepFunction, sym: GammaSymbol) -> MellinData:
     md = mellin(phi, sym.c_max)
     out = MellinData(phi.p, md.c_max)
     for omega in unitary_components(phi.p, md.c_max):
-        comp = hankel_component(sym, md, omega.inverse())
+        w = omega.inverse()
+        comp = hankel_component(sym, md.component(w), w)
         if not comp.is_zero():
             out.comps[omega] = comp
     return out
@@ -410,11 +411,10 @@ def homogeneous_identity_check(chi: MultChar, pi_params,
     omega = chi.unitary_part()
     t = chi.t
     rt_q = float(p) ** 0.5
-    c_max = max(phi0.max_level(), omega.cond)
-    md = mellin(phi0, c_max)
-    sym = gamma_symbol(pi_params, c_max, p)
-    z_out = hankel_component(sym, md, omega).scale_x(rt_q / t)
+    m_in = mellin_component(phi0, omega)
+    sym = gamma_symbol(pi_params, omega.cond, p)
+    z_out = hankel_component(sym, m_in, omega).scale_x(rt_q / t)
     lhs = z_out.subst_monomial(1.0 / rt_q, -1)        # evaluate at 1/2 - s
     gam_shift = sym.component(omega).scale_x(t / rt_q)
-    rhs = gam_shift * md.component(omega).scale_x(t)
+    rhs = gam_shift * m_in.scale_x(t)
     return IdentityReport(lhs, rhs, rf_discrepancy(lhs, rhs))

@@ -16,7 +16,6 @@ Conventions fixed once for the whole package:
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -251,7 +250,9 @@ def _primitive_root(p: int, a: int) -> int:
     raise RuntimeError("no primitive root found mod %d^%d" % (p, a))
 
 
-def _build_table(p: int, a: int) -> UnitGroupTable:
+@functools.cache
+def unit_group(p: int, a: int) -> UnitGroupTable:
+    """The structure table of (Z/p^a)^x (a >= 1), built once per process."""
     check_prime(p)
     if a < 1:
         raise ValueError("conductor exponent must be >= 1")
@@ -281,21 +282,3 @@ def _build_table(p: int, a: int) -> UnitGroupTable:
     if len(dlog) != expected:
         raise RuntimeError("unit group enumeration mismatch at (%d, %d)" % (p, a))
     return UnitGroupTable(p, a, gens, dlog)
-
-
-_table_cache: dict[tuple[int, int], UnitGroupTable] = {}
-_table_lock = threading.Lock()
-
-
-def unit_group(p: int, a: int) -> UnitGroupTable:
-    """The structure table of (Z/p^a)^x (a >= 1), built once per process."""
-    key = (p, a)
-    table = _table_cache.get(key)
-    if table is not None:
-        return table
-    with _table_lock:
-        table = _table_cache.get(key)
-        if table is None:
-            table = _build_table(p, a)
-            _table_cache[key] = table
-    return table

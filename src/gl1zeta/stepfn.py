@@ -14,11 +14,12 @@ Two function models:
   index `eval` reads: shell -> (level, unit mod p^level -> coeff).  The
   index never changes afterwards, so threads may share the function.
 
-MellinData maps each unitary unit-group character omega (with t = 1) to the
-rational function M(f)(omega)(X) = integral of f(x) omega(x) |x|^s dx*; for a
-compactly supported f each component is a Laurent polynomial and the finite
-character sum inverts it exactly.  `mellin_invert` sums on integer unit
-residues and reads each component's value table once per call.
+M(f)(omega)(X) = integral of f(x) omega(x) |x|^s dx*, for a unitary
+unit-group character omega (t = 1), is computed one omega at a time by
+`mellin_component`, the only integral of a MultStepFunction against a
+character; `mellin` collects the components in a MellinData.  Each is a
+Laurent polynomial, and the finite character sum `mellin_invert` inverts it
+exactly, on integer unit residues, reading each value table once per call.
 
 `PAdicElt` is the boundary type: `MultTerm.rep` and the argument of `eval`.
 """
@@ -393,31 +394,38 @@ class MellinData:
         return [(w, rf) for w, rf in self.comps.items() if not rf.is_zero()]
 
 
-def mellin(f: MultStepFunction, c_max: int | None = None) -> MellinData:
-    """M(f)(omega)(X) = sum_m X^m * (coset sums of f * omega on S_m)."""
+def mellin_component(f: MultStepFunction, omega: MultChar) -> RationalFunc:
+    """M(f)(omega)(X) = sum_m X^m * (coset sums of f * omega on S_m), for a
+    unitary omega (t = 1).  The only integral of a MultStepFunction against
+    a character: `zetagamma.zeta` rescales it."""
     p = f.p
+    if omega.p != p:
+        raise ValueError("mixed primes %d, %d" % (p, omega.p))
+    acc: dict[int, complex] = {}
+    for t in f.terms:
+        if omega.cond > t.k:
+            continue  # omega nontrivial on the coset subgroup: integral 0
+        vol = shell_volume(p) if t.k == 0 else float(p) ** (-t.k)
+        val = omega.unit_value(t.rep.unit_mod(omega.cond))
+        acc[t.rep.val] = acc.get(t.rep.val, 0.0) + t.coeff * val * vol
+    poly = LaurentPoly(p, acc)
+    if poly.is_zero():
+        return RationalFunc.zero(p)
+    return RationalFunc.from_poly(poly)
+
+
+def mellin(f: MultStepFunction, c_max: int | None = None) -> MellinData:
+    """Every nonzero `mellin_component` of f up to conductor c_max."""
     if c_max is None:
         c_max = f.max_level()
     if c_max < f.max_level():
         raise ValueError("c_max %d below the function's coset level %d"
                          % (c_max, f.max_level()))
-    comps: dict[MultChar, dict[int, complex]] = {}
-    omegas = unitary_components(p, c_max)
-    for omega in omegas:
-        acc: dict[int, complex] = {}
-        for t in f.terms:
-            if omega.cond > t.k:
-                continue  # omega nontrivial on the coset subgroup: integral 0
-            vol = shell_volume(p) if t.k == 0 else float(p) ** (-t.k)
-            val = omega.unit_value(t.rep.unit_mod(omega.cond))
-            m = t.rep.val
-            acc[m] = acc.get(m, 0.0) + t.coeff * val * vol
-        comps[omega] = acc
-    data = MellinData(p, c_max)
-    for omega, acc in comps.items():
-        poly = LaurentPoly(p, acc)
-        if not poly.is_zero():
-            data.comps[omega] = RationalFunc.from_poly(poly)
+    data = MellinData(f.p, c_max)
+    for omega in unitary_components(f.p, c_max):
+        comp = mellin_component(f, omega)
+        if not comp.is_zero():
+            data.comps[omega] = comp
     return data
 
 

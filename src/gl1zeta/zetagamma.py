@@ -4,7 +4,9 @@ Everything is exact in X = q^(-s):
 
 * zeta integrals of step functions are Laurent polynomials plus closed-form
   geometric tails (the meromorphic continuation is the rational-function
-  identity itself);
+  identity itself); that of a C_c^inf(F^x) function is the Mellin component
+  `stepfn.mellin_component` at the unitary part of chi, rescaled by
+  X -> t q^(1/2) X;
 * gamma_closed assembles eps(s,chi,psi) * L(1-s,chi^(-1)) / L(s,chi), with
   the epsilon factor computed as a normalized Gauss sum over the last
   nonvanishing shell;
@@ -43,7 +45,8 @@ from .defaults import SHELL_GUARD_TOL
 from .padic import PAdicElt, PrecisionError, shell_volume
 from .ratfunc import (IdentityReport, LaurentPoly, RationalFunc, geometric_series,
                       TWO_PI, rf_discrepancy, rf_dual_subst, rf_to_json)
-from .stepfn import MultStepFunction, StepFunction, fourier_transform, mellin
+from .stepfn import (MultStepFunction, StepFunction, fourier_transform,
+                     mellin_component)
 
 
 class ShellGuardError(ArithmeticError):
@@ -196,11 +199,14 @@ def zeta(phi, chi: MultChar) -> RationalFunc:
     """Z(s, phi, chi) = integral of phi(x) chi(x) |x|^(s-1/2) dx*.
 
     Shell S_m contributes (q^(1/2) X)^m times the finite coset sum of
-    phi * chi; a step function's germ at 0 adds a geometric tail in closed
-    form when chi is unramified (and nothing otherwise).
+    phi * chi.  For phi in C_c^inf(F^x) that is the Mellin component
+    M(phi)(omega), omega the unitary part of chi, at X -> t q^(1/2) X; a
+    step function's germ at 0 adds a geometric tail in closed form when chi
+    is unramified (and nothing otherwise).
     """
     if isinstance(phi, MultStepFunction):
-        return _zeta_mult(phi, chi)
+        return mellin_component(phi, chi.unitary_part()).scale_x(
+            chi.t * float(phi.p) ** 0.5)
     if isinstance(phi, StepFunction):
         return _zeta_step(phi, chi)
     raise TypeError("unsupported function model %r" % type(phi).__name__)
@@ -208,20 +214,6 @@ def zeta(phi, chi: MultChar) -> RationalFunc:
 
 def _shell_monomial(q: int, m: int, value: complex) -> RationalFunc:
     return RationalFunc.monomial(q, m, value * float(q) ** (m / 2.0))
-
-
-def _zeta_mult(phi: MultStepFunction, chi: MultChar) -> RationalFunc:
-    q = phi.p
-    total = RationalFunc.zero(q)
-    for t in phi.terms:
-        m = t.rep.val
-        if t.k == 0:
-            val = shell_psi_chi_integral(q, m, chi)
-        else:
-            val = psi_chi_coset_integral(t.rep, t.k, chi)
-        if val != 0:
-            total = total + _shell_monomial(q, m, t.coeff * val)
-    return total
 
 
 def _zeta_step(phi: StepFunction, chi: MultChar) -> RationalFunc:
@@ -395,13 +387,12 @@ def verify_fe(phi, chi: MultChar, pi_params) -> IdentityReport:
     if isinstance(phi, MultStepFunction):
         from .kernel import gamma_symbol, hankel_component
         omega = chi.unitary_part()
-        c_max = max(phi.max_level(), omega.cond)
-        md = mellin(phi, c_max)
-        sym = gamma_symbol(constituents, c_max, p=p, route="pv")
-        z_out = hankel_component(sym, md, omega).scale_x(rt_q / chi.t)
+        m_in = mellin_component(phi, omega)
+        sym = gamma_symbol(constituents, omega.cond, p=p, route="pv")
+        z_out = hankel_component(sym, m_in, omega).scale_x(rt_q / chi.t)
         lhs = rf_dual_subst(z_out)
         closed = gamma_symbol(constituents, omega.cond, p).component(omega)
-        rhs = closed.scale_x(chi.t) * md.component(omega).scale_x(chi.t * rt_q)
+        rhs = closed.scale_x(chi.t) * m_in.scale_x(chi.t * rt_q)
         return IdentityReport(lhs, rhs, rf_discrepancy(lhs, rhs))
     raise TypeError("unsupported function model %r" % type(phi).__name__)
 

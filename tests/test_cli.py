@@ -244,6 +244,8 @@ def test_missing_file_exit_two(capsys):
     # a rep at p = 3 in a function at p = 5
     (["hankel", "--phi", PHI_UNIT5.replace('"p":5,"val"', '"p":3,"val"'),
       "--pi", PI_TRIV5], "input/valueerror"),
+    # a character at p = 3 against a function at p = 5
+    (["zeta", "--phi", PHI_UNIT5, "--chi", CHI_QUAD3], "run/valueerror"),
 ])
 def test_input_error_exit_two(capsys, argv, code):
     status, out = run_cli(capsys, *argv)

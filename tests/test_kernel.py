@@ -1,10 +1,11 @@
 import cmath
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from gl1zeta import kernel, zetagamma
+from gl1zeta import kernel, stepfn, zetagamma
 from gl1zeta.characters import (MultChar, char_product, trivial_char,
                                 unitary_components)
 from gl1zeta.corpus import random_char, random_mult_step, random_satake
@@ -248,7 +249,7 @@ def test_hankel_component_is_the_hankel_mellin_component(route):
     sym = gamma_symbol(params, c_max, p=p, route=route)
     nonzero = set()
     for w in unitary_components(p, c_max):
-        got = hankel_component(sym, md, w)
+        got = hankel_component(sym, md.component(w), w)
         want = whole.component(w.inverse())
         assert got.num.coeffs == want.num.coeffs
         assert got.den.coeffs == want.den.coeffs
@@ -278,8 +279,37 @@ def test_verify_fe_builds_one_pv_component(monkeypatch):
         rep = zetagamma.verify_fe(phi, chi, [random_char(rng, p, 1)])
         assert rep.max_coeff_diff <= 1e-9
         (pv,) = [sym for sym in symbols if sym.route == "pv"]
-        assert len(mellin(phi, pv.c_max).nonzero_components()) > 1
+        assert len(mellin(phi).nonzero_components()) > 1
         assert list(pv.components) == [chi.unitary_part()]
+
+
+def test_one_component_checks_integrate_one_component(monkeypatch):
+    # verify_fe (mult branch) and homogeneous_identity_check compare
+    # M(phi)(omega) alone, so they integrate phi against omega once and never
+    # build the whole Mellin transform
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("mellin", "mellin_component"):
+        wrapped = counting(name, getattr(stepfn, name))
+        for module in (stepfn, kernel, zetagamma):
+            monkeypatch.setattr(module, name, wrapped, raising=False)
+    rng = random.Random(71)
+    for p in (3, 5):
+        phi = random_mult_step(rng, p)
+        chi = random_char(rng, p, 2, unitary_t=False)
+        pi = [random_char(rng, p, 1)]
+        calls.clear()
+        zetagamma.verify_fe(phi, chi, pi)
+        assert calls == {"mellin_component": 1}
+        calls.clear()
+        homogeneous_identity_check(chi, pi, phi)
+        assert calls == {"mellin_component": 1}
 
 
 def test_hankel_linearity():

@@ -9,10 +9,11 @@ from gl1zeta.corpus import random_char, random_mult_step, random_step
 from gl1zeta.padic import PAdicElt, unit_group
 from gl1zeta.ratfunc import (LaurentPoly, RationalFunc, rf_close,
                              rf_discrepancy, rf_dual_subst)
-from gl1zeta.stepfn import indicator_ball, unit_indicator
+from gl1zeta.stepfn import coset_indicator, indicator_ball, unit_indicator
 from gl1zeta.zetagamma import (epsilon_factor, gamma_closed,
-                               gamma_pv, l_factor, l_factor_satake, verify_fe,
-                               zeta)
+                               gamma_pv, l_factor, l_factor_satake,
+                               psi_chi_coset_integral, shell_psi_chi_integral,
+                               verify_fe, zeta)
 
 
 def test_zeta_unit_shell():
@@ -40,6 +41,41 @@ def test_zeta_ramified_kills_tail():
     chi = MultChar(5, 1, (1,), 1.0)
     z = zeta(indicator_ball(5, None, 0), chi)
     assert z.is_zero()  # lattice germ has no ramified components
+
+
+def _zeta_per_coset(phi, chi):
+    """Z(s, phi, chi) for a MultStepFunction, one monomial per coset, each
+    coset integral of chi taken through the shell kernel."""
+    q = phi.p
+    total = RationalFunc.zero(q)
+    for t in phi.terms:
+        m = t.rep.val
+        val = (shell_psi_chi_integral(q, m, chi) if t.k == 0
+               else psi_chi_coset_integral(t.rep, t.k, chi))
+        total = total + RationalFunc.monomial(q, m, t.coeff * val * q ** (m / 2))
+    return total
+
+
+def test_zeta_mult_matches_per_coset_sums():
+    rng = random.Random(83)
+    for p in (2, 3, 5, 7):
+        for i in range(40):
+            phi = random_mult_step(rng, p)
+            chi = random_char(rng, p, 2, unitary_t=i % 2 == 0)
+            got, want = zeta(phi, chi), _zeta_per_coset(phi, chi)
+            scale = max(1.0, got.num.max_abs(), want.num.max_abs())
+            assert rf_discrepancy(got, want) <= 1e-13 * scale
+
+
+def test_zeta_mult_vanishing_coset_sum_is_exact_zero():
+    # a conductor-2 character is nontrivial on 1 + 5 Z_5, so it integrates
+    # to zero over the coset; the result holds no roundoff
+    phi = coset_indicator(5, PAdicElt(5, -1, 3, 24), 1)
+    omegas = [w for w in unitary_components(5, 2) if w.cond == 2]
+    assert len(omegas) == 16
+    for w in omegas:
+        for t in (1.0, 0.7 + 0.2j):
+            assert zeta(phi, MultChar(5, 2, w.unit_char, t)).is_zero()
 
 
 def test_l_factor():

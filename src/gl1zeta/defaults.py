@@ -7,10 +7,6 @@ COEFF_TOL = 1e-10
 # and dropped during normalization.
 PRUNE_REL_EPS = 1e-13
 
-# Absolute bound on a guard shell of the principal-value gamma integral,
-# which must vanish identically (zetagamma.gamma_pv_total).
-SHELL_GUARD_TOL = 1e-9
-
 # Working precision (number of p-adic digits carried by a unit residue) used
 # when elements are built from rationals or integers.  Locally constant
 # evaluations never look deeper than conductor + |valuation| + 2 digits, so

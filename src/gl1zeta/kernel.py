@@ -23,10 +23,10 @@ exist (and are compared) at n = 1.  Every gamma(s, pi x omega, psi) of the
 package is read from a symbol, the only product of rank-1 gamma factors.
 
 The convolution route runs on integers.  `hankel_convolve` forms each
-x * rep as a (valuation, unit) pair, and `kernel_coset_integral` takes those
-integers to the memoized unit-sum kernel of `zetagamma`, through
-`coset_integral` (the integer form behind `psi_chi_coset_integral`) or
-`shell_psi_chi_integral`; no second summation loop lives here.  Within one
+x * rep as a (valuation, unit) pair, and `kernel_coset_integral` hands those
+integers to `zetagamma.coset_integral`, the package's one integer-coordinate
+psi * chi integral, at every level (level 0, a whole shell, is its k = 0
+case); no second summation loop lives here.  Within one
 `hankel_convolve` call each coset integral is computed once per key
 (valuation, unit mod p^max(cond, d), level), d = max(0, -valuation); the
 memo belongs to the call, so concurrent calls share nothing.  `PAdicElt`
@@ -351,15 +351,12 @@ def kernel_coset_integral(k: Gl1Kernel, val: int, unit: int,
     """int over p^val*unit*(1+p^level Z_p) (level >= 1) or p^val*Z_p^x
     (level 0) of psi(y) chi^(-1)(y) |y|^(1/2) dy*, as a finite Gauss-type
     sum; the unit is known to DEFAULT_PREC digits."""
-    p = k.p
-    chi_inv = k.chi_inv
     if level == 0:
-        value = shell_psi_chi_integral(p, val, chi_inv, b=PAdicElt.one(p))
-    else:
-        # psi(y) is psi(b y) at b = 1, so the twisted point is the coset rep
-        value = coset_integral(chi_inv, level, val, unit, DEFAULT_PREC,
-                               val, unit, DEFAULT_PREC)
-    return value * float(p) ** (-val / 2.0)
+        unit = 1  # the integral over a whole shell does not see the unit
+    # psi(y) is psi(b y) at b = 1, so the twisted point is the coset rep
+    value = coset_integral(k.chi_inv, level, val, unit, DEFAULT_PREC,
+                           val, unit, DEFAULT_PREC)
+    return value * float(k.p) ** (-val / 2.0)
 
 
 def hankel_convolve(phi: MultStepFunction, k: Gl1Kernel,

@@ -13,15 +13,16 @@ Everything is exact in X = q^(-s):
 * gamma_pv_total integrates the GL(1) kernel psi(x) chi^(-1)(x) |x|^(1/2)
   shell by shell (principal value): finitely many negative shells by brute
   coset summation, the nonnegative tail resummed in closed form.  The two
-  guard shells below the last nonvanishing one are still brute-summed and
-  checked to vanish, then left out of the total.  gamma_pv compares the
-  routes; their agreeing coefficientwise is the package's central identity
-  check.  `kernel.GammaSymbol` alone multiplies these rank-1 factors;
+  guard shells below the last nonvanishing one are still brute-summed,
+  checked against their own roundoff bound, and left out of the total.
+  gamma_pv compares the routes; their agreeing coefficientwise is the
+  package's central identity check.  `kernel.GammaSymbol` alone multiplies these rank-1 factors;
   `verify_fe` reads one pv component, through `kernel.hankel_component`.
 
-Every shell and coset sum, here and in `kernel`, runs through one kernel,
-`_unit_sum`: a loop over the units with integer psi phases, in blocks of
-(unit residue, chi value) pairs read once from the character's value table
+Every coset and shell integral of psi(b*y) chi(y), here and in `kernel`, is
+`coset_integral`, on integer coordinates; a shell is its k = 0 case.  Its
+one kernel `_unit_sum` loops over the units with integer psi phases, in
+blocks of (unit residue, chi value) pairs read once from the value table
 `characters.unit_values`, with psi evaluated by one `cmath.rect` per unit.
 It is memoized on its exact integer inputs, which leave out t, so the
 t^m * volume factors are applied outside it; the gamma symbols of a corpus
@@ -41,7 +42,6 @@ import functools
 from cmath import rect
 
 from .characters import MultChar, char_product, unit_values, unramified_char
-from .defaults import SHELL_GUARD_TOL
 from .padic import PAdicElt, PrecisionError, shell_volume
 from .ratfunc import (IdentityReport, LaurentPoly, RationalFunc, geometric_series,
                       TWO_PI, rf_discrepancy, rf_dual_subst, rf_to_json)
@@ -57,12 +57,12 @@ class ShellGuardError(ArithmeticError):
 # ---------------------------------------------------------------------------
 # exact coset / shell integrals of psi(b*y) * chi(y)
 #
-# Both integrals reduce to the finite unit sum
+# Every such integral reduces to the finite unit sum
 #
 #     sum over units u mod p^k, u = 1 mod p^k0, of  chi(u) * psi(p^(-d) r u),
 #
-# which sees chi only through its unit character, and the shell, coset and
-# twist only through the integers (k0, k, d, r).  The kernel adds the same
+# which sees chi only through its unit character, and the shell (k0 = 0),
+# coset and twist only through the integers (k0, k, d, r).  It adds the same
 # terms in the same order as the plain per-unit loop through `psi_value` and
 # `MultChar.unit_value`, each term chi(u) * psi computed with the same float
 # operations, psi through `rect` as in `root_of_unity`; so both give the
@@ -104,35 +104,34 @@ def _unit_sum(p: int, cond: int, unit_char: tuple[int, ...],
     return total
 
 
-def _psi_phase(p: int, unit: int, prec: int, d: int, inverse_psi: bool) -> int:
-    """The psi residue r of a twist p^(-d) * unit: psi(y*u) =
-    root_of_unity(r*u, p^d) for every unit u and every y of valuation -d
-    with these unit digits (psi^(-1) with inverse_psi).  0 when d = 0; the
-    unit must be known to d digits (`prec`)."""
-    if d == 0:
-        return 0
-    if prec < d:
-        raise PrecisionError(
-            "psi needs %d digits below the point, element carries %d" % (d, prec))
-    return (-unit if inverse_psi else unit) % p ** d
-
-
 def coset_integral(chi: MultChar, k: int, val: int, unit: int, prec: int,
                    w: int = 0, twist: int = 1, twist_prec: int = 0,
-                   inverse_psi: bool = False) -> complex:
-    """`psi_chi_coset_integral` on integer coordinates: the coset is
-    p^val * unit * (1 + p^k Z_p), k >= 1, with the unit known to `prec`
+                   inverse_psi: bool = False, brute: bool = False) -> complex:
+    """integral of psi(b*y) chi(y) dy* over p^val * unit * (1 + p^k Z_p), or
+    over the shell p^val Z_p^x for k = 0, with the unit known to `prec`
     digits, and b * p^val * unit = p^w * twist, with the twist known to
-    `twist_prec` digits.  Without b, w = 0 and the twist is never read."""
+    `twist_prec` digits.  Without b, w = 0 and the twist is never read.
+    brute=True sums even where a vanishing shortcut decides."""
     p = chi.p
     cond = chi.cond
-    if w < -max(cond, k):
-        return 0.0 + 0.0j  # oscillation strictly finer than any character scale
-    level = k + max(0, cond - k, -w - k)
+    d = max(0, -w)
+    if not brute:
+        if d > max(cond, k, 1):
+            return 0.0 + 0.0j  # oscillation strictly finer than any character scale
+        if k == 0 and d == 0:
+            # psi is trivial on the shell: character orthogonality decides
+            if cond:
+                return 0.0 + 0.0j
+            return chi.value_at(val, unit, prec) * shell_volume(p)
+    level = max(k, 1, cond, d)
     vol = float(p) ** (-level)
     chi_rep = chi.value_at(val, unit, prec)
-    d = max(0, -w)
-    r = _psi_phase(p, twist, twist_prec, d, inverse_psi)
+    r = 0  # psi(b*y) = root_of_unity(r*u, p^d) on the units u of the sum
+    if d:
+        if twist_prec < d:
+            raise PrecisionError("psi needs %d digits below the point, "
+                                 "element carries %d" % (d, twist_prec))
+        r = (-twist if inverse_psi else twist) % p ** d
     return chi_rep * vol * _unit_sum(p, cond, chi.unit_char, k, level, d, r)
 
 
@@ -163,32 +162,19 @@ def shell_psi_chi_integral(p: int, m: int, chi: MultChar,
                            b: PAdicElt | None = None,
                            inverse_psi: bool = False,
                            brute: bool = False) -> complex:
-    """integral over S_m = p^m Z_p^x of psi(b*y) chi(y) dy*.
+    """integral over S_m = p^m Z_p^x of psi(b*y) chi(y) dy*, `coset_integral`
+    at k = 0.
 
     With brute=True the full coset sum is carried out even where the
     vanishing shortcut applies; gamma_pv_total uses this to verify that guard
     shells vanish identically.
     """
-    cond = chi.cond
-    w = (b.val + m) if b is not None else 0
-    tval = chi.t ** m if m >= 0 else (1.0 / chi.t) ** (-m)
-    if b is None or w >= 0:
-        # psi is trivial on the shell: character orthogonality decides
-        if not brute and cond > 0:
-            return 0.0 + 0.0j
-        if not brute:
-            return tval * shell_volume(p)
-    elif not brute and -w > max(cond, 1):
-        return 0.0 + 0.0j
-    d = max(0, -w)
-    k = max(1, cond, d)
-    vol = float(p) ** (-k)
-    r = 0
-    if b is not None:
-        if b.p != p:
-            raise ValueError("mixed primes %d, %d" % (p, b.p))
-        r = _psi_phase(p, b.unit, b.prec, d, inverse_psi)
-    return tval * vol * _unit_sum(p, cond, chi.unit_char, 0, k, d, r)
+    if b is None:
+        return coset_integral(chi, 0, m, 1, chi.cond, brute=brute)
+    if b.p != p:
+        raise ValueError("mixed primes %d, %d" % (p, b.p))
+    return coset_integral(chi, 0, m, 1, chi.cond, b.val + m, b.unit, b.prec,
+                          inverse_psi, brute)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +270,22 @@ def gamma_closed(chi: MultChar, inverse_psi: bool = False) -> RationalFunc:
     return eps * rf_dual_subst(l_factor(chi.inverse())) / l_factor(chi)
 
 
+def _guard_roundoff(q: int, m: int, t: complex) -> float:
+    """gamma_(n+c) * mass, the most that roundoff can make of guard shell
+    S_m of `gamma_pv_total` (exactly 0): n = q^(-m) - q^(-m-1) unit-modulus
+    terms scaled by t^(-m) q^m, of mass |t|^(-m) (1 - 1/q), and
+    gamma_k = k u / (1 - k u), u = 2^-53 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 3.3-3.5 and 4.2).  c = 40: each root of unity of a
+    term is rect(1, fl(fl(TWO_PI * j) / N)), its angle within 2.35u * 2 pi
+    < 15u (TWO_PI holds 2 pi to 0.35u) and cos, sin within an ulp (< 3u);
+    their product adds sqrt(2) gamma_2 < 3u, so a term is within 39u of its
+    exact value, and summation adds gamma_(n-1) per unit of mass, in all
+    <= gamma_(n+38) of the mass.  The relative errors of the scaling and of
+    this bound move c by less than 1."""
+    nc = (q ** -m - q ** (-m - 1) + 40) * 2.0 ** -53
+    return nc / (1.0 - nc) * abs(t) ** -m * shell_volume(q)
+
+
 def gamma_pv_total(chi: MultChar, inverse_psi: bool = False,
                    shell_floor: int | None = None) -> tuple[RationalFunc, tuple]:
     """Principal-value Mellin transform of the GL(1) kernel, as gamma(s), and
@@ -291,9 +293,9 @@ def gamma_pv_total(chi: MultChar, inverse_psi: bool = False,
 
     Shell S_m contributes (q^(-1) X^(-1))^m times the exact shell integral
     of psi * chi^(-1); shells below -max(cond, 1) are verified to vanish (two
-    guard shells, brute force, each to within `SHELL_GUARD_TOL`) and then left
-    out of the total, so their roundoff never lands in the result; the m >= 0
-    tail is resummed in closed form.
+    guard shells, brute force, each to within its own roundoff bound
+    `_guard_roundoff`) and then left out of the total, so their roundoff
+    never lands in the result; the m >= 0 tail is resummed in closed form.
 
     `shell_floor` extends the brute-forced range downward; any cofinal
     truncation schedule yields the same rational function, which is the
@@ -310,10 +312,11 @@ def gamma_pv_total(chi: MultChar, inverse_psi: bool = False,
         val = shell_psi_chi_integral(q, m, chi_inv, b=one,
                                      inverse_psi=inverse_psi, brute=True)
         if m < m_last:
-            if abs(val) > SHELL_GUARD_TOL:
+            bound = _guard_roundoff(q, m, chi.t)
+            if abs(val) > bound:
                 raise ShellGuardError(
-                    "shell %d of the kernel Mellin integral should vanish, got %r"
-                    % (m, val))
+                    "shell %d of the kernel Mellin integral should vanish, got %r,"
+                    " beyond its roundoff bound %.3g" % (m, val, bound))
             continue
         if val != 0:
             total = total + RationalFunc.monomial(q, -m, val * float(q) ** (-m))

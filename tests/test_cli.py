@@ -45,11 +45,32 @@ def test_gamma_large_t_passes(capsys):
     assert json.loads(out)["max_coeff_diff"] <= 1e-10
 
 
-def test_gamma_guard_shell_failure_exit_one(capsys):
-    # at t = 1000 guard shell -4 comes back as 8.8e-7: a broken internal
-    # invariant, reported as a verification failure, not as bad input
+@pytest.mark.parametrize("chi", [
+    '{"p":7,"cond":2,"unit_char":[1],"t":[1000,0]}',
+    '{"p":7,"cond":2,"unit_char":[1],"t":[10000,0]}',
+    '{"p":7,"cond":2,"unit_char":[1],"t":[0.001,0]}',
+    '{"p":11,"cond":3,"unit_char":[7],"t":[1000,0]}'])
+def test_gamma_extreme_t_guard_shells_pass(capsys, chi):
+    # at t = 1000 guard shell -4 sums to 8.8e-7, about 1e-18 of its summand
+    # mass |t|^4 (1 - 1/7): roundoff, inside the shell's own bound
+    code, out = run_cli(capsys, "gamma", "--chi", chi)
+    assert code == 0
+    assert json.loads(out)["max_coeff_diff"] <= 1e-10
+
+
+def test_gamma_guard_shell_failure_exit_one(capsys, monkeypatch):
+    # a guard shell 1e-10 off zero at t = 1 is far beyond its roundoff bound
+    # (about 2e-13): a broken internal invariant, reported as a verification
+    # failure, not as bad input
+    from gl1zeta import zetagamma
+    shell = zetagamma.shell_psi_chi_integral
+
+    def perturbed(p, m, *args, **kwargs):
+        return shell(p, m, *args, **kwargs) + (1e-10 if m == -4 else 0.0)
+
+    monkeypatch.setattr(zetagamma, "shell_psi_chi_integral", perturbed)
     code, out = run_cli(capsys, "gamma", "--chi",
-                        '{"p":7,"cond":2,"unit_char":[1],"t":[1000,0]}')
+                        '{"p":7,"cond":2,"unit_char":[1],"t":[1,0]}')
     assert code == 1
     assert json.loads(out)["error"]["code"] == "run/shellguarderror"
 

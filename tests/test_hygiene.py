@@ -54,3 +54,31 @@ def test_no_unused_imports(path):
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, "imported but never used: %s" % ", ".join(
         "%s (line %d)" % item for item in sorted(unused.items()))
+
+
+def _scopes_naming(tree: ast.Module, name: str) -> set[str]:
+    """The innermost function (or <module>) around every occurrence of
+    `name` as a name, an attribute or an imported alias."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if ((isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.alias) and name in (node.name, node.asname))):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_unit_sum_has_one_caller():
+    # one shell-sum kernel for every caller: every psi * chi integral goes
+    # through zetagamma.coset_integral, the only code that reads _unit_sum
+    callers = {"%s.%s" % (path.stem, scope)
+               for path in (ROOT / "src" / "gl1zeta").glob("*.py")
+               for scope in _scopes_naming(ast.parse(path.read_text()), "_unit_sum")}
+    assert callers == {"zetagamma.coset_integral"}

@@ -411,6 +411,27 @@ def test_hankel_convolve_work_counts(monkeypatch):
     assert len(keys) == len(set(keys)) == 114     # of 66 rows x 3 terms
 
 
+def test_kernel_coset_integral_depends_on_the_memo_key_alone():
+    # hankel_convolve keeps the first value computed for each key (valuation,
+    # unit mod p^max(cond, -valuation), level), so units congruent modulo
+    # that power must give the same bits, at every level
+    rng = random.Random(61)
+    for p in (3, 5):
+        for omega in unitary_components(p, 2):
+            kern = Gl1Kernel(MultChar(p, omega.cond, omega.unit_char, 1.3 - 0.4j))
+            for val in range(-4, 3):
+                mod = p ** max(omega.cond, -val)
+                for level in (0, 1, 2):
+                    for _ in range(3):
+                        u = rng.choice([n for n in range(1, p * mod) if n % p])
+                        want = kernel.kernel_coset_integral(kern, val, u, level)
+                        others = [v for v in range(u + mod, u + p * p * mod, mod)
+                                  if v % p]
+                        for v in others[:2] + others[-1:]:
+                            assert kernel.kernel_coset_integral(
+                                kern, val, v, level) == want, (p, omega, val, level, u)
+
+
 def _plain_trace_average(p, g, l0, L):
     """The triple loop over (a, b, c) that `trace_average_check` replaces:
     the same root table (in exp form), read once per coset in the same

@@ -14,15 +14,18 @@ that exp form on every modulus p^d <= MAX_UNITS with p <= 13, and 11^5.
 """
 
 import cmath
+import itertools
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gl1zeta.characters import MultChar, unit_values
+from gl1zeta.characters import MultChar, unit_values, unitary_components
+from gl1zeta.defaults import DEFAULT_PREC
 from gl1zeta.padic import PAdicElt, PrecisionError, psi_value, shell_volume, unit_group
 from gl1zeta.ratfunc import root_of_unity
-from gl1zeta.zetagamma import psi_chi_coset_integral, shell_psi_chi_integral
+from gl1zeta.zetagamma import (coset_integral, psi_chi_coset_integral,
+                               shell_psi_chi_integral)
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 MAX_UNITS = 2 * 10 ** 4   # bound on p^k, the residues a single sum walks
@@ -156,6 +159,39 @@ def test_coset_sum_matches_naive_loop(case):
     want = _outcome(_naive_coset, rep, k, chi, b, inverse_psi)
     got = _outcome(psi_chi_coset_integral, rep, k, chi, b, inverse_psi)
     assert got == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_coset_integral_at_k_zero_is_the_shell(p):
+    """coset_integral at k = 0 is the shell integral, bit for bit, with and
+    without a twist b, for psi and psi^(-1), brute or not; with
+    test_shell_sum_matches_naive_loop this pins k = 0 to the plain loop.
+    Brute sums over more than MAX_UNITS residues are left to the guard-shell
+    tests below."""
+    twists = [None] + [PAdicElt(p, v, 7 * p ** 3 - 1, DEFAULT_PREC)
+                       for v in (0, -1, -3)]
+    for omega in unitary_components(p, 2):
+        for t in (0.6 + 0.8j, 1.3 - 0.4j):
+            chi = MultChar(p, omega.cond, omega.unit_char, t)
+            for m in range(-5, 3):
+                for b, inverse_psi, brute in itertools.product(
+                        twists, (False, True), (False, True)):
+                    w = b.val + m if b is not None else 0
+                    if brute and p ** max(1, chi.cond, -w) > MAX_UNITS:
+                        continue
+                    shell = shell_psi_chi_integral(p, m, chi, b, inverse_psi, brute)
+                    if b is None:
+                        got = coset_integral(chi, 0, m, 1, chi.cond, brute=brute)
+                    else:
+                        got = coset_integral(chi, 0, m, 1, chi.cond, w, b.unit,
+                                             b.prec, inverse_psi, brute)
+                    assert got == shell, (chi, m, b, inverse_psi, brute)
+    # a twist with fewer digits than psi needs still raises through the shell
+    chi = next(c for c in unitary_components(p, 2) if c.cond == 2)
+    short = PAdicElt(p, -2, 1, 1)
+    for brute in (False, True):
+        with pytest.raises(PrecisionError):
+            shell_psi_chi_integral(p, 0, chi, short, False, brute)
 
 
 # ---------------------------------------------------------------------------

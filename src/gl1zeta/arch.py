@@ -11,8 +11,9 @@ Conventions (chosen so the Gaussian seeds are Fourier self-dual):
   chi(z) = (z/|z|)^n |z|_C^(i*t); L(s, chi) = Gamma_C(s + i*t + |n|/2) with
   Gamma_C(s) = 2 (2*pi)^(-s) Gamma(s); eps-factor i^(|n|).
 
-gamma(s, chi, psi) = eps * L(1-s, chi^(-1)) / L(s, chi); the psi -> psi^(-1)
-involution conjugates the eps-factor.
+gamma(s, chi, psi) = eps * L(1-s, chi^(-1)) / L(s, chi).  psi is the only
+additive character: psi^(-1)(x) = psi(-x), so gamma(s, chi, psi^(-1)) =
+chi(-1) gamma(s, chi, psi), and F_psi applied twice is f -> f(-x).
 
 Seeds are polynomial-times-Gaussian: on R, P(x) exp(-pi x^2) with the exact
 transform rule F(x^m G) = (2*pi*i)^(-m) (d/dy)^m G; on C, the monomials
@@ -145,7 +146,7 @@ def _log_l_factor(chi: ArchChar, s: complex) -> complex:
     return _log_gamma_c(s + 1j * chi.t + abs(chi.eps) / 2.0)
 
 
-def arch_gamma(chi: ArchChar, s: complex, inverse_psi: bool = False) -> complex:
+def arch_gamma(chi: ArchChar, s: complex) -> complex:
     """gamma(s, chi, psi) = eps(chi, psi) L(1-s, chi^(-1)) / L(s, chi).
 
     The ratio is taken as one exponential of a log-gamma difference: both
@@ -159,11 +160,11 @@ def arch_gamma(chi: ArchChar, s: complex, inverse_psi: bool = False) -> complex:
         pole = _pole_distance_c(num_arg / 2)      # Gamma_R(s) has Gamma(s/2)
         # psi(x) = e^{2 pi i x} (kernel e^{+2 pi i x y}): x e^{-pi x^2} is a
         # (+i)-eigenfunction, forcing eps(sgn, psi) = i.
-        root = (-1j if inverse_psi else 1j) ** chi.eps
+        root = 1j ** chi.eps
     else:
         num_arg = (1 - s) + 1j * inv.t + abs(inv.eps) / 2.0
         pole = _pole_distance_c(num_arg)
-        root = (-1j if inverse_psi else 1j) ** abs(chi.eps)
+        root = 1j ** abs(chi.eps)
     if pole < ARCH_POLE_GUARD:
         raise ArchPoleError("gamma argument within %g of a pole" % ARCH_POLE_GUARD)
     return root * cmath.exp(_log_l_factor(inv, 1 - s) - _log_l_factor(chi, s))
@@ -213,12 +214,12 @@ def _poly_add(a, b):
                  for j in range(n))
 
 
-def fourier_seed(seed: ArchSeed, inverse_psi: bool = False) -> ArchSeed:
+def fourier_seed(seed: ArchSeed) -> ArchSeed:
     """Exact closed-form Fourier transform within the seed family."""
     if seed.place == "real":
         # F(x^m G)(y) = (2 pi i)^(-m) (d/dy)^m G(y); apply D = d/dy - (as a
         # polynomial recursion) Q -> Q' - 2 pi y Q against the Gaussian.
-        twopii = 2j * math.pi * (-1 if inverse_psi else 1)
+        twopii = 2j * math.pi
         out: tuple[complex, ...] = ()
         for m in range(len(seed.poly)):
             c = seed.poly[m]
@@ -231,13 +232,12 @@ def fourier_seed(seed: ArchSeed, inverse_psi: bool = False) -> ArchSeed:
             scale = c * twopii ** (-m) if m else c
             out = _poly_add(out, tuple(scale * v for v in q))
         return ArchSeed("real", out)
-    root = (-1j if inverse_psi else 1j) ** (seed.hol + seed.antihol)
+    root = 1j ** (seed.hol + seed.antihol)
     return ArchSeed("complex", tuple(root * c for c in seed.poly),
                     hol=seed.antihol, antihol=seed.hol)
 
 
-def arch_zeta(seed: ArchSeed, chi: ArchChar, s: complex,
-              tol: float = ARCH_QUAD_TOL) -> complex:
+def arch_zeta(seed: ArchSeed, chi: ArchChar, s: complex) -> complex:
     """Z(s) = integral of f(x) chi(x) |x|^s dx* by the exp-sinh rule.
 
     Convergence needs Re(s) (plus the seed's vanishing order at 0) positive;
@@ -254,7 +254,7 @@ def arch_zeta(seed: ArchSeed, chi: ArchChar, s: complex,
             # f(x) + chi(-1) f(-x), folded to (0, inf)
             return (seed.eval_real(x) + sgn * seed.eval_real(-x)) * x ** a
 
-        return _exp_sinh(integrand, tol)
+        return _exp_sinh(integrand)
     # complex place: the angular integral of e^{i(hol-antihol+n)theta} is
     # 2 pi delta; radially 2*2pi int r^(hol+antihol) e^(-2 pi r^2) r^(2s'-1) dr
     n = chi.eps
@@ -267,7 +267,7 @@ def arch_zeta(seed: ArchSeed, chi: ArchChar, s: complex,
     def radial(r: float) -> complex:
         return math.exp(-2 * math.pi * r * r) * r ** (2 * s_eff)
 
-    return 4 * math.pi * coeff * _exp_sinh(radial, tol)
+    return 4 * math.pi * coeff * _exp_sinh(radial)
 
 
 # Truncation of the exp-sinh rule x = exp(pi/2 sinh t).  Towards 0 it stops
@@ -284,13 +284,13 @@ _T_HI = math.asinh(0.5 * math.log(-math.log(5e-324) / math.pi) / (math.pi / 2))
 _MAX_LEVELS = 12
 
 
-def _exp_sinh(fn, tol: float) -> complex:
+def _exp_sinh(fn) -> complex:
     """int_0^inf fn(x) dx/x by the exp-sinh rule of Takahasi-Mori (1974).
 
     With x = exp(pi/2 sinh t), dx/x = pi/2 cosh t dt, and the trapezoid rule
     in t converges double-exponentially.  Each level halves the step and
     evaluates only the new nodes, once each, as complex numbers; the result
-    is returned once two levels agree within tol / 4 (see below).
+    is returned once two levels agree within ARCH_QUAD_TOL / 4 (see below).
     """
     def term(t: float) -> complex:
         x = math.exp(math.pi / 2 * math.sinh(t))
@@ -303,7 +303,7 @@ def _exp_sinh(fn, tol: float) -> complex:
         edge = max(abs(term(_T_LO)), abs(term(_T_HI)))
     except (OverflowError, ZeroDivisionError):  # x^s at x = 2e-308, Re s < -1
         edge = math.inf
-    if not edge <= tol:
+    if not edge <= ARCH_QUAD_TOL:
         raise ArchQuadratureError(
             "integrand is %.3g at the truncation limits (needs Re s > 0)"
             % edge)
@@ -320,9 +320,11 @@ def _exp_sinh(fn, tol: float) -> complex:
         total = total / 2 + h * fresh
         diff = abs(total - prev)
         # Double-exponential convergence squares the error at each halving,
-        # so a genuine agreement within tol/4 follows one within sqrt(tol/4);
-        # demanding both rejects coarse, aliased levels that agree by chance.
-        if diff <= tol / 4 and prev_diff <= math.sqrt(tol / 4):
+        # so a genuine agreement within ARCH_QUAD_TOL/4 follows one within
+        # its square root; demanding both rejects coarse, aliased levels that
+        # agree by chance.
+        if (diff <= ARCH_QUAD_TOL / 4
+                and prev_diff <= math.sqrt(ARCH_QUAD_TOL / 4)):
             return total
     raise ArchQuadratureError(
         "exp-sinh levels still differ by %.3g at step %g" % (diff, h))

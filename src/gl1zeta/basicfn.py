@@ -30,14 +30,14 @@ from .ratfunc import (IdentityReport, RationalFunc, geometric_series,
 from .zetagamma import l_factor_satake
 
 
-def complete_homogeneous(m: int, alpha, p: int = 2) -> complex:
+def complete_homogeneous(m: int, alpha) -> complex:
     """h_m(alpha), via the series recurrence of prod (1 - alpha_i X)^(-1).
 
-    The prime only tags the scratch variable; h_m does not depend on it.
+    h_m has no prime; q = 2 only tags the series variable X.
     """
     if m < 0:
         raise ValueError("h_m needs m >= 0")
-    lf = l_factor_satake(p, alpha)
+    lf = l_factor_satake(2, alpha)
     return rf_series_coeffs(lf, m, m)[0]
 
 
@@ -57,7 +57,7 @@ class BasicFunction:
     def shell_value(self, m: int) -> complex:
         if m < 0:
             return 0.0 + 0.0j
-        h = complete_homogeneous(m, self.alpha, self.p)
+        h = complete_homogeneous(m, self.alpha)
         return h * float(self.p) ** (-m / 2.0) / (1.0 - 1.0 / self.p)
 
     def dual(self) -> "BasicFunction":

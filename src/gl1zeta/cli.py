@@ -83,6 +83,9 @@ def _fe_check(args):
         single = [{"phi": phi, "chi": chi, "pi": pi, "kind": "single", "p": chi.p}]
     elif args.corpus and not args.phi:
         single = None
+        if args.size < 1:
+            raise InputFormatError("fe/size", "--size %d checks nothing; pass "
+                                   "at least 1" % args.size)
     else:
         raise InputFormatError("fe/inputs", "pass --corpus or --phi/--chi/--pi")
 
@@ -213,6 +216,13 @@ def _arch_fe(args):
 
 
 def _corpus(args):
+    for flag, size in (("--size-fe", args.size_fe),
+                       ("--size-hankel", args.size_hankel),
+                       ("--size-satake", args.size_satake)):
+        if size < 0:
+            raise InputFormatError("corpus/size",
+                                   "%s must be >= 0, got %d" % (flag, size))
+
     def compute():
         corpus = corpus_generate(args.seed, {"fe": args.size_fe,
                                              "hankel": args.size_hankel,

@@ -31,12 +31,12 @@ def random_char(rng: random.Random, p: int, max_cond: int = 2,
     return MultChar(p, base.cond, base.unit_char, t)
 
 
-def random_mult_step(rng: random.Random, p: int, max_terms: int = 3,
-                     max_level: int = 2, shell_range: tuple[int, int] = (-2, 2)
-                     ) -> MultStepFunction:
+def random_mult_step(rng: random.Random, p: int,
+                     max_level: int = 2) -> MultStepFunction:
+    """1 to 3 cosets on shells -2..2, each of level 0..max_level."""
     terms = []
-    for _ in range(rng.randrange(1, max_terms + 1)):
-        m = rng.randrange(shell_range[0], shell_range[1] + 1)
+    for _ in range(rng.randrange(1, 4)):
+        m = rng.randrange(-2, 3)
         k = rng.randrange(0, max_level + 1)
         if k:
             units = [u for u in range(1, p ** k) if u % p]
@@ -48,9 +48,10 @@ def random_mult_step(rng: random.Random, p: int, max_terms: int = 3,
     return MultStepFunction(p, terms)
 
 
-def random_step(rng: random.Random, p: int, max_terms: int = 3) -> StepFunction:
+def random_step(rng: random.Random, p: int) -> StepFunction:
+    """1 to 3 terms, each maybe twisted and maybe off center."""
     terms = []
-    for _ in range(rng.randrange(1, max_terms + 1)):
+    for _ in range(rng.randrange(1, 4)):
         coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         units = [u for u in range(1, p * p) if u % p]
         twist = None if rng.random() < 0.4 else PAdicElt(
@@ -61,14 +62,9 @@ def random_step(rng: random.Random, p: int, max_terms: int = 3) -> StepFunction:
     return StepFunction(p, terms)
 
 
-def random_satake(rng: random.Random, n: int, unitary: bool = True) -> list[complex]:
-    out = []
-    for _ in range(n):
-        a = _unit(rng)
-        if not unitary:
-            a *= rng.uniform(0.5, 1.5)
-        out.append(a)
-    return out
+def random_satake(rng: random.Random, n: int) -> list[complex]:
+    """n unitary Satake parameters."""
+    return [_unit(rng) for _ in range(n)]
 
 
 def corpus_generate(seed: int, sizes: dict | None = None) -> dict:

@@ -111,36 +111,39 @@ def truncation_stability(k: Gl1Kernel, m: int, ell_list,
     return [stable if m >= -ell else 0.0 + 0.0j for ell in ell_list]
 
 
+# Both thresholds measure the truncations ell = 1.._ELL_MAX.
+_ELL_MAX = 12
+
+
 def stability_threshold(k: Gl1Kernel, m: int,
-                        twist: MultChar | None = None,
-                        ell_max: int = 12) -> int:
-    """Empirical first ell >= 1 from which the shell coefficient stops
-    changing (measured, not assumed).
+                        twist: MultChar | None = None) -> int:
+    """Empirical first ell in 1.._ELL_MAX from which the shell coefficient
+    stops changing (measured, not assumed).
 
     A vanishing shell coefficient cannot exhibit its activation shell; probe
     with a twist of conductor -m (for m <= -2) to make the jump visible, or
     use `pointwise_threshold`, which never degenerates.
     """
-    vals = truncation_stability(k, m, range(1, ell_max + 1), twist)
+    vals = truncation_stability(k, m, range(1, _ELL_MAX + 1), twist)
     final = vals[-1]
-    thr = ell_max
-    for ell in range(ell_max, 0, -1):
+    thr = _ELL_MAX
+    for ell in range(_ELL_MAX, 0, -1):
         if abs(vals[ell - 1] - final) > 1e-15:
             break
         thr = ell
     return thr
 
 
-def pointwise_threshold(k: Gl1Kernel, m: int, ell_max: int = 12) -> int:
-    """First ell with k_ell = k pointwise on S_m.
+def pointwise_threshold(k: Gl1Kernel, m: int) -> int:
+    """First ell in 1.._ELL_MAX with k_ell = k pointwise on S_m.
 
     |k(x)| = q^(-m/2) never vanishes, so this is the sharp truncation
     activation shell max(1, -m), here measured by evaluation."""
     p = k.p
     x = PAdicElt(p, m, 1, max(1, -m) + k.chi.cond + 2)
     full = k.eval(x)
-    thr = ell_max
-    for ell in range(ell_max, 0, -1):
+    thr = _ELL_MAX
+    for ell in range(_ELL_MAX, 0, -1):
         if abs(TruncatedKernel(k, ell).eval(x) - full) > 1e-15:
             break
         thr = ell
@@ -360,21 +363,17 @@ def kernel_coset_integral(k: Gl1Kernel, val: int, unit: int,
 
 
 def hankel_convolve(phi: MultStepFunction, k: Gl1Kernel,
-                    m_lo: int, m_hi: int,
-                    level: int | None = None) -> ShellTable:
+                    m_lo: int, m_hi: int, level: int) -> ShellTable:
     """(k * phi^v)(x) = int k(y) phi(x^(-1) y) dy* on the shell window.
 
-    Values are reported on 1+p^level cosets; F phi is invariant at the
-    smoothness level of phi, so the default level is phi's coset level.
-    The coset integral at a = x * rep depends on a only through its
-    valuation and its unit mod p^max(cond, d), d = max(0, -v(a)), so each
-    call computes it once per such key; the memo lives for the call.
+    Values are reported on 1+p^level cosets.  The coset integral at
+    a = x * rep depends on a only through its valuation and its unit mod
+    p^max(cond, d), d = max(0, -v(a)), so each call computes it once per
+    such key; the memo lives for the call.
     """
     p = phi.p
     if k.p != p:
         raise ValueError("mixed primes %d, %d" % (p, k.p))
-    if level is None:
-        level = phi.max_level()
     cond = k.chi.cond
     # every rep of a MultStepFunction carries DEFAULT_PREC digits
     terms = [(t.coeff, t.rep.val, t.rep.unit, t.k) for t in phi.terms]

@@ -163,11 +163,11 @@ class PAdicElt:
         return self.add(other.neg())
 
 
-def psi_value(x: "PAdicElt | None", inverse: bool = False) -> complex:
-    """psi(x) = exp(2*pi*i * frac_p(x)); the level-0 additive character.
+def psi_value(x: "PAdicElt | None") -> complex:
+    """psi(x) = exp(2*pi*i * frac_p(x)); the level-0 additive character, the
+    package's only one (psi^(-1)(x) is psi(-x), `PAdicElt.neg`).
 
     Trivial on Z_p (val >= 0); otherwise a root of unity of order p^(-val).
-    With inverse=True computes psi(-x), the conjugate character psi^(-1).
     """
     if x is None or x.val >= 0:
         return 1.0 + 0.0j
@@ -175,13 +175,10 @@ def psi_value(x: "PAdicElt | None", inverse: bool = False) -> complex:
     if x.prec < d:
         raise PrecisionError(
             "psi needs %d digits below the point, element carries %d" % (d, x.prec))
-    r = x.unit_mod(d)
-    if inverse:
-        r = -r
-    return root_of_unity(r, x.p ** d)
+    return root_of_unity(x.unit_mod(d), x.p ** d)
 
 
-def psi_frac(p: int, x: Fraction, inverse: bool = False) -> complex:
+def psi_frac(p: int, x: Fraction) -> complex:
     """psi at an exact rational argument."""
     x = Fraction(x)
     if x == 0:
@@ -189,7 +186,7 @@ def psi_frac(p: int, x: Fraction, inverse: bool = False) -> complex:
     elt = PAdicElt.from_rational(p, x, DEFAULT_PREC)
     if elt.val >= 0:
         return 1.0 + 0.0j
-    return psi_value(PAdicElt.from_rational(p, x, max(-elt.val, 1)), inverse)
+    return psi_value(PAdicElt.from_rational(p, x, max(-elt.val, 1)))
 
 
 def shell_volume(p: int) -> float:

@@ -122,28 +122,23 @@ class StepFunction:
 
 
 def indicator_ball(p: int, center: PAdicElt | None, rad: int,
-                   coeff: complex = 1.0, twist: PAdicElt | None = None) -> StepFunction:
-    return StepFunction(p, [StepTerm(complex(coeff), twist, center, rad)])
+                   twist: PAdicElt | None = None) -> StepFunction:
+    return StepFunction(p, [StepTerm(1.0 + 0.0j, twist, center, rad)])
 
 
-def fourier_transform(f: StepFunction, inverse_psi: bool = False) -> StepFunction:
-    """The standard Fourier transform F_psi (or F_{psi^(-1)}) of f.
+def fourier_transform(f: StepFunction) -> StepFunction:
+    """The standard Fourier transform F_psi of f.
 
-    Exact closed form per term; F_psi followed by F_{psi^(-1)} is the
-    identity.
+    Exact closed form per term; F_psi applied twice is f -> f(-x), so
+    F_{psi^(-1)} = (x -> -x) o F_psi.
     """
     out = []
     for t in f.terms:
         coeff = t.coeff * float(f.p) ** (-t.rad)
         if t.twist is not None and t.center is not None:
             coeff *= psi_value(t.twist.mul(t.center))
-        if inverse_psi:
-            twist = t.center.neg() if t.center is not None else None
-            center = t.twist
-        else:
-            twist = t.center
-            center = t.twist.neg() if t.twist is not None else None
-        out.append(StepTerm(coeff, twist, center, -t.rad))
+        center = t.twist.neg() if t.twist is not None else None
+        out.append(StepTerm(coeff, t.center, center, -t.rad))
     return StepFunction(f.p, out)
 
 
@@ -334,9 +329,9 @@ def coset_indicator(p: int, rep: PAdicElt, k: int, coeff: complex = 1.0) -> Mult
     return MultStepFunction(p, [MultTerm(complex(coeff), rep, k)])
 
 
-def unit_indicator(p: int, m: int = 0, coeff: complex = 1.0) -> MultStepFunction:
-    """The indicator of the shell p^m Z_p^x."""
-    return coset_indicator(p, PAdicElt(p, m, 1, DEFAULT_PREC), 0, coeff)
+def unit_indicator(p: int) -> MultStepFunction:
+    """The indicator of the unit group Z_p^x."""
+    return coset_indicator(p, PAdicElt(p, 0, 1, DEFAULT_PREC), 0)
 
 
 def delta_approximant(p: int, k: int) -> MultStepFunction:
@@ -469,19 +464,14 @@ def mellin_invert(d: MellinData, m_lo: int, m_hi: int, c_max: int) -> MultStepFu
     return MultStepFunction(p, terms)
 
 
-def mult_distance(f: MultStepFunction, g: MultStepFunction,
-                  shells: tuple[int, int] | None = None) -> float:
-    """Max pointwise |f - g| over coset representatives of the joint support
-    (or of the given shell window)."""
+def mult_distance(f: MultStepFunction, g: MultStepFunction) -> float:
+    """Max pointwise |f - g| over coset representatives of the joint
+    support."""
     p = f.p
     level = max(f.max_level(), g.max_level(), 1)
-    if shells is None:
-        ms = sorted(set(f.shells()) | set(g.shells()))
-    else:
-        ms = list(range(shells[0], shells[1] + 1))
     mod = p ** level
     worst = 0.0
-    for m in ms:
+    for m in sorted(set(f.shells()) | set(g.shells())):
         for u in range(1, mod):
             if u % p == 0:
                 continue

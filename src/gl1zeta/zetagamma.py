@@ -106,7 +106,7 @@ def _unit_sum(p: int, cond: int, unit_char: tuple[int, ...],
 
 def coset_integral(chi: MultChar, k: int, val: int, unit: int, prec: int,
                    w: int = 0, twist: int = 1, twist_prec: int = 0,
-                   inverse_psi: bool = False, brute: bool = False) -> complex:
+                   brute: bool = False) -> complex:
     """integral of psi(b*y) chi(y) dy* over p^val * unit * (1 + p^k Z_p), or
     over the shell p^val Z_p^x for k = 0, with the unit known to `prec`
     digits, and b * p^val * unit = p^w * twist, with the twist known to
@@ -131,13 +131,12 @@ def coset_integral(chi: MultChar, k: int, val: int, unit: int, prec: int,
         if twist_prec < d:
             raise PrecisionError("psi needs %d digits below the point, "
                                  "element carries %d" % (d, twist_prec))
-        r = (-twist if inverse_psi else twist) % p ** d
+        r = twist % p ** d
     return chi_rep * vol * _unit_sum(p, cond, chi.unit_char, k, level, d, r)
 
 
 def psi_chi_coset_integral(rep: PAdicElt, k: int, chi: MultChar,
-                           b: PAdicElt | None = None,
-                           inverse_psi: bool = False) -> complex:
+                           b: PAdicElt | None = None) -> complex:
     """integral over rep*(1+p^k Z_p) of psi(b*y) chi(y) dy*, for k >= 1.
 
     Refines the coset just far enough for the integrand to be locally
@@ -155,12 +154,11 @@ def psi_chi_coset_integral(rep: PAdicElt, k: int, chi: MultChar,
     # the unit digits of b * rep, as far as both operands know them
     return coset_integral(chi, k, rep.val, rep.unit, rep.prec,
                           b.val + rep.val, b.unit * rep.unit,
-                          min(b.prec, rep.prec), inverse_psi)
+                          min(b.prec, rep.prec))
 
 
 def shell_psi_chi_integral(p: int, m: int, chi: MultChar,
                            b: PAdicElt | None = None,
-                           inverse_psi: bool = False,
                            brute: bool = False) -> complex:
     """integral over S_m = p^m Z_p^x of psi(b*y) chi(y) dy*, `coset_integral`
     at k = 0.
@@ -174,7 +172,7 @@ def shell_psi_chi_integral(p: int, m: int, chi: MultChar,
     if b.p != p:
         raise ValueError("mixed primes %d, %d" % (p, b.p))
     return coset_integral(chi, 0, m, 1, chi.cond, b.val + m, b.unit, b.prec,
-                          inverse_psi, brute)
+                          brute)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +246,7 @@ def l_factor_satake(p: int, alpha) -> RationalFunc:
     return out
 
 
-def epsilon_factor(chi: MultChar, inverse_psi: bool = False) -> RationalFunc:
+def epsilon_factor(chi: MultChar) -> RationalFunc:
     """eps(s, chi, psi) for the level-0 psi.
 
     1 for unramified chi; for conductor a >= 1 the monomial
@@ -259,14 +257,13 @@ def epsilon_factor(chi: MultChar, inverse_psi: bool = False) -> RationalFunc:
     a = chi.cond
     if a == 0:
         return RationalFunc.one(q)
-    gauss = shell_psi_chi_integral(q, -a, chi.inverse(), b=PAdicElt.one(q),
-                                   inverse_psi=inverse_psi)
+    gauss = shell_psi_chi_integral(q, -a, chi.inverse(), b=PAdicElt.one(q))
     return RationalFunc.monomial(q, a, gauss * float(q) ** a)
 
 
-def gamma_closed(chi: MultChar, inverse_psi: bool = False) -> RationalFunc:
+def gamma_closed(chi: MultChar) -> RationalFunc:
     """gamma(s, chi, psi) = eps(s, chi, psi) L(1-s, chi^(-1)) / L(s, chi)."""
-    eps = epsilon_factor(chi, inverse_psi)
+    eps = epsilon_factor(chi)
     return eps * rf_dual_subst(l_factor(chi.inverse())) / l_factor(chi)
 
 
@@ -286,8 +283,7 @@ def _guard_roundoff(q: int, m: int, t: complex) -> float:
     return nc / (1.0 - nc) * abs(t) ** -m * shell_volume(q)
 
 
-def gamma_pv_total(chi: MultChar, inverse_psi: bool = False,
-                   shell_floor: int | None = None) -> tuple[RationalFunc, tuple]:
+def gamma_pv_total(chi: MultChar, shell_floor: int | None = None) -> tuple[RationalFunc, tuple]:
     """Principal-value Mellin transform of the GL(1) kernel, as gamma(s), and
     the brute-summed shell range.
 
@@ -309,8 +305,7 @@ def gamma_pv_total(chi: MultChar, inverse_psi: bool = False,
     one = PAdicElt.one(q)
     total = RationalFunc.zero(q)
     for m in range(lo, 0):
-        val = shell_psi_chi_integral(q, m, chi_inv, b=one,
-                                     inverse_psi=inverse_psi, brute=True)
+        val = shell_psi_chi_integral(q, m, chi_inv, b=one, brute=True)
         if m < m_last:
             bound = _guard_roundoff(q, m, chi.t)
             if abs(val) > bound:
@@ -328,13 +323,12 @@ def gamma_pv_total(chi: MultChar, inverse_psi: bool = False,
 
 
 def gamma_pv(chi: MultChar, twist: MultChar | None = None,
-             inverse_psi: bool = False,
              shell_floor: int | None = None) -> IdentityReport:
     """gamma(s, chi * twist, psi) by two routes: the report's lhs is
     `gamma_closed`, its rhs `gamma_pv_total`, meta["shells"] its shell range."""
     prod = char_product(chi, twist) if twist is not None else chi
-    total, shells = gamma_pv_total(prod, inverse_psi, shell_floor)
-    closed = gamma_closed(prod, inverse_psi)
+    total, shells = gamma_pv_total(prod, shell_floor)
+    closed = gamma_closed(prod)
     return IdentityReport(closed, total, rf_discrepancy(closed, total),
                           {"shells": shells})
 

@@ -19,8 +19,8 @@ from gl1zeta.kernel import (Gl1Kernel, gamma_symbol, hankel_convolve,
                             hankel_mellin, homogeneous_identity_check,
                             lemma31_grid, pointwise_threshold,
                             stability_threshold, trace_average_check)
-from gl1zeta.stepfn import (fourier_transform, mellin_invert,
-                            step_distance_sq, step_l2)
+from gl1zeta.stepfn import (StepFunction, StepTerm, fourier_transform,
+                            mellin_invert, step_distance_sq, step_l2)
 from gl1zeta.zetagamma import gamma_closed, gamma_pv, verify_fe
 
 _T0 = time.time()
@@ -159,13 +159,22 @@ def test_criterion_07_basic_function_identities():
             "zeta worst %.3g, fourier worst %.3g (tol 1e-10)" % (worst_z, worst_f))
 
 
+def _reflect(f):
+    """x -> f(-x): each term's twist and center negated."""
+    def neg(x):
+        return x.neg() if x is not None else None
+    return StepFunction(f.p, [StepTerm(t.coeff, neg(t.twist), neg(t.center), t.rad)
+                              for t in f.terms])
+
+
 def test_criterion_08_fourier_involution_plancherel():
+    # F_psi F_psi f = f(-x), the involution F_{psi^(-1)} F_psi = id reflected
     rng = random.Random(108)
     worst_inv = worst_pl = 0.0
     for _ in range(100):
         p = rng.choice([2, 3, 5, 7])
         f = random_step(rng, p)
-        ff = fourier_transform(fourier_transform(f), inverse_psi=True)
+        ff = _reflect(fourier_transform(fourier_transform(f)))
         scale = max(1.0, step_l2(f))
         worst_inv = max(worst_inv, step_distance_sq(f, ff) / scale)
         worst_pl = max(worst_pl,

@@ -41,8 +41,10 @@ def test_seed_fourier_involution():
         poly = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                      for _ in range(rng.randrange(1, 5)))
         f = ArchSeed("real", poly)
-        ff = fourier_seed(fourier_seed(f), inverse_psi=True)
-        assert all(abs(a - b) < 1e-10 for a, b in zip(ff.poly, f.poly))
+        # F_psi F_psi f = f(-x): coefficient j picks up (-1)^j
+        ff = fourier_seed(fourier_seed(f))
+        assert all(abs(a - (-1) ** j * b) < 1e-10
+                   for j, (a, b) in enumerate(zip(ff.poly, f.poly)))
 
 
 def test_complex_monomial_transform():
@@ -82,8 +84,10 @@ def test_gamma_matches_l_quotient_where_representable():
 def test_gamma_psi_involution():
     for chi in (TRIV, SGN, ArchChar("complex", 1, 0.2)):
         for s in (0.3, 0.8 + 0.5j):
-            v = arch_gamma(chi, s) * arch_gamma(chi.inverse(), 1 - s,
-                                               inverse_psi=True)
+            # gamma(1-s, chi^(-1), psi^(-1)) = chi(-1) gamma(1-s, chi^(-1), psi),
+            # chi(-1) = (-1)^eps at both places
+            v = (arch_gamma(chi, s) * (-1) ** chi.eps
+                 * arch_gamma(chi.inverse(), 1 - s))
             assert abs(v - 1) < 1e-9
 
 

@@ -298,6 +298,31 @@ def test_malformed_input_exit_two(capsys, argv, code):
     assert json.loads(out)["error"]["code"] == code
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["fe-check", "--corpus", "default", "--size", "0"], "fe/size"),
+    (["fe-check", "--corpus", "default", "--size", "-3"], "fe/size"),
+    (["corpus", "--size-fe", "-2"], "corpus/size"),
+    (["corpus", "--size-hankel", "-1"], "corpus/size"),
+    (["corpus", "--size-satake", "-5"], "corpus/size"),
+])
+def test_size_that_checks_nothing_exit_two(tmp_path, capsys, argv, code):
+    # these once exited 0 having checked nothing, or wrote empty files
+    out_dir = tmp_path / "corpus"
+    if argv[0] == "corpus":
+        argv = argv + ["--dir", str(out_dir)]
+    status, out = run_cli(capsys, *argv)
+    assert status == 2
+    assert json.loads(out)["error"]["code"] == code
+    assert not out_dir.exists()
+
+
+def test_corpus_size_zero_is_valid(tmp_path, capsys):
+    status, out = run_cli(capsys, "corpus", "--dir", str(tmp_path), "--size-fe", "0",
+                          "--size-hankel", "0", "--size-satake", "0")
+    assert status == 0
+    assert json.loads((tmp_path / "fe.json").read_text()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["fe-check", "--corpus", "bogus"],
     ["lemma31", "--p", "3", "--grid", "bogus"],

@@ -1,9 +1,15 @@
-"""Every module in src/gl1zeta/ and tests/ uses each name it imports.
+"""AST scans of the source tree.
 
-An AST scan: a name bound by an import must occur as a name somewhere else
-in the module, in code or in a string annotation.  `__init__.py` is exempt,
-since its imports are the package's re-exports, and so is
-`from __future__ import annotations`.
+Every module in src/gl1zeta/ and tests/ uses each name it imports: a name
+bound by an import must occur as a name somewhere else in the module, in
+code or in a string annotation.  `__init__.py` is exempt, since its imports
+are the package's re-exports, and so is `from __future__ import annotations`.
+
+`_unit_sum` has one caller, and every parameter with a default in
+src/gl1zeta/ is set by some call in src/, perfbench/ or tools/, or is
+listed with the test that needs it.  Calls are matched to functions by name
+alone, so a same-named function elsewhere can only hide a dead parameter,
+never report a live one.
 """
 
 import ast
@@ -82,3 +88,80 @@ def test_unit_sum_has_one_caller():
                for path in (ROOT / "src" / "gl1zeta").glob("*.py")
                for scope in _scopes_naming(ast.parse(path.read_text()), "_unit_sum")}
     assert callers == {"zetagamma.coset_integral"}
+
+
+# Parameters with a default that no call in src/, perfbench/ or tools/ sets,
+# each kept for the test named beside it.
+TEST_ONLY_PARAMETERS = {
+    "gamma_pv.shell_floor": "test_zetagamma.py::test_gamma_pv_schedule_invariance",
+    "stability_threshold.twist":
+        "test_acceptance.py::test_criterion_06_truncation_stability_thresholds",
+    "main.argv": "test_cli.py (every test)",
+    "rf_close.tol": "test_kernel.py::test_gamma_symbol_satake_l_ratio",
+    "PAdicElt.from_int.prec": "test_unit_sum.py::test_coset_sum_matches_naive_loop",
+    "indicator_ball.twist": "test_stepfn.py::test_step_inner_needs_twist_digits",
+    "random_mult_step.max_level":
+        "test_stepfn.py::test_delta_approximant_is_convolution_unit",
+}
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(function, qualified parameter, positional index or None) for every
+    parameter with a default; a method's index does not count self or cls."""
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                pos = a.posonlyargs + a.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                bound = 1 if cls and not static else 0
+                qual = "%s.%s" % (cls, child.name) if cls else child.name
+                first = len(pos) - len(a.defaults)
+                for i, arg in enumerate(pos[first:], first):
+                    yield child.name, "%s.%s" % (qual, arg.arg), i - bound
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        yield child.name, "%s.%s" % (qual, arg.arg), None
+                yield from visit(child, None)
+
+    yield from visit(tree, None)
+
+
+def _calls_by_name() -> dict[str, list[ast.Call]]:
+    """Every call in src/, perfbench/ and tools/, by the called name or
+    attribute."""
+    out: dict[str, list[ast.Call]] = {}
+    for tree_dir in ("src", "perfbench", "tools"):
+        for path in (ROOT / tree_dir).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = (f.id if isinstance(f, ast.Name)
+                            else f.attr if isinstance(f, ast.Attribute) else None)
+                    out.setdefault(name, []).append(node)
+    return out
+
+
+def _sets(call: ast.Call, param: str, index: int | None) -> bool:
+    """Whether `call` may pass the parameter: by keyword, by position, or
+    through *args or **kwargs."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_default_parameter_has_a_caller():
+    # no parameter that a measurement or a caller does not justify: a default
+    # no program call overrides is dead, unless a test needs it (listed above)
+    calls = _calls_by_name()
+    unset = set()
+    for path in (ROOT / "src" / "gl1zeta").glob("*.py"):
+        for name, qual, index in _defaulted_parameters(ast.parse(path.read_text())):
+            param = qual.rsplit(".", 1)[1]
+            if not any(_sets(c, param, index) for c in calls.get(name, [])):
+                unset.add(qual)
+    assert unset == set(TEST_ONLY_PARAMETERS)

@@ -478,9 +478,9 @@ def _count_gamma_closed(monkeypatch) -> list:
     calls = []
     closed = zetagamma.gamma_closed
 
-    def counting(chi, inverse_psi=False):
+    def counting(chi):
         calls.append(chi)
-        return closed(chi, inverse_psi)
+        return closed(chi)
 
     for module in (kernel, zetagamma):
         monkeypatch.setattr(module, "gamma_closed", counting)

@@ -29,13 +29,22 @@ def test_fourier_scaled_lattice():
         assert t.rad == -n and abs(t.coeff - float(p) ** (-n)) < 1e-15
 
 
+def _reflect(f):
+    """x -> f(-x): each term's twist and center negated."""
+    def neg(x):
+        return x.neg() if x is not None else None
+    return StepFunction(f.p, [StepTerm(t.coeff, neg(t.twist), neg(t.center), t.rad)
+                              for t in f.terms])
+
+
 def test_fourier_involution_and_plancherel_corpus():
+    # F_psi F_psi f = f(-x), the involution F_{psi^(-1)} F_psi = id reflected
     rng = random.Random(71)
     worst_inv = worst_pl = 0.0
     for _ in range(100):
         p = rng.choice([2, 3, 5, 7])
         f = random_step(rng, p)
-        ff = fourier_transform(fourier_transform(f), inverse_psi=True)
+        ff = _reflect(fourier_transform(fourier_transform(f)))
         scale = max(1.0, step_l2(f))
         worst_inv = max(worst_inv, step_distance_sq(f, ff) / scale)
         worst_pl = max(worst_pl,

@@ -31,7 +31,7 @@ PRIMES = [2, 3, 5, 7, 11, 13]
 MAX_UNITS = 2 * 10 ** 4   # bound on p^k, the residues a single sum walks
 
 
-def _naive_coset(rep, k, chi, b=None, inverse_psi=False):
+def _naive_coset(rep, k, chi, b=None):
     p = chi.p
     cond = chi.cond
     w = (b.val + rep.val) if b is not None else 0
@@ -50,13 +50,12 @@ def _naive_coset(rep, k, chi, b=None, inverse_psi=False):
         u = 1 + step * j
         v = chi.unit_value(u) if cond else 1.0 + 0.0j
         if beff is not None:
-            v *= psi_value(beff.mul(PAdicElt.from_int(p, u, beff.prec)),
-                           inverse_psi)
+            v *= psi_value(beff.mul(PAdicElt.from_int(p, u, beff.prec)))
         total += v
     return chi_rep * vol * total
 
 
-def _naive_shell(p, m, chi, b=None, inverse_psi=False, brute=False):
+def _naive_shell(p, m, chi, b=None, brute=False):
     cond = chi.cond
     w = (b.val + m) if b is not None else 0
     tval = chi.t ** m if m >= 0 else (1.0 / chi.t) ** (-m)
@@ -76,7 +75,7 @@ def _naive_shell(p, m, chi, b=None, inverse_psi=False, brute=False):
         v = chi.unit_value(u) if cond else 1.0 + 0.0j
         if b is not None:
             y = PAdicElt(p, m, u, max(k, -m + 1, 1)).mul(b)
-            v *= psi_value(y, inverse_psi)
+            v *= psi_value(y)
         total += v
     return tval * vol * total
 
@@ -124,7 +123,7 @@ def shell_cases(draw):
     b = draw(twists(p))
     w = b.val + m if b is not None else 0
     assume(p ** max(1, chi.cond, -w) <= MAX_UNITS)
-    return p, m, chi, b, draw(st.booleans())
+    return p, m, chi, b
 
 
 @st.composite
@@ -138,34 +137,34 @@ def coset_cases(draw):
     b = draw(twists(p))
     w = b.val + rep.val if b is not None else 0
     assume(p ** max(k, chi.cond, -w) <= MAX_UNITS)
-    return rep, k, chi, b, draw(st.booleans())
+    return rep, k, chi, b
 
 
 @settings(max_examples=300, deadline=None)
 @given(shell_cases(), st.booleans())
 def test_shell_sum_matches_naive_loop(case, brute):
-    p, m, chi, b, inverse_psi = case
-    want = _outcome(_naive_shell, p, m, chi, b, inverse_psi, brute)
-    got = _outcome(shell_psi_chi_integral, p, m, chi, b, inverse_psi, brute)
+    p, m, chi, b = case
+    want = _outcome(_naive_shell, p, m, chi, b, brute=brute)
+    got = _outcome(shell_psi_chi_integral, p, m, chi, b, brute=brute)
     assert got == want
     # a memo hit returns the same value
-    assert _outcome(shell_psi_chi_integral, p, m, chi, b, inverse_psi, brute) == want
+    assert _outcome(shell_psi_chi_integral, p, m, chi, b, brute=brute) == want
 
 
 @settings(max_examples=300, deadline=None)
 @given(coset_cases())
 def test_coset_sum_matches_naive_loop(case):
-    rep, k, chi, b, inverse_psi = case
-    want = _outcome(_naive_coset, rep, k, chi, b, inverse_psi)
-    got = _outcome(psi_chi_coset_integral, rep, k, chi, b, inverse_psi)
+    rep, k, chi, b = case
+    want = _outcome(_naive_coset, rep, k, chi, b)
+    got = _outcome(psi_chi_coset_integral, rep, k, chi, b)
     assert got == want
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_coset_integral_at_k_zero_is_the_shell(p):
     """coset_integral at k = 0 is the shell integral, bit for bit, with and
-    without a twist b, for psi and psi^(-1), brute or not; with
-    test_shell_sum_matches_naive_loop this pins k = 0 to the plain loop.
+    without a twist b, brute or not; with test_shell_sum_matches_naive_loop
+    this pins k = 0 to the plain loop.
     Brute sums over more than MAX_UNITS residues are left to the guard-shell
     tests below."""
     twists = [None] + [PAdicElt(p, v, 7 * p ** 3 - 1, DEFAULT_PREC)
@@ -174,24 +173,23 @@ def test_coset_integral_at_k_zero_is_the_shell(p):
         for t in (0.6 + 0.8j, 1.3 - 0.4j):
             chi = MultChar(p, omega.cond, omega.unit_char, t)
             for m in range(-5, 3):
-                for b, inverse_psi, brute in itertools.product(
-                        twists, (False, True), (False, True)):
+                for b, brute in itertools.product(twists, (False, True)):
                     w = b.val + m if b is not None else 0
                     if brute and p ** max(1, chi.cond, -w) > MAX_UNITS:
                         continue
-                    shell = shell_psi_chi_integral(p, m, chi, b, inverse_psi, brute)
+                    shell = shell_psi_chi_integral(p, m, chi, b, brute=brute)
                     if b is None:
                         got = coset_integral(chi, 0, m, 1, chi.cond, brute=brute)
                     else:
                         got = coset_integral(chi, 0, m, 1, chi.cond, w, b.unit,
-                                             b.prec, inverse_psi, brute)
-                    assert got == shell, (chi, m, b, inverse_psi, brute)
+                                             b.prec, brute=brute)
+                    assert got == shell, (chi, m, b, brute)
     # a twist with fewer digits than psi needs still raises through the shell
     chi = next(c for c in unitary_components(p, 2) if c.cond == 2)
     short = PAdicElt(p, -2, 1, 1)
     for brute in (False, True):
         with pytest.raises(PrecisionError):
-            shell_psi_chi_integral(p, 0, chi, short, False, brute)
+            shell_psi_chi_integral(p, 0, chi, short, brute=brute)
 
 
 # ---------------------------------------------------------------------------
@@ -203,18 +201,17 @@ def _old_root(j, n):
     return cmath.exp(2j * cmath.pi * (j % n) / n)
 
 
-def _plain_guard_shell(p, m, chi, inverse_psi):
+def _plain_guard_shell(p, m, chi):
     """shell_psi_chi_integral(p, m, chi, b=1, brute=True) for m < 0 as the
     plain loop: chi(u) * psi in increasing u, psi in the exp form."""
     d = -m
     k = max(1, chi.cond, d)
     values = unit_values(p, chi.cond, chi.unit_char)
-    r = (-1 if inverse_psi else 1) % p ** d
     total = 0.0 + 0.0j
     for u in range(1, p ** k):
         if u % p == 0:
             continue
-        total += values[u % len(values)] * _old_root(u * r, p ** d)
+        total += values[u % len(values)] * _old_root(u, p ** d)
     return (1.0 / chi.t) ** (-m) * float(p) ** (-k) * total
 
 
@@ -222,10 +219,8 @@ def _plain_guard_shell(p, m, chi, inverse_psi):
     (11, 3, (91,), 4), (11, 3, (91,), 5), (13, 2, (5,), 4)])
 def test_large_guard_shells_match_plain_loop(p, cond, unit_char, d):
     chi = MultChar(p, cond, unit_char, 1.3 - 0.4j)
-    for inverse_psi in (False, True):
-        got = shell_psi_chi_integral(p, -d, chi, b=PAdicElt.one(p),
-                                     inverse_psi=inverse_psi, brute=True)
-        assert got == _plain_guard_shell(p, -d, chi, inverse_psi)
+    got = shell_psi_chi_integral(p, -d, chi, b=PAdicElt.one(p), brute=True)
+    assert got == _plain_guard_shell(p, -d, chi)
 
 
 def test_root_of_unity_matches_exp_form():

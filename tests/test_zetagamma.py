@@ -6,7 +6,7 @@ import pytest
 from gl1zeta.characters import (MultChar, char_product, trivial_char,
                                 unitary_components, unramified_char)
 from gl1zeta.corpus import random_char, random_mult_step, random_step
-from gl1zeta.padic import PAdicElt, unit_group
+from gl1zeta.padic import PAdicElt, psi_value, unit_group
 from gl1zeta.ratfunc import (LaurentPoly, RationalFunc, rf_close,
                              rf_discrepancy, rf_dual_subst)
 from gl1zeta.stepfn import coset_indicator, indicator_ball, unit_indicator
@@ -112,6 +112,35 @@ def test_epsilon_conductor_two_degree():
     assert list(eps.num.coeffs) == [2]
 
 
+def test_psi_inverse_rule_on_the_gauss_shell():
+    # psi^(-1)(y) = psi(-y) and y -> -y give
+    # int_{S_-a} psi(-y) chi^(-1)(y) dy* = chi(-1) int_{S_-a} psi(y) chi^(-1)(y) dy*,
+    # the rule gamma(s, chi, psi^(-1)) = chi(-1) gamma(s, chi, psi) that the
+    # psi^(-1) identities elsewhere rely on.  Left: a plain per-unit sum over
+    # u mod p^a, cosets of volume p^(-a).  Right: the Gauss-sum shell read
+    # back from epsilon_factor(chi) = (qX)^a * that shell.
+    odd = 0
+    for p, conds in ((3, (1, 2)), (5, (1, 2)), (7, (1, 2)), (2, (2, 3))):
+        for a in conds:
+            for omega in unitary_components(p, a):
+                if omega.cond != a:
+                    continue
+                for t in (1.0, 0.6 + 0.8j, 1.3 - 0.4j):
+                    chi = MultChar(p, a, omega.unit_char, t)
+                    chi_inv = chi.inverse()
+                    plain = 0.0 + 0.0j
+                    for u in range(1, p ** a):
+                        if u % p:
+                            y = PAdicElt(p, -a, u, a)
+                            plain += chi_inv.eval(y) * psi_value(y.neg())
+                    plain *= float(p) ** -a
+                    gauss = epsilon_factor(chi).num.coeffs[a] / float(p) ** a
+                    sign = chi.unit_value(-1)
+                    odd += abs(sign + 1) < 1e-12
+                    assert abs(plain - sign * gauss) <= 1e-12 * abs(gauss), (chi,)
+    assert odd  # the set holds odd characters, where the factor is -1
+
+
 def test_gamma_closed_trivial():
     g = gamma_closed(trivial_char(5))
     expect = RationalFunc(LaurentPoly(5, {0: 1, 1: -1}),
@@ -191,12 +220,14 @@ def test_gamma_unitary_on_critical_line():
 
 
 def test_gamma_duality_involution():
+    # gamma(s, chi, psi) gamma(1-s, chi^(-1), psi^(-1)) = 1, with
+    # gamma(s, chi^(-1), psi^(-1)) = chi(-1) gamma(s, chi^(-1), psi)
     rng = random.Random(29)
     for _ in range(15):
         p = rng.choice([2, 3, 5])
         chi = random_char(rng, p, 2, unitary_t=False)
         g1 = gamma_closed(chi)
-        g2 = rf_dual_subst(gamma_closed(chi.inverse(), inverse_psi=True))
+        g2 = rf_dual_subst(gamma_closed(chi.inverse())).scale(chi.unit_value(-1))
         assert rf_close(g1 * g2, RationalFunc.one(p), 1e-9)
 
 

@@ -14,11 +14,9 @@ from .basicfn import (BasicFunction, basic_fourier_check, basic_zeta_check,
                       complete_homogeneous)
 from .characters import (MultChar, char_product, trivial_char,
                          unitary_components, unramified_char)
-from .kernel import (GammaSymbol, Gl1Kernel, TruncatedKernel, gamma_symbol,
-                     hankel_convolve, hankel_mellin,
-                     homogeneous_identity_check, lemma31_grid,
-                     pointwise_threshold, stability_threshold,
-                     trace_average_check, truncation_stability)
+from .kernel import (GammaSymbol, Gl1Kernel, gamma_symbol, hankel_convolve,
+                     hankel_mellin, homogeneous_identity_check, lemma31_grid,
+                     trace_average_check)
 from .padic import (PAdicElt, PrecisionError, UnitGroupTable, psi_frac,
                     psi_value, shell_volume, unit_group)
 from .ratfunc import (IdentityReport, LaurentPoly, NumericError, RationalFunc,

@@ -100,8 +100,8 @@ def _pf_weights(alpha) -> list[complex] | None:
     return weights
 
 
-def basic_zeta_check(alpha, chi: MultChar | None = None, window: int = 10,
-                     p: int | None = None) -> IdentityReport:
+def basic_zeta_check(alpha, chi: MultChar,
+                     window: int = 10) -> IdentityReport:
     """Z(s, L_pi, chi) == L(s, pi x chi) for unramified chi.
 
     The zeta side is assembled from the shell values: when the Satake
@@ -112,10 +112,6 @@ def basic_zeta_check(alpha, chi: MultChar | None = None, window: int = 10,
     (meta["route"] says which).  An extra spot check ties the assembled
     series back to the defining shell values.
     """
-    if chi is None:
-        if p is None:
-            raise ValueError("pass chi or p")
-        chi = trivial_char(p)
     if chi.cond != 0:
         raise ValueError("the basic function pairs with unramified chi only")
     q = chi.p

@@ -26,11 +26,11 @@ from . import serialize
 from .arch import (ArchQuadratureError, ArchSeed, ArchUnresolvedError,
                    arch_fe_check)
 from .basicfn import BasicFunction, basic_fourier_check, basic_zeta_check
-from .characters import MultChar, char_to_json
+from .characters import MultChar, char_to_json, trivial_char
 from .corpus import corpus_generate
 from .defaults import ARCH_FE_TOL, COEFF_TOL
 from .kernel import (Gl1Kernel, gamma_symbol, hankel_convolve, hankel_mellin,
-                     lemma31_grid, pointwise_threshold, trace_average_check)
+                     lemma31_grid, trace_average_check)
 from .padic import PAdicElt
 from .ratfunc import rf_to_json
 from .serialize import InputFormatError, dumps
@@ -121,8 +121,9 @@ def _hankel(args):
         if convolve:
             kern = Gl1Kernel(constituents[0])
             table = hankel_convolve(phi, kern, m_lo, m_hi, level=c_max)
-            payload["truncation_threshold"] = max(
-                pointwise_threshold(kern, m) for m in range(m_lo, m_hi + 1))
+            # the kernel never vanishes, so truncation at ell leaves it
+            # whole on S_m exactly when ell >= -m
+            payload["truncation_threshold"] = max(1, -m_lo)
             payload["values"] = [[m, str(rep.lift()), v.real, v.imag]
                                  for m, rep, v in table.rows]
         if args.route != "convolve":
@@ -152,7 +153,7 @@ def _basic(args):
 
     def compute():
         fn = BasicFunction(p, tuple(alpha))
-        z_rep = basic_zeta_check(alpha, p=p, window=window)
+        z_rep = basic_zeta_check(alpha, trivial_char(p), window=window)
         f_rep = basic_fourier_check(alpha, p)
         ok = z_rep.ok(args.tol) and f_rep.ok(args.tol)
         if args.emit == "csv":

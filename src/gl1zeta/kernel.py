@@ -2,19 +2,23 @@
 
 The rank-1 kernel attached to a multiplicative character chi is
 
-    k(x) = psi(x) * chi^(-1)(x) * |x|^(1/2),
+    k(x) = psi(x) * chi^(-1)(x) * |x|^(1/2);
 
-truncated versions carry the extra indicator 1_{v(x) >= -ell}.  Its Mellin
-transform (principal value) is the gamma factor, computed in `zetagamma`;
-here the kernel drives the Fourier operator on C_c^inf(F^x) two ways:
+it never vanishes, and |k(x)| = q^(-v(x)/2).  Its Mellin transform
+(principal value) is the gamma factor, computed in `zetagamma`; here the
+kernel drives the Fourier operator on C_c^inf(F^x) two ways:
 
 * hankel_convolve -- the convolution (k * phi^v)(x) evaluated pointwise as
   finite Gauss-type coset sums;
 * hankel_mellin -- the Mellin-domain route, one `hankel_component` (gamma
   times one component of M(phi), then s -> 1-s) per component; the checks
-  that compare one component (`verify_fe`, `homogeneous_identity_check`,
-  `basic_fourier_check`) compute M(phi)(omega) alone and pass it to
-  `hankel_component`, with a gamma symbol at omega's conductor.
+  that compare one component (`verify_fe`, `basic_fourier_check`) compute
+  M(phi)(omega) alone and pass it to `hankel_component`, with a gamma symbol
+  at omega's conductor.
+
+`homogeneous_identity_check` is the functional equation at chi |.|^(1/2):
+it calls `verify_fe`, which takes F_pi from the principal-value symbol and
+compares it with the closed-form gamma.
 
 For unramified GL(n) the kernel is represented only through its gamma
 symbol, the map omega -> gamma(s, pi x omega, psi) built multiplicatively
@@ -47,11 +51,11 @@ from operator import add
 from .characters import MultChar, char_product, unitary_components
 from .defaults import DEFAULT_PREC
 from .padic import PAdicElt, check_prime, psi_value
-from .ratfunc import (IdentityReport, RationalFunc, rf_discrepancy,
-                      rf_dual_subst, root_of_unity)
-from .stepfn import MellinData, MultStepFunction, mellin, mellin_component
+from .ratfunc import (IdentityReport, RationalFunc, rf_dual_subst,
+                      root_of_unity)
+from .stepfn import MellinData, MultStepFunction, mellin
 from .zetagamma import (coset_integral, gamma_closed, gamma_pv_total,
-                        normalize_pi, shell_psi_chi_integral)
+                        normalize_pi, verify_fe)
 
 
 # ---------------------------------------------------------------------------
@@ -76,78 +80,6 @@ class Gl1Kernel:
     def eval(self, x: PAdicElt) -> complex:
         return (psi_value(x) / self.chi.eval(x)
                 * float(self.p) ** (-x.val / 2.0))
-
-
-@dataclass(frozen=True)
-class TruncatedKernel:
-    base: Gl1Kernel
-    ell: int
-
-    def eval(self, x: PAdicElt) -> complex:
-        if x.val < -self.ell:
-            return 0.0 + 0.0j
-        return self.base.eval(x)
-
-
-def kernel_shell_coefficient(k: Gl1Kernel, m: int,
-                             twist: MultChar | None = None) -> complex:
-    """q^(-m/2) * int_{S_m} psi(y) (chi*twist)^(-1)(y) dy*, the scalar
-    multiplying X^(-m)-type bookkeeping in the kernel's Mellin transform."""
-    p = k.p
-    prod = char_product(k.chi, twist) if twist is not None else k.chi
-    val = shell_psi_chi_integral(p, m, prod.inverse(), b=PAdicElt.one(p),
-                                 brute=True)
-    return val * float(p) ** (-m / 2.0)
-
-
-def truncation_stability(k: Gl1Kernel, m: int, ell_list,
-                         twist: MultChar | None = None) -> list[complex]:
-    """Shell-S_m Mellin coefficient of the ell-truncated kernel, per ell.
-
-    The truncation indicator kills the shell entirely for ell < -m, so the
-    values must coincide for every ell >= max(1, -m).
-    """
-    stable = kernel_shell_coefficient(k, m, twist)
-    return [stable if m >= -ell else 0.0 + 0.0j for ell in ell_list]
-
-
-# Both thresholds measure the truncations ell = 1.._ELL_MAX.
-_ELL_MAX = 12
-
-
-def stability_threshold(k: Gl1Kernel, m: int,
-                        twist: MultChar | None = None) -> int:
-    """Empirical first ell in 1.._ELL_MAX from which the shell coefficient
-    stops changing (measured, not assumed).
-
-    A vanishing shell coefficient cannot exhibit its activation shell; probe
-    with a twist of conductor -m (for m <= -2) to make the jump visible, or
-    use `pointwise_threshold`, which never degenerates.
-    """
-    vals = truncation_stability(k, m, range(1, _ELL_MAX + 1), twist)
-    final = vals[-1]
-    thr = _ELL_MAX
-    for ell in range(_ELL_MAX, 0, -1):
-        if abs(vals[ell - 1] - final) > 1e-15:
-            break
-        thr = ell
-    return thr
-
-
-def pointwise_threshold(k: Gl1Kernel, m: int) -> int:
-    """First ell in 1.._ELL_MAX with k_ell = k pointwise on S_m.
-
-    |k(x)| = q^(-m/2) never vanishes, so this is the sharp truncation
-    activation shell max(1, -m), here measured by evaluation."""
-    p = k.p
-    x = PAdicElt(p, m, 1, max(1, -m) + k.chi.cond + 2)
-    full = k.eval(x)
-    thr = _ELL_MAX
-    for ell in range(_ELL_MAX, 0, -1):
-        if abs(TruncatedKernel(k, ell).eval(x) - full) > 1e-15:
-            break
-        thr = ell
-    return thr
 
 
 # ---------------------------------------------------------------------------
@@ -399,18 +331,12 @@ def homogeneous_identity_check(chi: MultChar, pi_params,
     """The homogeneous-distribution identity F_pi(chi_s^(-1)) =
     gamma(1/2, pi x chi_s, psi) * chi_s, paired against the test function.
 
-    Both pairings are exact zeta integrals:
+    Both pairings are zeta integrals at s + 1/2:
       (F(chi_s^(-1)), phi0) := (chi_s^(-1), F(phi0)) = Z(1/2 - s, F(phi0), chi^(-1))
       gamma(1/2, pi x chi_s) * (chi_s, phi0)
-    and the comparison is a rational-function identity in X."""
-    p = chi.p
-    omega = chi.unitary_part()
-    t = chi.t
-    rt_q = float(p) ** 0.5
-    m_in = mellin_component(phi0, omega)
-    sym = gamma_symbol(pi_params, omega.cond, p)
-    z_out = hankel_component(sym, m_in, omega).scale_x(rt_q / t)
-    lhs = z_out.subst_monomial(1.0 / rt_q, -1)        # evaluate at 1/2 - s
-    gam_shift = sym.component(omega).scale_x(t / rt_q)
-    rhs = gam_shift * m_in.scale_x(t)
-    return IdentityReport(lhs, rhs, rf_discrepancy(lhs, rhs))
+        = gamma(s + 1/2, pi x chi) * Z(s + 1/2, phi0, chi)
+    so the identity is the functional equation at chi |.|^(1/2), whose
+    unramified parameter is t q^(-1/2).  `verify_fe` there compares F_pi,
+    taken with the principal-value gamma symbol, with the closed-form gamma."""
+    half = MultChar(chi.p, chi.cond, chi.unit_char, chi.t / float(chi.p) ** 0.5)
+    return verify_fe(phi0, half, pi_params)

@@ -17,11 +17,12 @@ from gl1zeta.characters import (MultChar, char_product, trivial_char,
 from gl1zeta.corpus import corpus_generate, random_satake, random_step
 from gl1zeta.kernel import (Gl1Kernel, gamma_symbol, hankel_convolve,
                             hankel_mellin, homogeneous_identity_check,
-                            lemma31_grid, pointwise_threshold,
-                            stability_threshold, trace_average_check)
+                            lemma31_grid, trace_average_check)
+from gl1zeta.padic import PAdicElt
 from gl1zeta.stepfn import (StepFunction, StepTerm, fourier_transform,
                             mellin_invert, step_distance_sq, step_l2)
-from gl1zeta.zetagamma import gamma_closed, gamma_pv, verify_fe
+from gl1zeta.zetagamma import (_guard_roundoff, gamma_closed, gamma_pv,
+                               shell_psi_chi_integral, verify_fe)
 
 _T0 = time.time()
 
@@ -131,16 +132,36 @@ def test_criterion_05_trace_average_vanishing():
 
 
 def test_criterion_06_truncation_stability_thresholds():
-    kern = Gl1Kernel(MultChar(5, 1, (1,), 1.0))
+    # Truncating the kernel at ell (the indicator of v(x) >= -ell) leaves it
+    # whole on S_m exactly when ell >= -m, because it never vanishes: (a).
+    # Its Mellin coefficient at a conductor-matched twist activates at shell
+    # -c, c = max(1, -m), (b), and the shells below -c sum to zero, (c).
+    p = 5
+    q = float(p)
+    kern = Gl1Kernel(MultChar(p, 1, (1,), 1.0))
+    one = PAdicElt.one(p)
+    units = [u for u in range(1, p ** 2) if u % p]
     ok = True
     for m in range(-4, 5):
-        ok &= pointwise_threshold(kern, m) == max(1, -m)
+        for u in units:
+            ok &= abs(abs(kern.eval(PAdicElt(p, m, u, 24))) - q ** (-m / 2)
+                      ) <= 1e-12 * q ** (-m / 2)
         if m <= -2:
-            twist = next(c for c in unitary_components(5, -m)
+            twist = next(c for c in unitary_components(p, -m)
                          if char_product(kern.chi, c).cond == -m)
         else:
             twist = kern.chi.inverse()
-        ok &= stability_threshold(kern, m, twist) == max(1, -m)
+        prod = char_product(kern.chi, twist)
+        inv = prod.inverse()
+        c = max(1, -m)
+        shell = {n: abs(shell_psi_chi_integral(p, n, inv, b=one, brute=True))
+                 for n in (m, -c, -c - 1, -c - 2)}
+        want = q ** (-c / 2) if prod.cond else 1 / q
+        ok &= abs(shell[-c] - want) <= 1e-12 * want
+        if m >= 0:
+            ok &= abs(shell[m] - (1 - 1 / q)) <= 1e-12 * (1 - 1 / q)
+        for n in (-c - 1, -c - 2):
+            ok &= shell[n] <= _guard_roundoff(p, n, prod.t)
     _report(6, ok, "truncation-stability thresholds equal max(1,-m) on m in [-4,4] "
                    "(pointwise, and Mellin under conductor-matched twists)")
 

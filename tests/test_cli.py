@@ -21,6 +21,8 @@ CHI_QUAD5 = '{"p":5,"cond":1,"unit_char":[2],"t":[1,0]}'
 CHI_TRIV5 = '{"p":5,"cond":0,"unit_char":[],"t":[1,0]}'
 PHI_UNIT5 = ('{"model":"mult","p":5,"terms":[{"coeff":[1,0],'
              '"rep":{"p":5,"val":0,"unit":1,"prec":4},"k":0}]}')
+PHI_NULL_REP5 = ('{"model":"mult","p":5,"terms":[{"coeff":[1,0],'
+                 '"rep":null,"k":0}]}')
 PI_TRIV5 = '{"kind":"gl1","chi":%s}' % CHI_TRIV5
 CHI_QUAD3 = '{"p":3,"cond":1,"unit_char":[1],"t":[1,0]}'
 PI_QUAD3 = '{"kind":"gl1","chi":%s}' % CHI_QUAD3
@@ -113,6 +115,18 @@ def test_hankel_both_routes(capsys):
     assert obj["max_pointwise_diff"] <= 1e-10
     assert obj["truncation_threshold"] == 3
     assert "values" in obj and "mellin" in obj
+
+
+def test_hankel_deep_window_truncation_threshold(capsys):
+    # the kernel is whole on S_-14 only from ell = 14; a measured threshold
+    # capped at ell = 12 once printed 12 here
+    phi = ('{"model":"mult","p":3,"terms":[{"coeff":[1,0],'
+           '"rep":{"p":3,"val":0,"unit":1},"k":0}]}')
+    pi = '{"kind":"gl1","chi":{"p":3,"cond":0,"unit_char":[],"t":[1,0]}}'
+    code, out = run_cli(capsys, "hankel", "--phi", phi, "--pi", pi,
+                        "--shells", "-14:-13", "--route", "convolve")
+    assert code == 0
+    assert json.loads(out)["truncation_threshold"] == 14
 
 
 def test_hankel_csv(tmp_path, capsys):
@@ -290,6 +304,11 @@ def test_input_error_exit_two(capsys, argv, code):
                                            '"5/0"'),
       "--pi", PI_TRIV5], "schema/mult_step_function"),
     (["lemma31", "--p", "3", "--g", '[["1/0",0],[0,1]]'], "schema/matrix2"),
+    # 0 is not in Q_p^x: a null rep names no coset
+    (["zeta", "--phi", PHI_NULL_REP5, "--chi", CHI_TRIV5],
+     "schema/mult_step_function"),
+    (["hankel", "--phi", PHI_NULL_REP5, "--pi", PI_TRIV5],
+     "schema/mult_step_function"),
 ])
 def test_malformed_input_exit_two(capsys, argv, code):
     # each of these once escaped as a Python traceback with exit 1

@@ -94,8 +94,6 @@ def test_unit_sum_has_one_caller():
 # each kept for the test named beside it.
 TEST_ONLY_PARAMETERS = {
     "gamma_pv.shell_floor": "test_zetagamma.py::test_gamma_pv_schedule_invariance",
-    "stability_threshold.twist":
-        "test_acceptance.py::test_criterion_06_truncation_stability_thresholds",
     "main.argv": "test_cli.py (every test)",
     "rf_close.tol": "test_kernel.py::test_gamma_symbol_satake_l_ratio",
     "PAdicElt.from_int.prec": "test_unit_sum.py::test_coset_sum_matches_naive_loop",

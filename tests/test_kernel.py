@@ -6,19 +6,19 @@ from fractions import Fraction
 import pytest
 
 from gl1zeta import kernel, stepfn, zetagamma
+from gl1zeta.basicfn import basic_fourier_check
 from gl1zeta.characters import (MultChar, char_product, trivial_char,
                                 unitary_components)
 from gl1zeta.corpus import random_char, random_mult_step, random_satake
-from gl1zeta.kernel import (Gl1Kernel, TruncatedKernel,
-                            gamma_symbol, hankel_component, hankel_convolve,
-                            hankel_mellin,
-                            homogeneous_identity_check, lemma31_grid, pointwise_threshold,
-                            stability_threshold, trace_average_check,
-                            truncation_stability)
+from gl1zeta.kernel import (Gl1Kernel, gamma_symbol, hankel_component,
+                            hankel_convolve, hankel_mellin,
+                            homogeneous_identity_check, lemma31_grid,
+                            trace_average_check)
 from gl1zeta.padic import PAdicElt
 from gl1zeta.ratfunc import RationalFunc, rf_close, rf_dual_subst
 from gl1zeta.stepfn import (MultStepFunction, MultTerm, delta_approximant,
-                            mellin, mellin_invert, unit_indicator)
+                            indicator_ball, mellin, mellin_invert,
+                            unit_indicator)
 from gl1zeta.zetagamma import (gamma_closed, gamma_pv, l_factor_satake,
                                normalize_pi)
 
@@ -39,43 +39,6 @@ def test_kernel_eval_negative_shell():
     x = PAdicElt.from_rational(5, Fraction(1, 5))
     expect = 5 ** 0.5 * cmath.exp(2j * cmath.pi / 5)
     assert abs(k.eval(x) - expect) < 1e-12
-
-
-def test_truncated_kernel_indicator():
-    k = Gl1Kernel(trivial_char(3))
-    x = PAdicElt.from_rational(3, Fraction(1, 9))
-    assert TruncatedKernel(k, 1).eval(x) == 0
-    assert abs(TruncatedKernel(k, 2).eval(x) - k.eval(x)) < 1e-14
-
-
-def test_truncation_stability_inactive_on_units():
-    k = Gl1Kernel(MultChar(5, 1, (1,), 1.0))
-    vals = truncation_stability(k, 0, range(1, 8))
-    assert all(v == vals[0] for v in vals)
-
-
-def test_truncation_stability_indicator_support():
-    k = Gl1Kernel(trivial_char(5))
-    # probe shell -3 with a conductor-3 twist so the coefficient is nonzero
-    tw = [c for c in unitary_components(5, 3) if c.cond == 3][0]
-    vals = truncation_stability(k, -3, range(1, 8), tw)
-    assert vals[0] == vals[1] == 0
-    assert all(abs(v - vals[-1]) < 1e-15 for v in vals[2:])
-    assert abs(vals[-1]) > 1e-6
-
-
-def test_thresholds_on_window():
-    k = Gl1Kernel(MultChar(5, 1, (1,), 1.0))
-    for m in range(-4, 5):
-        assert pointwise_threshold(k, m) == max(1, -m)
-        if m <= -2:
-            twist = next(c for c in unitary_components(5, -m)
-                         if char_product(k.chi, c).cond == -m)
-        else:
-            twist = k.chi.inverse()
-        assert stability_threshold(k, m, twist) == max(1, -m)
-    # uniformity on [-3, 3]: one threshold covers the window
-    assert max(pointwise_threshold(k, m) for m in range(-3, 4)) == 3
 
 
 def test_trace_average_diagonal_dominant():
@@ -380,6 +343,41 @@ def test_homogeneous_identity_scaling_covariance():
     assert r1.max_coeff_diff <= 1e-9 and r2.max_coeff_diff <= 1e-9
 
 
+_CHI_UNRAMIFIED = MultChar(5, 0, (), 0.6 + 0.8j)
+_SATAKE = [0.6 + 0.8j, 1.0]
+
+# every check that reads gamma, on inputs whose two sides are nonzero: with
+# M(phi)(omega) = 0 both sides vanish whatever gamma is
+_GAMMA_CHECKS = {
+    "gamma_pv": lambda: gamma_pv(
+        next(c for c in unitary_components(5, 2) if c.cond == 2)),
+    "verify_fe_step": lambda: zetagamma.verify_fe(
+        indicator_ball(5, None, 0), _CHI_UNRAMIFIED, [trivial_char(5)]),
+    "verify_fe_mult": lambda: zetagamma.verify_fe(
+        unit_indicator(5), _CHI_UNRAMIFIED, _SATAKE),
+    "homogeneous_identity_check": lambda: homogeneous_identity_check(
+        _CHI_UNRAMIFIED, _SATAKE, unit_indicator(5)),
+    "basic_fourier_check": lambda: basic_fourier_check(_SATAKE, 5),
+}
+
+
+@pytest.mark.parametrize("name", list(_GAMMA_CHECKS))
+def test_check_fails_on_a_wrong_gamma(monkeypatch, name):
+    # a check whose two sides are one expression passes whatever gamma is;
+    # each of these compares a gamma-free route with gamma_closed
+    check = _GAMMA_CHECKS[name]
+    assert check().max_coeff_diff <= 1e-10
+    closed = zetagamma.gamma_closed
+
+    def wrong(chi):
+        return (closed(chi) * RationalFunc.monomial(chi.p, 1, 3.0)
+                + RationalFunc.const(chi.p, 0.5))
+
+    for module in (kernel, zetagamma):
+        monkeypatch.setattr(module, "gamma_closed", wrong)
+    assert check().max_coeff_diff > 0.1
+
+
 def test_hankel_convolve_work_counts(monkeypatch):
     # One PAdicElt per row and one coset integral per distinct key
     # (valuation, unit mod p^max(cond, d), level): the work the memo saves,
@@ -500,8 +498,9 @@ def test_pv_component_builds_no_closed_form(monkeypatch):
 
 
 def test_homogeneous_identity_reads_gamma_from_its_symbol(monkeypatch):
-    # one gamma_closed per constituent per component the symbol builds; the
-    # check's own gamma(s, pi x omega) is a read of that symbol
+    # the check is verify_fe at chi |.|^(1/2): a closed symbol read at omega,
+    # one gamma_closed per constituent, against a pv symbol that builds omega
+    # only when M(phi0)(omega) is nonzero
     rng = random.Random(73)
     symbols = []
 
@@ -518,7 +517,9 @@ def test_homogeneous_identity_reads_gamma_from_its_symbol(monkeypatch):
         chi = random_char(rng, p, 2)
         rep = homogeneous_identity_check(chi, pi, random_mult_step(rng, p))
         assert rep.max_coeff_diff <= 1e-9
-        (sym,) = symbols
-        assert chi.unitary_part() in sym.components
-        assert len(sym.components) == 1
-        assert len(calls) == len(pi) * len(sym.components)
+        omega = chi.unitary_part()
+        (closed,) = [sym for sym in symbols if sym.route == "closed"]
+        (pv,) = [sym for sym in symbols if sym.route == "pv"]
+        assert list(closed.components) == [omega]
+        assert list(pv.components) in ([], [omega])
+        assert len(calls) == len(pi)

@@ -307,8 +307,9 @@ def hankel_convolve(phi: MultStepFunction, k: Gl1Kernel,
     if k.p != p:
         raise ValueError("mixed primes %d, %d" % (p, k.p))
     cond = k.chi.cond
-    # every rep of a MultStepFunction carries DEFAULT_PREC digits
-    terms = [(t.coeff, t.rep.val, t.rep.unit, t.k) for t in phi.terms]
+    # (coeff, valuation, unit, level) of each coset of phi's shell table
+    terms = [(c, rep_val, u, rep_k) for rep_val, (rep_k, coeffs)
+             in phi._shells.items() for u, c in coeffs.items()]
     memo: dict[tuple[int, int, int], complex] = {}
     rows: list[tuple[int, PAdicElt, complex]] = []
     for m in range(m_lo, m_hi + 1):

@@ -136,11 +136,13 @@ class LaurentPoly:
 
 def _prune(coeffs: dict[int, complex]) -> dict[int, complex]:
     # Relative pruning keeps canonicalization from latching onto roundoff
-    # residue as a "leading" coefficient.
-    cleaned = {e: _check_finite(complex(c)) for e, c in coeffs.items()}
-    top = max((abs(c) for c in cleaned.values()), default=0.0)
-    cut = top * PRUNE_REL_EPS
-    return {e: c for e, c in cleaned.items() if abs(c) > cut and c != 0}
+    # residue as a "leading" coefficient.  A NaN or inf makes the sum non-finite.
+    mags = list(map(abs, coeffs.values()))
+    if not math.isfinite(sum(mags)):
+        for c in coeffs.values():
+            _check_finite(complex(c))
+    cut = max(mags, default=0.0) * PRUNE_REL_EPS
+    return {e: complex(c) for (e, c), a in zip(coeffs.items(), mags) if a > cut}
 
 
 @dataclass(frozen=True)

@@ -76,9 +76,11 @@ def step_to_json(f: StepFunction) -> dict:
 def step_from_json(obj: dict) -> StepFunction:
     validate(obj, "step_function")
     p = int(obj["p"])
+
+    def point(x):  # a twist or a center, where the literal 0 means null
+        return None if isinstance(x, str) and Fraction(x) == 0 else padic_from_json(x, p)
     terms = [StepTerm(complex(t["coeff"][0], t["coeff"][1]),
-                      padic_from_json(t.get("twist"), p),
-                      padic_from_json(t.get("center"), p),
+                      point(t.get("twist")), point(t.get("center")),
                       int(t["rad"])) for t in obj["terms"]]
     return StepFunction(p, terms)
 

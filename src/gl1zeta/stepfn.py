@@ -10,9 +10,9 @@ Two function models:
 
 * MultStepFunction -- finite sums coeff * 1_{rep*(1+p^k Z_p)} (k = 0 meaning
   rep*Z_p^x), the compactly supported locally constant functions on Q_p^x.
-  Cosets are disjointified per shell on construction, which also builds the
-  index `eval` reads: shell -> (level, unit mod p^level -> coeff).  The
-  index never changes afterwards, so threads may share the function.
+  Its one form, fixed on construction so threads may share it, is the shell
+  table shell -> (level, unit mod p^level -> coeff) of disjoint cosets, read
+  and written in integers; the `MultTerm` view `terms` is built when read.
 
 M(f)(omega)(X) = integral of f(x) omega(x) |x|^s dx*, for a unitary
 unit-group character omega (t = 1), is computed one omega at a time by
@@ -227,58 +227,58 @@ class MultTerm:
 class MultStepFunction:
     """A compactly supported locally constant function on Q_p^x.
 
-    Terms are normalized so that, within each shell, all cosets share a
-    common level and are pairwise disjoint.
+    Its one form is the shell table `_shells`: shell m -> (level, unit
+    residue mod p^level -> coeff), shells and residues ascending, the cosets
+    of a shell pairwise disjoint at its common level.  `terms` is its view as
+    `MultTerm`s, built on first read (racing reads build equal views); it
+    shares each input rep that already is PAdicElt(p, m, residue, DEFAULT_PREC).
     """
 
     def __init__(self, p: int, terms):
         check_prime(p)
         self.p = p
-        self.terms = self._normalize([t for t in terms if t.coeff != 0])
-        # shell -> (its common level, unit residue mod p^level -> coeff);
-        # built here, before the object is shared, so reading it needs no lock
-        self._shells: dict[int, tuple[int, dict[int, complex]]] = {}
-        for t in self.terms:
-            if t.rep.val not in self._shells:
-                self._shells[t.rep.val] = (t.k, {})
-            self._shells[t.rep.val][1][t.rep.unit_mod(t.k)] = t.coeff
-
-    def _normalize(self, terms) -> tuple[MultTerm, ...]:
-        p = self.p
-        by_shell: dict[int, list[MultTerm]] = {}
-        for t in terms:
+        self._given = given = [t for t in terms if t.coeff != 0]
+        self._terms: tuple[MultTerm, ...] | None = None
+        levels: dict[int, int] = {}   # shell -> the finest level on it
+        for t in given:
             if t.k < 0:
                 raise ValueError("coset level must be >= 0")
             if t.rep.p != p:
                 raise ValueError("mixed primes %d, %d" % (p, t.rep.p))
-            by_shell.setdefault(t.rep.val, []).append(t)
-        out: list[MultTerm] = []
-        scale = max((abs(t.coeff) for t in terms), default=0.0)
-        cut = scale * PRUNE_REL_EPS
-        for m in sorted(by_shell):
-            shell_terms = by_shell[m]
-            level = max(t.k for t in shell_terms)
-            merged: dict[int, complex] = {}
-            for t in shell_terms:
-                for u in _refined_units(p, t, level):
-                    merged[u] = merged.get(u, 0.0) + t.coeff
-            # an input rep equal to the one the loop would build is shared
-            # (the class is frozen): a residue u < p^level at DEFAULT_PREC
-            given = {t.rep.unit: t.rep for t in shell_terms
+            levels[t.rep.val] = max(levels.get(t.rep.val, 0), t.k)
+        table = {m: (level, {}) for m, level in levels.items()}
+        for t in given:
+            level, merged = table[t.rep.val]
+            for u in _refined_units(p, t, level):
+                merged[u] = merged.get(u, 0.0) + t.coeff
+        self._shells = _pruned(table, [t.coeff for t in given])
+
+    @classmethod
+    def from_shells(cls, p: int, table) -> "MultStepFunction":
+        """The function of a shell table, pruned as the constructor prunes."""
+        f = cls(p, ())
+        f._shells = _pruned(table, [c for _, cs in table.values()
+                                    for c in cs.values()])
+        return f
+
+    @property
+    def terms(self) -> tuple[MultTerm, ...]:
+        if self._terms is None:
+            given = {(t.rep.val, t.rep.unit): t.rep for t in self._given
                      if t.rep.prec == DEFAULT_PREC}
-            for u in sorted(merged):
-                c = merged[u]
-                if abs(c) <= cut or c == 0:
-                    continue
-                rep = given.get(u) or PAdicElt(p, m, u, DEFAULT_PREC)
-                out.append(MultTerm(complex(c), rep, level))
-        return tuple(out)
+            p, out = self.p, []
+            for m, (level, coeffs) in self._shells.items():
+                for u, c in coeffs.items():
+                    rep = given.get((m, u)) or PAdicElt(p, m, u, DEFAULT_PREC)
+                    out.append(MultTerm(c, rep, level))
+            self._terms, self._given = tuple(out), ()
+        return self._terms
 
     def max_level(self) -> int:
-        return max((t.k for t in self.terms), default=0)
+        return max((level for level, _ in self._shells.values()), default=0)
 
     def shells(self) -> list[int]:
-        return sorted({t.rep.val for t in self.terms})
+        return list(self._shells)
 
     def eval(self, x: PAdicElt) -> complex:
         shell = self._shells.get(x.val)
@@ -306,6 +306,20 @@ class MultStepFunction:
 
     def __repr__(self) -> str:
         return "MultStepFunction(p=%d, %d terms)" % (self.p, len(self.terms))
+
+
+def _pruned(table, coeffs) -> dict[int, tuple[int, dict[int, complex]]]:
+    """The table in ascending order without the values of modulus at most
+    max|coeffs| * PRUNE_REL_EPS, or exactly 0, and the shells left empty."""
+    cut = max(map(abs, coeffs), default=0.0) * PRUNE_REL_EPS
+    out = {}
+    for m in sorted(table):
+        level, merged = table[m]
+        kept = {u: complex(c) for u, c in sorted(merged.items())
+                if not (abs(c) <= cut or c == 0)}
+        if kept:
+            out[m] = (level, kept)
+    return out
 
 
 def _refined_units(p: int, t: MultTerm, level: int):
@@ -397,12 +411,12 @@ def mellin_component(f: MultStepFunction, omega: MultChar) -> RationalFunc:
     if omega.p != p:
         raise ValueError("mixed primes %d, %d" % (p, omega.p))
     acc: dict[int, complex] = {}
-    for t in f.terms:
-        if omega.cond > t.k:
+    for m, (level, coeffs) in f._shells.items():
+        if omega.cond > level:
             continue  # omega nontrivial on the coset subgroup: integral 0
-        vol = shell_volume(p) if t.k == 0 else float(p) ** (-t.k)
-        val = omega.unit_value(t.rep.unit_mod(omega.cond))
-        acc[t.rep.val] = acc.get(t.rep.val, 0.0) + t.coeff * val * vol
+        vol = shell_volume(p) if level == 0 else float(p) ** (-level)
+        acc[m] = sum((c * omega.unit_value(u) * vol
+                      for u, c in coeffs.items()), 0.0)
     poly = LaurentPoly(p, acc)
     if poly.is_zero():
         return RationalFunc.zero(p)
@@ -428,7 +442,8 @@ def mellin_invert(d: MellinData, m_lo: int, m_hi: int, c_max: int) -> MultStepFu
     """Reconstruct shell values on m in [m_lo, m_hi], refined to 1+p^c_max
     cosets, by finite character sums against the series coefficients.
 
-    Exact left-inverse of `mellin` on the window.
+    Exact left-inverse of `mellin` on the window.  The values are written
+    into a shell table, with no `MultTerm` and no `PAdicElt`.
     """
     for omega, rf in d.comps.items():
         if omega.cond > c_max and not rf.is_zero():
@@ -451,7 +466,7 @@ def mellin_invert(d: MellinData, m_lo: int, m_hi: int, c_max: int) -> MultStepFu
         values = unit_values(p, w.cond, w.unit_char)
         columns.append((rf_series_coeffs(rf, m_lo, m_hi),
                         [values[u % len(values)].conjugate() for u in unit_reps]))
-    terms = []
+    table: dict[int, tuple[int, dict[int, complex]]] = {}
     for i, m in enumerate(range(m_lo, m_hi + 1)):
         live = [(series[i], conj) for series, conj in columns if series[i] != 0]
         for j, u in enumerate(unit_reps):
@@ -460,8 +475,8 @@ def mellin_invert(d: MellinData, m_lo: int, m_hi: int, c_max: int) -> MultStepFu
                 v += c * conj[j]
             v /= vol_units
             if v != 0:
-                terms.append(MultTerm(v, PAdicElt(p, m, u, DEFAULT_PREC), c_max))
-    return MultStepFunction(p, terms)
+                table.setdefault(m, (c_max, {}))[1][u] = v
+    return MultStepFunction.from_shells(p, table)
 
 
 def mult_distance(f: MultStepFunction, g: MultStepFunction) -> float:

@@ -262,8 +262,11 @@ def epsilon_factor(chi: MultChar) -> RationalFunc:
 
 
 def gamma_closed(chi: MultChar) -> RationalFunc:
-    """gamma(s, chi, psi) = eps(s, chi, psi) L(1-s, chi^(-1)) / L(s, chi)."""
+    """gamma(s, chi, psi) = eps(s, chi, psi) L(1-s, chi^(-1)) / L(s, chi),
+    the eps monomial alone for ramified chi (both L-factors are 1)."""
     eps = epsilon_factor(chi)
+    if chi.cond:
+        return eps
     return eps * rf_dual_subst(l_factor(chi.inverse())) / l_factor(chi)
 
 

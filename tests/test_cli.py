@@ -288,6 +288,31 @@ def test_input_error_exit_two(capsys, argv, code):
     assert json.loads(out)["error"]["code"] == code
 
 
+def _step5(twist, center):
+    return json.dumps({"model": "step", "p": 5, "terms": [
+        {"coeff": [1, 0], "twist": twist, "center": center, "rad": 0},
+        {"coeff": [0.5, -0.25], "twist": twist, "center": center, "rad": -1}]})
+
+
+@pytest.mark.parametrize("twist, center", [(None, "0"), ("0", None),
+                                           ("0", "0/7")])
+def test_step_zero_literal_reads_as_null(capsys, twist, center):
+    # the schema admits the literal 0 for a twist or a center, where it means
+    # what null means; it once exited 2 with "0 is not in Q_p^x"
+    want = run_cli(capsys, "zeta", "--phi", _step5(None, None), "--chi", CHI_TRIV5)
+    assert want[0] == 0
+    assert run_cli(capsys, "zeta", "--phi", _step5(twist, center),
+                   "--chi", CHI_TRIV5) == want
+
+
+def test_mult_zero_rep_exit_two(capsys):
+    # 0 is not in Q_p^x, so a rep of 0 names no coset
+    phi = PHI_UNIT5.replace('{"p":5,"val":0,"unit":1,"prec":4}', '"0"')
+    status, out = run_cli(capsys, "zeta", "--phi", phi, "--chi", CHI_TRIV5)
+    assert status == 2
+    assert json.loads(out)["error"]["code"] == "input/valueerror"
+
+
 @pytest.mark.parametrize("argv, code", [
     (["basic", "--alpha", "[1]", "--p", "3"], "schema/complex_list"),
     (["arch-fe", "--chi", '{"eps":0,"t":0}', "--samples", "[1]"],

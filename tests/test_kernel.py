@@ -409,6 +409,26 @@ def test_hankel_convolve_work_counts(monkeypatch):
     assert len(keys) == len(set(keys)) == 114     # of 66 rows x 3 terms
 
 
+def test_mellin_invert_work_counts(monkeypatch):
+    # Work counts, no clock: on a Hankel entry (p = 5, c_max = 1, chi_pi
+    # ramified) mellin_invert writes its shell table in integers, with no
+    # PAdicElt and no MultTerm
+    p = 5
+    phi = MultStepFunction(p, [MultTerm(1 - 0.5j, PAdicElt(p, -1, 3, 24), 1),
+                               MultTerm(0.7, PAdicElt(p, 1, 1, 24), 0)])
+    sym = gamma_symbol([MultChar(p, 1, (1,), 0.8 + 0.6j)], 1, p=p)
+    md = hankel_mellin(phi, sym)
+    built = Counter()
+    for cls in (PAdicElt, MultTerm):
+        def counting(self, *args, init=cls.__init__, name=cls.__name__):
+            built[name] += 1
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    back = mellin_invert(md, -5, 5, 1)
+    assert built == {}
+    assert back.shells() and back.max_level() == 1
+
+
 def test_kernel_coset_integral_depends_on_the_memo_key_alone():
     # hankel_convolve keeps the first value computed for each key (valuation,
     # unit mod p^max(cond, -valuation), level), so units congruent modulo

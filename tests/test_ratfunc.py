@@ -1,12 +1,13 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl1zeta.ratfunc import (LaurentPoly, RationalFunc, ZeroDenominatorError,
-                             rf_close, rf_discrepancy, rf_dual_subst,
-                             rf_series_coeffs)
+from gl1zeta.ratfunc import (LaurentPoly, NumericError, RationalFunc,
+                             ZeroDenominatorError, rf_close, rf_discrepancy,
+                             rf_dual_subst, rf_series_coeffs)
 
 Q = 5
 
@@ -137,3 +138,26 @@ def test_nan_guard():
     import math
     with pytest.raises(ArithmeticError):
         LaurentPoly(Q, {0: complex(math.nan, 0)})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf),
+                                 complex(math.nan, 0)])
+def test_non_finite_coefficient_raises(bad):
+    with pytest.raises(NumericError):
+        LaurentPoly(Q, {0: 1.0, 1: bad, 2: -0.5j})
+
+
+def test_overflowing_product_raises():
+    big = LaurentPoly.monomial(Q, 1, 1e200)
+    with pytest.raises(NumericError):
+        big * big
+
+
+def test_all_zero_coefficients_give_zero():
+    poly = LaurentPoly(Q, {-1: 0.0, 0: 0j, 3: -0.0})
+    assert poly.is_zero() and poly.coeffs == {}
+
+
+def test_prune_is_relative_to_the_largest_coefficient():
+    poly = LaurentPoly(Q, {0: 2.0, 1: 2e-14, 2: 2e-12j, 3: -3.0})
+    assert poly.coeffs == {0: 2.0, 2: 2e-12j, 3: -3.0}

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl1zeta.corpus import random_mult_step, random_step
 from gl1zeta.defaults import DEFAULT_PREC
@@ -228,9 +230,10 @@ def test_mellin_invert_rejects_hidden_conductor():
 
 
 def test_normalize_shares_reps_it_would_rebuild(monkeypatch):
-    # Work counts, no clock: a rep that already is PAdicElt(p, m, u,
-    # DEFAULT_PREC) for its residue u mod p^level is kept, not rebuilt, so
-    # mellin_invert's output costs one PAdicElt per coset.
+    # Work counts, no clock: the shell table is the function's one form, so
+    # building it makes no PAdicElt; the terms view, built when read, keeps a
+    # rep that already is PAdicElt(p, m, u, DEFAULT_PREC) for its residue u
+    # mod p^level, and mellin_invert writes its table with no PAdicElt.
     p = 3
     at_level = [PAdicElt(p, 0, u, DEFAULT_PREC) for u in (1, 2, 4)]
     coarse = PAdicElt(p, 1, 2, DEFAULT_PREC)   # level 1 in a level-2 shell
@@ -248,28 +251,88 @@ def test_normalize_shares_reps_it_would_rebuild(monkeypatch):
 
     monkeypatch.setattr(PAdicElt, "__post_init__", counting_post_init)
     f = MultStepFunction(p, terms)
+    assert built == []
     # coarse splits into residues 2, 5, 8 mod 9, and only 8 has no rep yet
+    view = f.terms
     assert built == [(1, 8), (2, 1)]
-    reps = {(t.rep.val, t.rep.unit): t.rep for t in f.terms}
-    assert [reps[(0, x.unit)] for x in at_level] == at_level
+    assert f.terms is view
+    reps = {(t.rep.val, t.rep.unit): t.rep for t in view}
     assert all(reps[(0, x.unit)] is x for x in at_level)
     assert reps[(1, 2)] is coarse and reps[(1, 5)] is fine
     assert all(t.rep == PAdicElt(p, t.rep.val, t.rep.unit, DEFAULT_PREC)
-               for t in f.terms)
-    # mellin_invert builds each rep at DEFAULT_PREC: normalizing adds none
+               for t in view)
     md = mellin(f, 2)
-    in_normalize = []
-    normalize = MultStepFunction._normalize
-
-    def counting_normalize(self, terms):
-        start = len(built)
-        out = normalize(self, terms)
-        in_normalize.append(len(built) - start)
-        return out
-
-    monkeypatch.setattr(MultStepFunction, "_normalize", counting_normalize)
+    del built[:]
     back = mellin_invert(md, 0, 2, 2)
-    assert in_normalize == [0] and mult_distance(f, back) < 1e-12
+    assert built == []
+    assert mult_distance(f, back) < 1e-12
+
+
+COEFFS = st.complex_numbers(min_magnitude=0.1, max_magnitude=10,
+                            allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def mult_terms(draw, max_coset=13 ** 3):
+    """(p, terms): 1 to 5 cosets on shells -3..3 at levels 0..3 with
+    p^level <= max_coset.  A term may meet an earlier one at another level,
+    or cancel an earlier one exactly."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    levels = [k for k in range(4) if p ** k <= max_coset]
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("new", "overlap", "cancel"))) if terms else "new"
+        if kind == "cancel":
+            t = draw(st.sampled_from(terms))
+            terms.append(MultTerm(-t.coeff, t.rep, t.k))
+            continue
+        k = draw(st.sampled_from(levels))
+        u = draw(st.integers(1, p ** 3 - 1))
+        if kind == "overlap":
+            # congruent to t's unit mod p^max(1, min(k, t.k)): the cosets meet
+            t = draw(st.sampled_from(terms))
+            m, u = t.rep.val, t.rep.unit + p ** max(1, min(k, t.k)) * u
+        else:
+            m, u = draw(st.integers(-3, 3)), u + (u % p == 0)
+        terms.append(MultTerm(draw(COEFFS), PAdicElt(p, m, u, DEFAULT_PREC), k))
+    return p, terms
+
+
+def _coset_sum(p, terms, x):
+    """The sum of the coeffs of the terms whose coset holds x."""
+    return sum((t.coeff for t in terms if t.rep.val == x.val
+                and x.unit % p ** t.k == t.rep.unit % p ** t.k), 0j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mult_terms())
+def test_shell_table_matches_coset_oracle(case):
+    # (a) eval at every coset rep mod p^(finest input level) is the sum over
+    # the input cosets holding it; (b) the terms view reads back as itself
+    p, terms = case
+    f = MultStepFunction(p, terms)
+    scale = max(abs(t.coeff) for t in terms)
+    level = max(t.k for t in terms)
+    units = [u for u in range(1, max(p ** level, 2)) if u % p]
+    for m in range(-3, 4):
+        for u in units:
+            x = PAdicElt(p, m, u, DEFAULT_PREC)
+            assert abs(f.eval(x) - _coset_sum(p, terms, x)) <= 1e-12 * scale
+    assert MultStepFunction(p, f.terms).terms == f.terms
+
+
+# The round trip reads every character of conductor <= c, each with its own
+# p^c-entry value table: at 11^3 and 13^3 that is 1,210 and 2,028 tables,
+# 3 s and 10 s for one function, so the cosets stop at p^c <= 7^3.
+@settings(max_examples=40, deadline=None)
+@given(mult_terms(max_coset=7 ** 3))
+def test_mellin_invert_writes_the_table_back(case):
+    # (c) mellin_invert(mellin(f, c), -3, 3, c) is f on every coset
+    p, terms = case
+    f = MultStepFunction(p, terms)
+    c = f.max_level()
+    back = mellin_invert(mellin(f, c), -3, 3, c)
+    assert mult_distance(f, back) <= 1e-12 * max(abs(t.coeff) for t in terms)
 
 
 @pytest.mark.parametrize("build", [

@@ -1,7 +1,11 @@
 import cmath
+import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl1zeta.characters import (MultChar, char_product, trivial_char,
                                 unitary_components, unramified_char)
@@ -265,3 +269,40 @@ def test_verify_fe_satake_input():
 def test_verify_fe_rejects_step_with_high_rank():
     with pytest.raises(ValueError):
         verify_fe(indicator_ball(5, None, 0), trivial_char(5), [1.0, 1.0])
+
+
+@st.composite
+def ramified_chars(draw):
+    """chi of conductor 1..3 (2..3 at p = 2) at p <= 13, with a unitary t or
+    one with |t| in [0.5, 1.8]."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    cond = draw(st.integers(2 if p == 2 else 1, 3))
+    w = draw(st.sampled_from([w for w in unitary_components(p, cond)
+                              if w.cond == cond]))
+    r = draw(st.one_of(st.just(1.0), st.floats(0.5, 1.8)))
+    return MultChar(p, cond, w.unit_char,
+                    cmath.rect(r, draw(st.floats(0, 2 * math.pi))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ramified_chars())
+def test_ramified_gamma_times_its_dual_is_chi_of_minus_one(chi):
+    # gamma(s, chi) gamma(1-s, chi^(-1)) = chi(-1), read without the eps
+    # shortcut: the product is a constant only if each side is one monomial
+    prod = gamma_closed(chi) * rf_dual_subst(gamma_closed(chi.inverse()))
+    assert rf_discrepancy(prod, RationalFunc.const(chi.p, chi.unit_value(-1))) <= 1e-12
+
+
+def test_ramified_gamma_closed_work_counts(monkeypatch):
+    # Work counts, no clock: a ramified closed gamma is its eps monomial, one
+    # RationalFunc, and eps builds one MultChar, the inverse of chi
+    chi = MultChar(7, 2, (3,), 0.6 - 1.1j)
+    gamma_closed(chi)                           # fills the shared caches
+    built = Counter()
+    for cls in (RationalFunc, MultChar):
+        def counting(self, post_init=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            post_init(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    gamma_closed(chi)
+    assert built == {"RationalFunc": 1, "MultChar": 1}

@@ -9,7 +9,9 @@ Unit-part values are roots of unity whose order divides the exponent n of
 (Z/p^cond)^x, so a unit's phase is an integer mod n: products, inverses and
 exact-conductor reduction involve no floating point at all.  `unit_values`,
 one memoized table per unit character, is the only place where phases become
-complex numbers.
+complex numbers.  Validating a new character (unit-group lookup, reduction,
+exact-conductor test) is one cached function of (p, cond, unit_char), so
+building a character again, at any t, looks nothing up.
 """
 
 from __future__ import annotations
@@ -67,6 +69,25 @@ def unit_values(p: int, cond: int, unit_char: tuple[int, ...]) -> tuple[complex,
     return tuple(values)
 
 
+@functools.cache
+def _reduced_exact(p: int, cond: int, unit_char: tuple[int, ...]) -> tuple[int, ...]:
+    """`unit_char` reduced mod the generator orders of (Z/p^cond)^x (cond >= 1),
+    after checking that it has one entry per generator and conductor exactly
+    `cond`.  Cached: a corpus rebuilds the same few characters at many t.  An
+    invalid vector raises on every call (exceptions are not cached)."""
+    if p == 2 and cond == 1:
+        raise ValueError("(Z/2)^x is trivial: conductor 1 is impossible at p=2")
+    table = unit_group(p, cond)
+    if len(unit_char) != len(table.generators):
+        raise ValueError("exponent vector length %d does not match the %d "
+                         "generators of (Z/%d^%d)^x"
+                         % (len(unit_char), len(table.generators), p, cond))
+    vec = tuple(k % o for k, (_, o) in zip(unit_char, table.generators))
+    if not _exact(table, vec):
+        raise ValueError("conductor %d is not exact" % (cond,))
+    return vec
+
+
 @dataclass(frozen=True)
 class MultChar:
     """chi = (unit-group character of exact conductor `cond`) * t^{v(x)}."""
@@ -83,22 +104,12 @@ class MultChar:
         if self.t == 0:
             raise ValueError("chi(p) must be nonzero")
         object.__setattr__(self, "t", complex(self.t))
-        if self.cond == 0:
-            if self.unit_char != ():
-                raise ValueError("conductor 0 requires an empty exponent vector")
-            return
-        if self.p == 2 and self.cond == 1:
-            raise ValueError("(Z/2)^x is trivial: conductor 1 is impossible at p=2")
-        table = unit_group(self.p, self.cond)
-        if len(self.unit_char) != len(table.generators):
-            raise ValueError("exponent vector length %d does not match the %d "
-                             "generators of (Z/%d^%d)^x"
-                             % (len(self.unit_char), len(table.generators),
-                                self.p, self.cond))
-        vec = tuple(k % o for k, (_, o) in zip(self.unit_char, table.generators))
+        vec = tuple(self.unit_char)
+        if self.cond:
+            vec = _reduced_exact(self.p, self.cond, vec)
+        elif vec:
+            raise ValueError("conductor 0 requires an empty exponent vector")
         object.__setattr__(self, "unit_char", vec)
-        if not _exact(table, vec):
-            raise ValueError("conductor %d is not exact" % (self.cond,))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -154,13 +165,14 @@ def char_product(a: MultChar, b: MultChar) -> MultChar:
     if a.p != b.p:
         raise ValueError("characters at different primes")
     p = a.p
-    level = max(a.cond, b.cond)
     t = a.t * b.t
-    if level == 0:
-        return MultChar(p, 0, (), t)
+    if not a.cond or not b.cond:     # an unramified factor changes t alone
+        c = b if not a.cond else a
+        return MultChar(p, c.cond, c.unit_char, t)
+    level = max(a.cond, b.cond)
     table = unit_group(p, level)
     n = _exponent(table)
-    factors = [(unit_group(p, c.cond), c.unit_char) for c in (a, b) if c.cond]
+    factors = [(unit_group(p, c.cond), c.unit_char) for c in (a, b)]
 
     def phase(u: int) -> int:
         return sum(_phase(tab, vec, u, n) for tab, vec in factors) % n

@@ -10,8 +10,12 @@ kernel drives the Fourier operator on C_c^inf(F^x) two ways:
 
 * hankel_convolve -- the convolution (k * phi^v)(x) evaluated pointwise as
   finite Gauss-type coset sums;
-* hankel_mellin -- the Mellin-domain route, one `hankel_component` (gamma
-  times one component of M(phi), then s -> 1-s) per component; the checks
+* hankel_mellin -- the Mellin-domain route, one `hankel_component` per
+  nonzero component of M(phi): the reflected product
+
+      M(F phi)(w^(-1))(X) = Gamma(w)(q^(-1/2) X^(-1)) * M(phi)(w)(X^(-1)),
+
+  built as one rational function (`ratfunc.rf_reflected_product`); the checks
   that compare one component (`verify_fe`, `basic_fourier_check`) compute
   M(phi)(omega) alone and pass it to `hankel_component`, with a gamma symbol
   at omega's conductor.
@@ -48,10 +52,10 @@ from functools import cached_property, reduce
 from itertools import repeat
 from operator import add
 
-from .characters import MultChar, char_product, unitary_components
+from .characters import MultChar, char_product
 from .defaults import DEFAULT_PREC
 from .padic import PAdicElt, check_prime, psi_value
-from .ratfunc import (IdentityReport, RationalFunc, rf_dual_subst,
+from .ratfunc import (IdentityReport, RationalFunc, rf_reflected_product,
                       root_of_unity)
 from .stepfn import MellinData, MultStepFunction, mellin
 from .zetagamma import (coset_integral, gamma_closed, gamma_pv_total,
@@ -178,11 +182,11 @@ class GammaSymbol:
     """Map omega -> gamma(s, pi x omega, psi) as rational functions in X.
 
     Components are stored at the s-normalization of gamma_closed; the
-    (s+1/2)-shift required by the kernel Mellin transform is applied at use
-    sites via X -> q^(-1/2) X.  A component is built on its first read, from
-    the constituents by `route`, and kept in `components`: the callers read a
-    handful of the components up to conductor c_max, and a pv component costs
-    brute guard-shell sums.
+    (s+1/2)-shift required by the kernel Mellin transform is applied by
+    `hankel_component`, which reads a component at q^(-1/2) X^(-1).  A
+    component is built on its first read, from the constituents by `route`,
+    and kept in `components`: the callers read a handful of the components
+    up to conductor c_max, and a pv component costs brute guard-shell sums.
     """
 
     p: int
@@ -235,27 +239,26 @@ def hankel_component(sym: GammaSymbol, m_in: RationalFunc,
                      omega: MultChar) -> RationalFunc:
     """M(F phi)(omega^(-1)) from m_in = M(phi)(omega) (`mellin_component`):
 
-        M(F phi)(omega^(-1)) = [Gamma(omega) * M(phi)(omega)](s -> 1-s),
+        M(F phi)(omega^(-1))(X) = Gamma(omega)(q^(-1/2) / X) * m_in(1 / X),
 
-    where both Mellin transforms carry the |x|^s convention and Gamma sits
-    at the gamma(s, .) normalization (hence the q^(+-1/2) rescalings).  A
-    zero M(phi)(omega) gives zero and reads no symbol component."""
+    Tate's local functional equation read in X = q^(-s): both Mellin
+    transforms carry the |x|^s convention and Gamma sits at the gamma(s, .)
+    normalization, so s -> 1-s and the (s+1/2)-shift of the kernel leave
+    one rescaling, on Gamma alone.  One `rf_reflected_product`.  A zero
+    M(phi)(omega) gives zero and reads no symbol component."""
     if m_in.is_zero():
         return RationalFunc.zero(sym.p)
-    rt_q = float(sym.p) ** 0.5
-    z_in = m_in.scale_x(rt_q)                        # Z(s, phi, omega)
-    return rf_dual_subst(sym.component(omega) * z_in).scale_x(1.0 / rt_q)
+    return rf_reflected_product(sym.component(omega), m_in,
+                                float(sym.p) ** -0.5)
 
 
 def hankel_mellin(phi: MultStepFunction, sym: GammaSymbol) -> MellinData:
-    """Mellin data of F_pi(phi), one `hankel_component` per component."""
+    """Mellin data of F_pi(phi), one `hankel_component` per nonzero
+    component of M(phi)."""
     md = mellin(phi, sym.c_max)
     out = MellinData(phi.p, md.c_max)
-    for omega in unitary_components(phi.p, md.c_max):
-        w = omega.inverse()
-        comp = hankel_component(sym, md.component(w), w)
-        if not comp.is_zero():
-            out.comps[omega] = comp
+    for w, m_in in md.comps.items():
+        out.comps[w.inverse()] = hankel_component(sym, m_in, w)
     return out
 
 

@@ -253,6 +253,24 @@ def rf_dual_subst(a: RationalFunc) -> RationalFunc:
     return a.subst_monomial(1.0 / a.q, -1)
 
 
+def rf_reflected_product(a: RationalFunc, b: RationalFunc,
+                         c: complex) -> RationalFunc:
+    """a(c X^(-1)) * b(X^(-1)) as one rational function: one pass over the
+    coefficient pairs of the numerators, one over those of the
+    denominators, and one canonicalization."""
+    def reflect(pa: LaurentPoly, pb: LaurentPoly) -> LaurentPoly:
+        out: dict[int, complex] = {}
+        for e1, c1 in pa.coeffs.items():
+            c1 *= c ** e1
+            for e2, c2 in pb.coeffs.items():
+                e = -e1 - e2
+                out[e] = out.get(e, 0.0) + c1 * c2
+        return LaurentPoly(a.q, out)
+
+    a.num._same_q(b.num)
+    return RationalFunc(reflect(a.num, b.num), reflect(a.den, b.den))
+
+
 def rf_series_coeffs(a: RationalFunc, m_lo: int, m_hi: int) -> list[complex]:
     """Laurent-series coefficients of X^m, m in [m_lo, m_hi], around X = 0.
 

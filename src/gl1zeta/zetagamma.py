@@ -16,8 +16,11 @@ Everything is exact in X = q^(-s):
   guard shells below the last nonvanishing one are still brute-summed,
   checked against their own roundoff bound, and left out of the total.
   gamma_pv compares the routes; their agreeing coefficientwise is the
-  package's central identity check.  `kernel.GammaSymbol` alone multiplies these rank-1 factors;
-  `verify_fe` reads one pv component, through `kernel.hankel_component`.
+  package's central identity check.  `kernel.GammaSymbol` alone multiplies
+  these rank-1 factors; `verify_fe` reads one pv component, through
+  `kernel.hankel_component`, the reflected product
+  M(F phi)(w^(-1))(X) = Gamma(w)(q^(-1/2) X^(-1)) * M(phi)(w)(X^(-1)), which
+  is Tate's local functional equation read in X = q^(-s).
 
 Every coset and shell integral of psi(b*y) chi(y), here and in `kernel`, is
 `coset_integral`, on integer coordinates; a shell is its k = 0 case.  Its

@@ -54,20 +54,45 @@ def test_product_with_inverse_is_trivial():
 
 
 def test_inverse_and_unitary_part_skip_rebuilding(monkeypatch):
+    # validation is cached on (p, cond, unit_char): once a character and its
+    # inverse have been built, building either again, at any t, looks up no
+    # unit group
     looked_up = []
     table = characters.unit_group
     monkeypatch.setattr(characters, "unit_group",
                         lambda p, a: looked_up.append((p, a)) or table(p, a))
     chi = MultChar(5, 2, (3,), 2.0 + 1j)
-    looked_up.clear()
     inv = chi.inverse()
-    assert looked_up == [(5, 2)]
+    looked_up.clear()
+    assert MultChar(5, 2, (3,), 2.0 + 1j) == chi
+    assert MultChar(5, 2, (3,), 0.5j).unit_char == (3,)
+    assert chi.inverse() == inv
+    assert looked_up == []
     assert inv == MultChar(5, 2, (17,), 1 / (2.0 + 1j))
     w = chi.unitary_part()
     assert w.t == 1 and w.unitary_part() is w
     # t = 1 - 0j is not returned as is: its zero sign differs from 1 + 0j
     v = MultChar(5, 0, (), complex(1.0, -0.0)).unitary_part()
     assert cmath.isclose(v.t, 1) and str(v.t) == "(1+0j)"
+
+
+def test_list_unit_char_is_the_tuple_character():
+    for p, cond, vec in ((5, 2, [3]), (2, 3, [1, 1]), (7, 0, [])):
+        chi = MultChar(p, cond, vec, 0.6 + 0.8j)
+        assert chi == MultChar(p, cond, tuple(vec), 0.6 + 0.8j)
+        assert isinstance(chi.unit_char, tuple)
+        assert hash(chi) == hash(MultChar(p, cond, tuple(vec), 0.6 + 0.8j))
+
+
+def test_invalid_character_raises_on_every_attempt():
+    # errors are not cached: each attempt validates again and raises again
+    for _ in range(3):
+        with pytest.raises(ValueError, match="not exact"):
+            MultChar(5, 2, (5,), 1.0)        # order 4: conductor 1, not 2
+        with pytest.raises(ValueError, match="length"):
+            MultChar(5, 2, (1, 1), 1.0)
+        with pytest.raises(ValueError, match="conductor 0"):
+            MultChar(5, 0, [1], 1.0)
 
 
 def test_inverse_unit_parts_cancel_conductor():

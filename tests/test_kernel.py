@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gl1zeta import kernel, stepfn, zetagamma
-from gl1zeta.basicfn import basic_fourier_check
+from gl1zeta.basicfn import BasicFunction, basic_fourier_check
 from gl1zeta.characters import (MultChar, char_product, trivial_char,
                                 unitary_components)
 from gl1zeta.corpus import random_char, random_mult_step, random_satake
@@ -15,7 +15,8 @@ from gl1zeta.kernel import (Gl1Kernel, gamma_symbol, hankel_component,
                             homogeneous_identity_check, lemma31_grid,
                             trace_average_check)
 from gl1zeta.padic import PAdicElt
-from gl1zeta.ratfunc import RationalFunc, rf_close, rf_dual_subst
+from gl1zeta.ratfunc import (RationalFunc, rf_close, rf_discrepancy,
+                             rf_dual_subst, rf_reflected_product)
 from gl1zeta.stepfn import (MultStepFunction, MultTerm, delta_approximant,
                             indicator_ball, mellin, mellin_invert,
                             unit_indicator)
@@ -222,6 +223,83 @@ def test_hankel_component_is_the_hankel_mellin_component(route):
             nonzero.add(w)
     assert 0 < len(nonzero) < len(unitary_components(p, c_max))
     assert set(sym.components) == nonzero
+
+
+def _four_step_component(sym, m_in, omega):
+    # the Mellin route as a chain of four rational functions: Z(s, phi,
+    # omega) = m_in(q^(1/2) X), times Gamma, s -> 1-s, then X -> q^(-1/2) X
+    rt_q = float(sym.p) ** 0.5
+    z_in = m_in.scale_x(rt_q)
+    return rf_dual_subst(sym.component(omega) * z_in).scale_x(1.0 / rt_q)
+
+
+def _scaled_discrepancy(a, b):
+    """rf_discrepancy(a, b) / max(1, largest cross-product coefficient)."""
+    scale = max((a.num * b.den).max_abs(), (b.num * a.den).max_abs())
+    return rf_discrepancy(a, b) / max(1.0, scale)
+
+
+def _hankel_cases(route):
+    """(symbol, m_in, omega) for polynomial m_in at p = 3 and p = 5 (every
+    nonzero component up to conductor 2, ramified and unramified, with
+    omega != omega^(-1) at p = 5) and for the rational m_in of a basic
+    function."""
+    phi_terms = [(0.7 - 0.3j, -1, 2, 1), (-1.1 + 0.4j, 1, 1, 0),
+                 (0.5 + 0.9j, 0, 7, 2), (1.3, -2, 4, 1)]
+    for p, params in ((3, [MultChar(3, 1, (1,), 0.6 + 0.8j), 1.3 - 0.2j]),
+                      (5, [MultChar(5, 1, (1,), 0.6 + 0.8j), 0.9 + 0.1j])):
+        phi = MultStepFunction(p, [MultTerm(c, PAdicElt(p, v, u, 24), k)
+                                   for c, v, u, k in phi_terms])
+        sym = gamma_symbol(params, 2, p=p, route=route)
+        for w, m_in in mellin(phi, 2).comps.items():
+            yield sym, m_in, w
+    for p, alpha in ((3, (0.8 + 0.6j, 1.1)), (5, (0.5j, 1.2 - 0.3j, 0.9))):
+        fn = BasicFunction(p, alpha)
+        yield (gamma_symbol(list(fn.alpha), 0, p, route=route),
+               fn.mellin_component(), trivial_char(p))
+
+
+@pytest.mark.parametrize("route", ["closed", "pv"])
+def test_hankel_component_matches_the_four_step_chain(route):
+    cases = list(_hankel_cases(route))
+    seen = Counter()
+    for sym, m_in, w in cases:
+        got = hankel_component(sym, m_in, w)
+        want = _four_step_component(sym, m_in, w)
+        assert _scaled_discrepancy(got, want) <= 1e-14
+        seen["ramified" if w.cond else "unramified"] += 1
+        seen["rational" if len(m_in.den.coeffs) > 1 else "polynomial"] += 1
+        seen["odd"] += w.inverse() != w
+    assert min(seen.values()) > 0 and len(seen) == 5
+    # the shift on Gamma is q^(-1/2): at q^(+1/2) every case disagrees
+    for sym, m_in, w in cases:
+        wrong = rf_reflected_product(sym.component(w), m_in,
+                                     float(sym.p) ** 0.5)
+        want = _four_step_component(sym, m_in, w)
+        assert _scaled_discrepancy(wrong, want) > 1e-3
+
+
+def test_hankel_component_builds_one_rational_function(monkeypatch):
+    # work count, no clock: with the symbol component already read, one
+    # hankel_component call constructs exactly one RationalFunc
+    p = 5
+    omega = MultChar(p, 1, (1,), 1.0)
+    sym = gamma_symbol([MultChar(p, 1, (3,), 0.6 + 0.8j), 1.3 - 0.2j], 1, p=p)
+    phi = MultStepFunction(p, [MultTerm(0.7 - 0.3j, PAdicElt(p, -1, 2, 24), 1),
+                               MultTerm(1.5, PAdicElt(p, 1, 3, 24), 1)])
+    m_in = stepfn.mellin_component(phi, omega)
+    sym.component(omega)
+    built = []
+    post_init = RationalFunc.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(RationalFunc, "__post_init__", counting_post_init)
+    out = hankel_component(sym, m_in, omega)
+    assert len(built) == 1 and built[0] is out
+    assert not out.is_zero()
 
 
 def test_verify_fe_builds_one_pv_component(monkeypatch):

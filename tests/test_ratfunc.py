@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from gl1zeta.ratfunc import (LaurentPoly, NumericError, RationalFunc,
                              ZeroDenominatorError, rf_close, rf_discrepancy,
-                             rf_dual_subst, rf_series_coeffs)
+                             rf_dual_subst, rf_reflected_product,
+                             rf_series_coeffs)
 
 Q = 5
 
@@ -31,6 +32,20 @@ def test_common_denominator():
     den = (LaurentPoly.one(Q) - LaurentPoly.monomial(Q, 1, a)) * \
           (LaurentPoly.one(Q) - LaurentPoly.monomial(Q, 1, b))
     assert rf_close(lhs, RationalFunc(num, den))
+
+
+def test_reflected_product_evaluates_pointwise():
+    # a(c / X) * b(1 / X), with denominators and negative exponents on both
+    a = RationalFunc(LaurentPoly(Q, {-1: 0.4j, 2: 1.5}),
+                     LaurentPoly(Q, {0: 1.0, 1: -0.3 + 0.2j}))
+    b = geom(Q, 0.7) * RationalFunc.monomial(Q, -2, 2.0 - 1.0j)
+    c = Q ** -0.5
+    out = rf_reflected_product(a, b, c)
+    for x in (0.3 + 0.4j, -1.7, 2.2j):
+        want = a.eval(c / x) * b.eval(1 / x)
+        assert abs(out.eval(x) - want) <= 1e-12 * max(1.0, abs(want))
+    with pytest.raises(ValueError, match="mixed q"):
+        rf_reflected_product(a, geom(3), c)
 
 
 def test_cancellation_to_one():

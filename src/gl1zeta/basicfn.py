@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .characters import MultChar, trivial_char
 from .kernel import gamma_symbol, hankel_component
 from .padic import check_prime
-from .ratfunc import (IdentityReport, RationalFunc, geometric_series,
+from .ratfunc import (IdentityReport, LaurentPoly, RationalFunc, geometric_series,
                       rf_discrepancy, rf_series_coeffs)
 from .zetagamma import l_factor_satake
 
@@ -131,7 +131,6 @@ def basic_zeta_check(alpha, chi: MultChar,
     else:
         coeffs = [fn.shell_value(m) * vol * (t ** m) * float(q) ** (m / 2.0)
                   for m in range(window + 1)]
-        from .ratfunc import LaurentPoly
         series = RationalFunc.from_poly(
             LaurentPoly(q, dict(enumerate(coeffs))))
         want = rf_series_coeffs(rhs, 0, window)

@@ -13,7 +13,7 @@ import random
 
 from .characters import MultChar, unitary_components
 from .defaults import DEFAULT_PREC
-from .padic import PAdicElt
+from .padic import PAdicElt, unit_residues
 from .stepfn import (MultStepFunction, MultTerm, StepFunction, StepTerm)
 
 DEFAULT_PRIMES = (2, 3, 5, 7)
@@ -39,7 +39,7 @@ def random_mult_step(rng: random.Random, p: int,
         m = rng.randrange(-2, 3)
         k = rng.randrange(0, max_level + 1)
         if k:
-            units = [u for u in range(1, p ** k) if u % p]
+            units = unit_residues(p, k)
             u = units[rng.randrange(len(units))]
         else:
             u = 1
@@ -53,7 +53,7 @@ def random_step(rng: random.Random, p: int) -> StepFunction:
     terms = []
     for _ in range(rng.randrange(1, 4)):
         coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        units = [u for u in range(1, p * p) if u % p]
+        units = unit_residues(p, 2)
         twist = None if rng.random() < 0.4 else PAdicElt(
             p, rng.randrange(-3, 1), units[rng.randrange(len(units))], DEFAULT_PREC)
         center = None if rng.random() < 0.4 else PAdicElt(
@@ -74,12 +74,11 @@ def corpus_generate(seed: int, sizes: dict | None = None) -> dict:
     n_fe = int(sizes.get("fe", 50))
     n_hankel = int(sizes.get("hankel", 20))
     n_satake = int(sizes.get("satake", 20))
-    primes = tuple(sizes.get("primes", DEFAULT_PRIMES))
     rng = random.Random(seed)
 
     fe_entries = []
     for i in range(n_fe):
-        p = primes[rng.randrange(len(primes))]
+        p = DEFAULT_PRIMES[rng.randrange(len(DEFAULT_PRIMES))]
         chi = random_char(rng, p, 2)
         if i % 2 == 0:
             phi = random_step(rng, p)
@@ -106,7 +105,7 @@ def corpus_generate(seed: int, sizes: dict | None = None) -> dict:
                       for _ in range(n_satake)]
 
     gamma_entries = []
-    for p in primes:
+    for p in DEFAULT_PRIMES:
         for base in unitary_components(p, 2):
             for _ in range(int(sizes.get("gamma_t", 5))):
                 gamma_entries.append(MultChar(p, base.cond, base.unit_char,

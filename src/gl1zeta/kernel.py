@@ -54,7 +54,7 @@ from operator import add
 
 from .characters import MultChar, char_product
 from .defaults import DEFAULT_PREC
-from .padic import PAdicElt, check_prime, psi_value
+from .padic import PAdicElt, check_prime, psi_value, unit_residues
 from .ratfunc import (IdentityReport, RationalFunc, rf_reflected_product,
                       root_of_unity)
 from .stepfn import MellinData, MultStepFunction, mellin
@@ -278,12 +278,6 @@ class ShellTable:
         raise KeyError("no row covers %r" % (x,))
 
 
-def _grid_units(p: int, level: int) -> list[int]:
-    if level == 0:
-        return [1]
-    return [u for u in range(1, p ** level) if u % p]
-
-
 def kernel_coset_integral(k: Gl1Kernel, val: int, unit: int,
                           level: int) -> complex:
     """int over p^val*unit*(1+p^level Z_p) (level >= 1) or p^val*Z_p^x
@@ -316,7 +310,7 @@ def hankel_convolve(phi: MultStepFunction, k: Gl1Kernel,
     memo: dict[tuple[int, int, int], complex] = {}
     rows: list[tuple[int, PAdicElt, complex]] = []
     for m in range(m_lo, m_hi + 1):
-        for u in _grid_units(p, level):
+        for u in unit_residues(p, level):
             total = 0.0 + 0.0j
             for coeff, rep_val, rep_unit, rep_k in terms:
                 val = m + rep_val

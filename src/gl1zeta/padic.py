@@ -199,6 +199,13 @@ def shell_volume(p: int) -> float:
 # unit groups (Z/p^a)^x
 
 
+def unit_residues(p: int, level: int) -> list[int]:
+    """The units mod p^level in ascending order; [1] at level 0."""
+    if level == 0:
+        return [1]
+    return [u for u in range(1, p ** level) if u % p]
+
+
 @dataclass(frozen=True)
 class UnitGroupTable:
     """Generators and discrete logs of (Z/p^a)^x.

@@ -2,16 +2,19 @@
 
 The wire formats are pinned by the schema documents in gl1zeta/schemas/;
 each decoder validates its input, so the CLI checks it before computing.
+The check is done here, for the fixed set of draft 2020-12 keywords those
+documents use, read as jsonschema 4 reads them; a schema with any other
+keyword or form fails to load.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import importlib.resources
 import json
+import re
 from fractions import Fraction
-
-import jsonschema
 
 from .arch import ArchChar, ArchSeed
 from .characters import MultChar, char_from_json, char_to_json
@@ -28,21 +31,96 @@ class InputFormatError(ValueError):
         self.code = code
 
 
-_SCHEMA_CACHE: dict[str, dict] = {}
+_TYPES = {"integer": int, "number": (int, float), "string": str, "array": list,
+          "object": dict, "null": type(None)}
+
+# keyword -> the form of its value that `_error` reads: a type name, "type"
+# (a type name itself), "strings" (a list of strings) or False
+_FORMS = {"$schema": "string", "title": "string", "pattern": "string",
+          "const": "string", "enum": "strings", "required": "strings",
+          "type": "type", "properties": "object", "items": "object",
+          "oneOf": "array", "additionalProperties": False,
+          "minItems": "integer", "maxItems": "integer", "minimum": "number"}
 
 
+def _has_type(x, name: str) -> bool:
+    """Draft 2020-12 types: a bool is no number, 5.0 is an integer."""
+    return not isinstance(x, bool) and (isinstance(x, _TYPES[name]) or (
+        name == "integer" and isinstance(x, float) and x.is_integer()))
+
+
+def _has_form(value, form) -> bool:
+    if form is False:
+        return value is False
+    if form == "type":
+        return isinstance(value, str) and value in _TYPES
+    if form == "strings":
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return _has_type(value, form)
+
+
+def check_schema(schema) -> dict:
+    """`schema` itself, once every keyword in it, nested ones too, is in
+    `_FORMS` with the form given there; else ValueError."""
+    if not isinstance(schema, dict):
+        raise ValueError("a schema must be an object, not %r" % (schema,))
+    for key, value in schema.items():
+        if key not in _FORMS or not _has_form(value, _FORMS[key]):
+            raise ValueError("unsupported schema keyword or form: %r: %r" % (key, value))
+    subs = [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]
+    for sub in subs + ([schema["items"]] if "items" in schema else []):
+        check_schema(sub)
+    return schema
+
+
+@functools.cache
 def load_schema(name: str) -> dict:
-    if name not in _SCHEMA_CACHE:
-        ref = importlib.resources.files("gl1zeta.schemas").joinpath(name + ".json")
-        _SCHEMA_CACHE[name] = json.loads(ref.read_text())
-    return _SCHEMA_CACHE[name]
+    ref = importlib.resources.files("gl1zeta.schemas").joinpath(name + ".json")
+    return check_schema(json.loads(ref.read_text()))
+
+
+def _error(x, schema: dict, at: str) -> str | None:
+    """Why `x`, found at the JSON path `at`, fails `schema`; None if it does
+    not.  Each keyword other than type, const, enum and oneOf applies only
+    to instances of its own type."""
+    if "type" in schema and not _has_type(x, schema["type"]):
+        return "%s: %r is not of type %r" % (at, x, schema["type"])
+    if "const" in schema and x != schema["const"]:
+        return "%s: %r is not %r" % (at, x, schema["const"])
+    if "enum" in schema and x not in schema["enum"]:
+        return "%s: %r is not one of %r" % (at, x, schema["enum"])
+    if "minimum" in schema and _has_type(x, "number") and x < schema["minimum"]:
+        return "%s: %r is less than %r" % (at, x, schema["minimum"])
+    if "pattern" in schema and isinstance(x, str) and not re.search(schema["pattern"], x):
+        return "%s: %r does not match %r" % (at, x, schema["pattern"])
+    if isinstance(x, list):
+        if not schema.get("minItems", 0) <= len(x) <= schema.get("maxItems", len(x)):
+            return "%s: %d items is outside [minItems, maxItems]" % (at, len(x))
+        if "items" in schema:
+            for i, item in enumerate(x):
+                if err := _error(item, schema["items"], "%s[%d]" % (at, i)):
+                    return err
+    if isinstance(x, dict):
+        for key in schema.get("required", ()):
+            if key not in x:
+                return "%s: %r is a required property" % (at, key)
+        props = schema.get("properties", {})
+        for key, value in x.items():
+            if key in props:
+                if err := _error(value, props[key], "%s.%s" % (at, key)):
+                    return err
+            elif "additionalProperties" in schema:
+                return "%s: additional property %r is not allowed" % (at, key)
+    if "oneOf" in schema:
+        n = sum(_error(x, sub, at) is None for sub in schema["oneOf"])
+        if n != 1:
+            return "%s: %r matches %d of the oneOf schemas, not 1" % (at, x, n)
+    return None
 
 
 def validate(obj, schema_name: str) -> None:
-    try:
-        jsonschema.validate(obj, load_schema(schema_name))
-    except jsonschema.ValidationError as exc:
-        raise InputFormatError("schema/" + schema_name, exc.message) from exc
+    if err := _error(obj, load_schema(schema_name), "$"):
+        raise InputFormatError("schema/" + schema_name, err)
 
 
 # -- p-adic scalars ---------------------------------------------------------

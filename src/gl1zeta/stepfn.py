@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 from .characters import MultChar, unit_values, unitary_components
 from .defaults import DEFAULT_PREC, PRUNE_REL_EPS
-from .padic import PAdicElt, PrecisionError, check_prime, psi_value, shell_volume
+from .padic import (PAdicElt, PrecisionError, check_prime, psi_value, shell_volume,
+                    unit_residues)
 from .ratfunc import LaurentPoly, RationalFunc, rf_series_coeffs
 
 
@@ -324,15 +325,10 @@ def _pruned(table, coeffs) -> dict[int, tuple[int, dict[int, complex]]]:
 
 def _refined_units(p: int, t: MultTerm, level: int):
     """Unit residues mod p^level of the 1+p^level cosets tiling t's coset."""
-    if level == 0:
-        yield 1
+    if t.k == 0:  # also every level-0 term, since t.k <= level
+        yield from unit_residues(p, level)
         return
     mod = p ** level
-    if t.k == 0:
-        for u in range(1, mod):
-            if u % p:
-                yield u
-        return
     u_rep = t.rep.unit_mod(level)
     step = p ** t.k
     for j in range(p ** (level - t.k)):
@@ -451,11 +447,7 @@ def mellin_invert(d: MellinData, m_lo: int, m_hi: int, c_max: int) -> MultStepFu
                              % (omega.cond, c_max))
     p = d.p
     vol_units = shell_volume(p)
-    if c_max == 0:
-        unit_reps = [1]
-    else:
-        mod = p ** c_max
-        unit_reps = [u for u in range(1, mod) if u % p]
+    unit_reps = unit_residues(p, c_max)
     # per component: its series coefficients on the window and the conjugate
     # of its value at each unit rep, each read once
     columns = []
@@ -484,12 +476,9 @@ def mult_distance(f: MultStepFunction, g: MultStepFunction) -> float:
     support."""
     p = f.p
     level = max(f.max_level(), g.max_level(), 1)
-    mod = p ** level
     worst = 0.0
     for m in sorted(set(f.shells()) | set(g.shells())):
-        for u in range(1, mod):
-            if u % p == 0:
-                continue
+        for u in unit_residues(p, level):
             x = PAdicElt(p, m, u, DEFAULT_PREC)
             worst = max(worst, abs(f.eval(x) - g.eval(x)))
     return worst

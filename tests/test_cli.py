@@ -214,7 +214,7 @@ def test_arch_fe_pole_exit_two(capsys):
 def test_import_loads_no_scipy_or_numpy():
     src = os.path.dirname(os.path.dirname(gl1zeta.__file__))
     probe = ("import sys, gl1zeta, gl1zeta.cli; print(sorted("
-             "m for m in ('scipy', 'numpy') if m in sys.modules))")
+             "m for m in ('scipy', 'numpy', 'jsonschema') if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=60, check=True,
                           env=dict(os.environ, PYTHONPATH=src))

@@ -37,8 +37,10 @@ psi * chi integral, at every level (level 0, a whole shell, is its k = 0
 case); no second summation loop lives here.  Within one
 `hankel_convolve` call each coset integral is computed once per key
 (valuation, unit mod p^max(cond, d), level), d = max(0, -valuation); the
-memo belongs to the call, so concurrent calls share nothing.  `PAdicElt`
-appears only in the returned rows.
+memo belongs to the call.  An input shell below the kernel's support (the
+rule `zetagamma.vanishes_by_oscillation`: its integrals are all 0) is
+skipped.  `PAdicElt` appears only as the rows' representatives, immutable
+objects built once per process and shared by every call.
 
 `trace_average_check` is the finite verifier of the vanishing lemma for
 averages of psi(tr(g h)) over principal congruence subgroups of SL_2.
@@ -48,9 +50,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import repeat
-from operator import add
+from operator import add, mul
 
 from .characters import MultChar, char_product
 from .defaults import DEFAULT_PREC
@@ -59,7 +61,7 @@ from .ratfunc import (IdentityReport, RationalFunc, rf_reflected_product,
                       root_of_unity)
 from .stepfn import MellinData, MultStepFunction, mellin
 from .zetagamma import (coset_integral, gamma_closed, gamma_pv_total,
-                        normalize_pi, verify_fe)
+                        normalize_pi, vanishes_by_oscillation, verify_fe)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +187,10 @@ class GammaSymbol:
     (s+1/2)-shift required by the kernel Mellin transform is applied by
     `hankel_component`, which reads a component at q^(-1/2) X^(-1).  A
     component is built on its first read, from the constituents by `route`,
-    and kept in `components`: the callers read a handful of the components
-    up to conductor c_max, and a pv component costs brute guard-shell sums.
+    as the product of their rank-1 factors starting from the first (n - 1
+    products at rank n), and kept in `components`: the callers read a
+    handful of the components up to conductor c_max, and a pv component
+    costs brute guard-shell sums.
     """
 
     p: int
@@ -203,14 +207,10 @@ class GammaSymbol:
         if key.p != self.p or key.cond > self.c_max:
             raise KeyError("gamma symbol has no component at conductor %d "
                            "(c_max = %d)" % (omega.cond, self.c_max))
-        comp = RationalFunc.one(self.p)
-        for chi in self.constituents:
-            prod = char_product(chi, key)
-            if self.route == "closed":
-                comp = comp * gamma_closed(prod)
-            else:
-                comp = comp * gamma_pv_total(prod)[0]
-        self.components[key] = comp
+        factor = (gamma_closed if self.route == "closed"
+                  else lambda prod: gamma_pv_total(prod)[0])
+        comp = self.components[key] = reduce(
+            mul, (factor(char_product(chi, key)) for chi in self.constituents))
         return comp
 
 
@@ -291,36 +291,52 @@ def kernel_coset_integral(k: Gl1Kernel, val: int, unit: int,
     return value * float(k.p) ** (-val / 2.0)
 
 
+@cache
+def _row_rep(p: int, m: int, u: int) -> PAdicElt:
+    """The row representative p^m * u at DEFAULT_PREC digits, built once per
+    process and shared (the class is immutable)."""
+    return PAdicElt(p, m, u, DEFAULT_PREC)
+
+
 def hankel_convolve(phi: MultStepFunction, k: Gl1Kernel,
                     m_lo: int, m_hi: int, level: int) -> ShellTable:
     """(k * phi^v)(x) = int k(y) phi(x^(-1) y) dy* on the shell window.
 
-    Values are reported on 1+p^level cosets.  The coset integral at
+    Values are reported on 1+p^level cosets, level at least phi's coset
+    level (a coarser row would mix values).  The coset integral at
     a = x * rep depends on a only through its valuation and its unit mod
     p^max(cond, d), d = max(0, -v(a)), so each call computes it once per
-    such key; the memo lives for the call.
+    such key; the memo lives for the call.  An input shell on which
+    `vanishes_by_oscillation` holds adds only zeros and is skipped; each row
+    adds the other terms in phi's coset order.  Rows share representatives.
     """
     p = phi.p
     if k.p != p:
         raise ValueError("mixed primes %d, %d" % (p, k.p))
+    if level < phi.max_level():
+        raise ValueError("level %d below the function's coset level %d"
+                         % (level, phi.max_level()))
     cond = k.chi.cond
-    # (coeff, valuation, unit, level) of each coset of phi's shell table
-    terms = [(c, rep_val, u, rep_k) for rep_val, (rep_k, coeffs)
-             in phi._shells.items() for u, c in coeffs.items()]
+    units = unit_residues(p, level)
     memo: dict[tuple[int, int, int], complex] = {}
     rows: list[tuple[int, PAdicElt, complex]] = []
     for m in range(m_lo, m_hi + 1):
-        for u in unit_residues(p, level):
-            total = 0.0 + 0.0j
-            for coeff, rep_val, rep_unit, rep_k in terms:
-                val = m + rep_val
-                unit = u * rep_unit
-                key = (val, unit % p ** max(cond, -val), rep_k)
-                value = memo.get(key)
-                if value is None:
-                    value = memo[key] = kernel_coset_integral(k, val, unit, rep_k)
-                total += coeff * value
-            rows.append((m, PAdicElt(p, m, u, DEFAULT_PREC), total))
+        totals = [0.0 + 0.0j] * len(units)
+        for rep_val, (rep_k, coeffs) in phi._shells.items():
+            val = m + rep_val
+            if vanishes_by_oscillation(-val, cond, rep_k):
+                continue
+            mod = p ** max(cond, -val)
+            for rep_unit, coeff in coeffs.items():
+                for i, u in enumerate(units):
+                    unit = u * rep_unit
+                    key = (val, unit % mod, rep_k)
+                    value = memo.get(key)
+                    if value is None:
+                        value = memo[key] = kernel_coset_integral(k, val, unit, rep_k)
+                    totals[i] += coeff * value
+        rows.extend((m, _row_rep(p, m, u), total)
+                    for u, total in zip(units, totals))
     return ShellTable(p, level, rows)
 
 

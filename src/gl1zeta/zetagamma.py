@@ -107,6 +107,13 @@ def _unit_sum(p: int, cond: int, unit_char: tuple[int, ...],
     return total
 
 
+def vanishes_by_oscillation(d: int, cond: int, k: int) -> bool:
+    """True when psi(b*y) on a coset of level k, at depth d = max(0, -w),
+    oscillates strictly finer than any character scale, so the coset
+    integral of psi(b*y) chi(y) with chi of conductor `cond` vanishes."""
+    return d > max(cond, k, 1)
+
+
 def coset_integral(chi: MultChar, k: int, val: int, unit: int, prec: int,
                    w: int = 0, twist: int = 1, twist_prec: int = 0,
                    brute: bool = False) -> complex:
@@ -114,13 +121,15 @@ def coset_integral(chi: MultChar, k: int, val: int, unit: int, prec: int,
     over the shell p^val Z_p^x for k = 0, with the unit known to `prec`
     digits, and b * p^val * unit = p^w * twist, with the twist known to
     `twist_prec` digits.  Without b, w = 0 and the twist is never read.
-    brute=True sums even where a vanishing shortcut decides."""
+    brute=True sums even where a vanishing shortcut decides:
+    `vanishes_by_oscillation`, or character orthogonality on a shell where
+    psi is trivial."""
     p = chi.p
     cond = chi.cond
     d = max(0, -w)
     if not brute:
-        if d > max(cond, k, 1):
-            return 0.0 + 0.0j  # oscillation strictly finer than any character scale
+        if vanishes_by_oscillation(d, cond, k):
+            return 0.0 + 0.0j
         if k == 0 and d == 0:
             # psi is trivial on the shell: character orthogonality decides
             if cond:

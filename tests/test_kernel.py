@@ -14,7 +14,8 @@ from gl1zeta.kernel import (Gl1Kernel, gamma_symbol, hankel_component,
                             hankel_convolve, hankel_mellin,
                             homogeneous_identity_check, lemma31_grid,
                             trace_average_check)
-from gl1zeta.padic import PAdicElt
+from gl1zeta.defaults import DEFAULT_PREC
+from gl1zeta.padic import PAdicElt, unit_residues
 from gl1zeta.ratfunc import (RationalFunc, rf_close, rf_discrepancy,
                              rf_dual_subst, rf_reflected_product)
 from gl1zeta.stepfn import (MultStepFunction, MultTerm, delta_approximant,
@@ -154,19 +155,45 @@ def test_gamma_symbol_lazy_components_match_eager_product(route):
 
 def test_hankel_two_routes_agree():
     rng = random.Random(53)
+    cases = [(random_char(rng, p, 1), random_mult_step(rng, p))
+             for p in (3, 5, 7) for _ in range(6)]
+    # p = 2 has no character of conductor 1: chi_pi of conductor 2 and 3
+    # meets the edge of the shell skip rule d > max(cond, k, 1)
+    for w in unitary_components(2, 3):
+        if w.cond >= 2:
+            t = cmath.exp(2j * cmath.pi * rng.random())
+            cases += [(MultChar(2, w.cond, w.unit_char, t),
+                       random_mult_step(rng, 2)) for _ in range(2)]
+    assert {(chi.p, chi.cond) for chi, _ in cases if chi.p == 2} == {(2, 2), (2, 3)}
     worst = 0.0
-    for p in (3, 5):
-        for _ in range(6):
-            chi_pi = random_char(rng, p, 1)
-            kern = Gl1Kernel(chi_pi)
-            phi = random_mult_step(rng, p)
-            c_max = max(phi.max_level(), chi_pi.cond, 1)
-            sym = gamma_symbol([chi_pi], c_max, p=p)
-            back = mellin_invert(hankel_mellin(phi, sym), -5, 5, c_max)
-            table = hankel_convolve(phi, kern, -5, 5, level=c_max)
-            for m, rep, v in table.rows:
-                worst = max(worst, abs(v - back.eval(rep)))
+    for chi_pi, phi in cases:
+        p = chi_pi.p
+        c_max = max(phi.max_level(), chi_pi.cond, 1)
+        sym = gamma_symbol([chi_pi], c_max, p=p)
+        back = mellin_invert(hankel_mellin(phi, sym), -5, 5, c_max)
+        table = hankel_convolve(phi, Gl1Kernel(chi_pi), -5, 5, level=c_max)
+        for m, rep, v in table.rows:
+            worst = max(worst, abs(v - back.eval(rep)))
     assert worst <= 1e-9
+
+
+def test_hankel_convolve_rejects_a_level_below_phi():
+    # rows at level 0 or 1 cannot tell 1 + 25Z_5 from 7(1 + 25Z_5), so they
+    # would mix the values of the two cosets: 0.2312-0.1467i at 5^-2 * 7 on
+    # level 0, where the level-2 value is -0.2312+0.2462i
+    p = 5
+    phi = MultStepFunction(p, [MultTerm(1.0, PAdicElt(p, 0, 1, 24), 2),
+                               MultTerm(-1.0, PAdicElt(p, 0, 7, 24), 2)])
+    kern = Gl1Kernel(trivial_char(p))
+    for level in (0, 1):
+        with pytest.raises(ValueError, match="below the function's coset level"):
+            hankel_convolve(phi, kern, -3, 3, level)
+    x = PAdicElt(p, -2, 7, 24)
+    value = hankel_convolve(phi, kern, -3, 3, 2).value_at(x)
+    assert abs(value - (-0.2312 + 0.2462j)) < 1e-4
+    back = mellin_invert(hankel_mellin(phi, gamma_symbol([trivial_char(p)], 2, p=p)),
+                         -3, 3, 2)
+    assert abs(value - back.eval(x)) < 1e-9
 
 
 def test_hankel_unit_indicator_hand_values():
@@ -457,9 +484,13 @@ def test_check_fails_on_a_wrong_gamma(monkeypatch, name):
 
 
 def test_hankel_convolve_work_counts(monkeypatch):
-    # One PAdicElt per row and one coset integral per distinct key
-    # (valuation, unit mod p^max(cond, d), level): the work the memo saves,
-    # counted without a clock.
+    # Work counts, no clock.  A repeated call builds no PAdicElt (the row
+    # representatives are shared) and computes one coset integral per
+    # distinct key (valuation, unit mod p^max(cond, d), level), d = -valuation,
+    # of the input shells it does not skip.  Every key of the plain loop over
+    # all (row, coset) pairs that it skips lies below the kernel's support,
+    # d > max(cond, level, 1), and brute-sums to 0 within the roundoff bound
+    # gamma_(n+40) * mass of its n-term unit sum (as `_guard_roundoff`).
     p = 3
     chi = MultChar(p, 1, (1,), 1.3 - 0.4j)
     phi = MultStepFunction(p, [
@@ -483,8 +514,66 @@ def test_hankel_convolve_work_counts(monkeypatch):
     monkeypatch.setattr(PAdicElt, "__post_init__", counting_post_init)
     monkeypatch.setattr(kernel, "kernel_coset_integral", counting_integral)
     table = hankel_convolve(phi, kern, -5, 5, level=2)
-    assert len(built) == len(table.rows) == 11 * 6
-    assert len(keys) == len(set(keys)) == 114     # of 66 rows x 3 terms
+    assert len(table.rows) == 11 * 6 and built == []
+    assert len(keys) == len(set(keys)) == 48
+    every = set()          # the keys of the plain loop, 66 rows x 3 cosets
+    for m in range(-5, 6):
+        for u in unit_residues(p, 2):
+            for rep_val, (rep_k, coeffs) in phi._shells.items():
+                val = m + rep_val
+                every.update((val, u * c_unit % p ** max(chi.cond, -val), rep_k)
+                             for c_unit in coeffs)
+    assert len(every) == 114 and set(keys) <= every
+    for val, unit, level in every - set(keys):
+        assert -val > max(chi.cond, level, 1)
+        unit = unit if level else 1      # as kernel_coset_integral reads it
+        value = zetagamma.coset_integral(kern.chi_inv, level, val, unit,
+                                         DEFAULT_PREC, val, unit, DEFAULT_PREC,
+                                         brute=True)
+        top = max(level, 1, chi.cond, -val)
+        n = p ** (top - level) if level else p ** top - p ** (top - 1)
+        mass = n * p ** -top * abs(kern.chi_inv.value_at(val, unit, DEFAULT_PREC))
+        nc = (n + 40) * 2.0 ** -53
+        assert abs(value) <= nc / (1 - nc) * mass, (val, unit, level, value)
+
+
+def test_gamma_symbol_component_work_counts(monkeypatch):
+    # Work counts, no clock: a rank-n component is the product of its n
+    # rank-1 factors starting from the first, n - 1 multiplications, with
+    # the coefficients of the chain RationalFunc.one(p) * f_1 * ... * f_n.
+    # The factors are computed up front and read back, so that only the
+    # multiplications of the product are counted.
+    p = 5
+    rng = random.Random(73)
+    chis = [random_char(rng, p, 1, unitary_t=False) for _ in range(3)]
+    omegas = unitary_components(p, 1)
+    prods = {char_product(chi, w) for chi in chis for w in omegas}
+    closed = {prod: gamma_closed(prod) for prod in prods}
+    pv = {prod: zetagamma.gamma_pv_total(prod) for prod in prods}
+    monkeypatch.setattr(kernel, "gamma_closed", closed.__getitem__)
+    monkeypatch.setattr(kernel, "gamma_pv_total", pv.__getitem__)
+    mul = RationalFunc.__mul__
+    calls = []
+
+    def counting_mul(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    for route, factor_of in (("closed", closed.__getitem__),
+                             ("pv", lambda prod: pv[prod][0])):
+        for n in (1, 2, 3):
+            for w in omegas:
+                expect = RationalFunc.one(p)
+                for chi in chis[:n]:
+                    expect = expect * factor_of(char_product(chi, w))
+                sym = gamma_symbol(chis[:n], 1, p=p, route=route)
+                monkeypatch.setattr(RationalFunc, "__mul__", counting_mul)
+                calls.clear()
+                got = sym.component(w)
+                monkeypatch.setattr(RationalFunc, "__mul__", mul)
+                assert len(calls) == n - 1, (route, n, w)
+                assert got.num.coeffs == expect.num.coeffs
+                assert got.den.coeffs == expect.den.coeffs
 
 
 def test_mellin_invert_work_counts(monkeypatch):

@@ -294,7 +294,7 @@ def kernel_coset_integral(k: Gl1Kernel, val: int, unit: int,
 @cache
 def _row_rep(p: int, m: int, u: int) -> PAdicElt:
     """The row representative p^m * u at DEFAULT_PREC digits, built once per
-    process and shared (the class is immutable)."""
+    process, kept for its life and shared by every later call (immutable)."""
     return PAdicElt(p, m, u, DEFAULT_PREC)
 
 

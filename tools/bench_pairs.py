@@ -1,18 +1,19 @@
 """Run the benchmark on two checkouts in alternated pairs; write a BENCH record.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR \\
-        --run WORKLOAD:SEED:PAIRS [--run ...] [--seconds 30] \\
-        [--claim WORKLOAD:METRIC] --what TEXT --out BENCH_name.json
+        --run WORKLOAD:SEED:PAIRS [--run ...] --claim WORKLOAD:METRIC \\
+        --what TEXT --out BENCH_name.json
 
 Each pair runs `perfbench/run.py --workload W --seed S --seconds N --trace 0`
-once in each checkout, one run at a time; the parent runs first in the
-even-numbered pairs (0, 2, ...), the change first in the odd ones, so a
-drift of the host's speed does not favour either side.  The record keeps,
-per workload and seed and per end-to-end metric of BENCHMARK.json, every
-run of each side, its median and quartiles (`statistics.quantiles`,
-inclusive method) and the number of pairs that side won, and the number of
-failed checks summed over each side's runs.  Standard library only; the
-benchmark itself is run as it is, from each checkout's own files.
+once in each checkout, one run at a time, with N the `run_seconds` of the
+change's BENCHMARK.json; the parent runs first in the even-numbered pairs
+(0, 2, ...), the change first in the odd ones, so a drift of the host's
+speed does not favour either side.  The record keeps, per workload and
+seed and per end-to-end metric of BENCHMARK.json, every run of each side,
+its median and quartiles (`statistics.quantiles`, inclusive method) and the
+number of pairs that side won, and the number of failed checks summed over
+each side's runs.  Standard library only; the benchmark itself is run as
+it is, from each checkout's own files.
 """
 
 from __future__ import annotations
@@ -96,33 +97,31 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--run", type=_triple, action="append", required=True,
                     metavar="WORKLOAD:SEED:PAIRS")
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC")
+    ap.add_argument("--claim", required=True, metavar="WORKLOAD:METRIC")
     ap.add_argument("--what", required=True)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     results = []
     for workload, seed, n_pairs in args.run:
         pairs = []
         for i in range(n_pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            runs = {side: run_once(trees[side], workload, seed, args.seconds)
+            runs = {side: run_once(trees[side], workload, seed, seconds)
                     for side in order}
             pairs.append((runs["parent"], runs["change"]))
             print("%s seed %d pair %d/%d done" % (workload, seed, i + 1, n_pairs),
                   file=sys.stderr)
         results.append(summarize(workload, seed, pairs, bench["end_to_end"]))
-    claim = None
-    if args.claim:
-        workload, metric = args.claim.split(":")
-        claim = {"workload": workload, "metric": metric,
-                 "seeds": [r["seed"] for r in results if r["workload"] == workload]}
+    workload, metric = args.claim.split(":")
+    claim = {"workload": workload, "metric": metric,
+             "seeds": [r["seed"] for r in results if r["workload"] == workload]}
     record = {
         "what": args.what,
         "parent": _head(trees["parent"]),
-        "command": COMMAND % args.seconds,
+        "command": COMMAND % seconds,
         "host": "%d CPUs, %s, Python %s" % (
             os.cpu_count() or 0, platform.machine(), platform.python_version()),
         "method": METHOD,

@@ -9,7 +9,9 @@ values
 where h_m is the complete homogeneous symmetric polynomial (the X^m series
 coefficient of prod_i (1 - alpha_i X)^(-1)).  The 1/(1 - 1/q) normalization
 is the unique constant making Z(s, L_pi, chi) = L(s, pi x chi) under this
-package's measure (vol(Z_p^x, dx*) = 1 - 1/q).
+package's measure (vol(Z_p^x, dx*) = 1 - 1/q).  h_0..h_w come from one
+series pass per Satake list; a list so large that pruning drops the constant
+term 1 of the product raises ValueError (`zetagamma.l_factor_satake`).
 
 basic_zeta_check assembles the zeta integral by an independent route
 (partial fractions into geometric shell tails) and compares it with the
@@ -30,15 +32,17 @@ from .ratfunc import (IdentityReport, LaurentPoly, RationalFunc, geometric_serie
 from .zetagamma import l_factor_satake
 
 
-def complete_homogeneous(m: int, alpha) -> complex:
-    """h_m(alpha), via the series recurrence of prod (1 - alpha_i X)^(-1).
+def _h_series(alpha, window: int) -> list[complex]:
+    """h_0(alpha), ..., h_window(alpha): one pass of the series recurrence of
+    prod (1 - alpha_i X)^(-1).  h_m has no prime; q = 2 only tags X."""
+    return rf_series_coeffs(l_factor_satake(2, alpha), 0, window)
 
-    h_m has no prime; q = 2 only tags the series variable X.
-    """
+
+def complete_homogeneous(m: int, alpha) -> complex:
+    """h_m(alpha), the last term of `_h_series(alpha, m)`."""
     if m < 0:
         raise ValueError("h_m needs m >= 0")
-    lf = l_factor_satake(2, alpha)
-    return rf_series_coeffs(lf, m, m)[0]
+    return _h_series(alpha, m)[m]
 
 
 @dataclass(frozen=True)
@@ -54,11 +58,13 @@ class BasicFunction:
         if any(a == 0 for a in self.alpha):
             raise ValueError("Satake parameters must be nonzero")
 
+    def shell_values(self, window: int) -> list[complex]:
+        """L_pi(S_0), ..., L_pi(S_window), one `_h_series` pass."""
+        return [h * float(self.p) ** (-m / 2.0) / (1.0 - 1.0 / self.p)
+                for m, h in enumerate(_h_series(self.alpha, window))]
+
     def shell_value(self, m: int) -> complex:
-        if m < 0:
-            return 0.0 + 0.0j
-        h = complete_homogeneous(m, self.alpha)
-        return h * float(self.p) ** (-m / 2.0) / (1.0 - 1.0 / self.p)
+        return self.shell_values(m)[m] if m >= 0 else 0.0 + 0.0j
 
     def dual(self) -> "BasicFunction":
         """Basic function of the contragredient: Satake list alpha^(-1)."""
@@ -71,7 +77,7 @@ class BasicFunction:
         return l_factor_satake(self.p, [a * rt for a in self.alpha])
 
     def table(self, window: int) -> list[tuple[int, complex]]:
-        return [(m, self.shell_value(m)) for m in range(0, window + 1)]
+        return list(enumerate(self.shell_values(window)))
 
 
 # Largest partial-fraction weight |c_i| = |prod_{j != i} 1/(1 - alpha_j/alpha_i)|
@@ -129,8 +135,8 @@ def basic_zeta_check(alpha, chi: MultChar,
             # q^(-m/2)/vol, so the shell series is sum_m c_i (alpha_i t X)^m
             lhs = lhs + geometric_series(q, ai * t, 1, RationalFunc.const(q, c))
     else:
-        coeffs = [fn.shell_value(m) * vol * (t ** m) * float(q) ** (m / 2.0)
-                  for m in range(window + 1)]
+        coeffs = [v * vol * (t ** m) * float(q) ** (m / 2.0)
+                  for m, v in enumerate(fn.shell_values(window))]
         series = RationalFunc.from_poly(
             LaurentPoly(q, dict(enumerate(coeffs))))
         want = rf_series_coeffs(rhs, 0, window)
@@ -139,8 +145,8 @@ def basic_zeta_check(alpha, chi: MultChar,
         return IdentityReport(series, rhs, diff, {"route": "series-window"})
     # spot check: assembled series coefficients reproduce the shell values
     got = rf_series_coeffs(lhs, 0, min(window, 6))
-    for m, c in enumerate(got):
-        want = fn.shell_value(m) * vol * (t ** m) * float(q) ** (m / 2.0)
+    for m, (c, v) in enumerate(zip(got, fn.shell_values(min(window, 6)))):
+        want = v * vol * (t ** m) * float(q) ** (m / 2.0)
         if abs(c - want) > 1e-9 * max(1.0, abs(want)):
             raise ArithmeticError("shell value mismatch at m=%d" % m)
     return IdentityReport(lhs, rhs, rf_discrepancy(lhs, rhs),

@@ -251,10 +251,13 @@ def l_factor(chi: MultChar) -> RationalFunc:
 
 
 def l_factor_satake(p: int, alpha) -> RationalFunc:
-    """L(s, pi) = prod_i 1/(1 - alpha_i X) for Satake parameters alpha."""
+    """L(s, pi) = prod_i 1/(1 - alpha_i X) for Satake parameters alpha; a
+    ValueError when pruning dropped the product's constant term 1."""
     out = RationalFunc.one(p)
     for a in alpha:
         out = out * l_factor(unramified_char(p, complex(a)))
+    if out.num.coeffs != {0: 1}:
+        raise ValueError("Satake parameters too large: constant term pruned")
     return out
 
 

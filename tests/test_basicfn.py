@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gl1zeta import basicfn
 from gl1zeta.basicfn import (BasicFunction, basic_fourier_check,
                              basic_zeta_check, complete_homogeneous)
 from gl1zeta.characters import MultChar, trivial_char, unramified_char
-from gl1zeta.ratfunc import rf_close
+from gl1zeta.ratfunc import rf_close, rf_series_coeffs
+from gl1zeta.zetagamma import l_factor_satake
 
 
 def h_bruteforce(m, alpha):
@@ -139,3 +141,78 @@ def test_random_unitary_corpus_with_permutations():
         z2 = basic_zeta_check(perm, trivial_char(p))
         assert rf_close(z.rhs, z2.rhs, 1e-10)
         assert rf_close(z.lhs, z2.lhs, 1e-9)
+
+
+def _per_shell_value(p, m, alpha):
+    """One shell value on its own: the rank-n L-factor and its series built
+    for this m alone."""
+    h = rf_series_coeffs(l_factor_satake(2, alpha), m, m)[0]
+    return h * float(p) ** (-m / 2.0) / (1.0 - 1.0 / p)
+
+
+_UNITARY = st.floats(0.0, 2 * math.pi).map(lambda th: cmath.exp(1j * th))
+_GENERAL = st.builds(lambda r, th: r * cmath.exp(1j * th),
+                     st.floats(0.1, 10.0), st.floats(0.0, 2 * math.pi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]),
+       st.one_of(st.lists(_UNITARY, min_size=1, max_size=4),
+                 st.lists(_GENERAL, min_size=1, max_size=4)),
+       st.integers(min_value=0, max_value=12))
+def test_shell_table_keeps_its_bits(p, alpha, window):
+    fn = BasicFunction(p, tuple(alpha))
+    assert fn.table(window) == [(m, _per_shell_value(p, m, fn.alpha))
+                                for m in range(window + 1)]
+    assert [complete_homogeneous(m, alpha) for m in range(window + 1)] == [
+        rf_series_coeffs(l_factor_satake(2, alpha), m, m)[0]
+        for m in range(window + 1)]
+
+
+def _count_l_factors(monkeypatch) -> list:
+    calls = []
+    l_factor = basicfn.l_factor_satake
+
+    def counting(p, alpha):
+        calls.append(p)
+        return l_factor(p, alpha)
+
+    monkeypatch.setattr(basicfn, "l_factor_satake", counting)
+    return calls
+
+
+@pytest.mark.parametrize("alpha, route", [
+    ([0.6 + 0.8j, 0.6 - 0.8j], "partial-fractions"),
+    ([0.5, 0.5], "series-window"),
+])
+def test_zeta_check_builds_two_l_factors(monkeypatch, alpha, route):
+    # the L-factor of the twist and one series of shell values; a factor
+    # built per shell value would make 8 and 12 calls here
+    calls = _count_l_factors(monkeypatch)
+    rep = basic_zeta_check(alpha, trivial_char(3))
+    assert rep.meta["route"] == route
+    assert calls == [3, 2]
+
+
+@pytest.mark.parametrize("alpha", [[1e7, 2e7], [1e13]])
+def test_pruned_constant_term_raises(alpha):
+    # |alpha| this large makes the relative pruning drop the 1 of
+    # prod (1 - alpha_i X); unguarded, the factor becomes c X^(-1) / (...),
+    # with a shell table of -1/3 (or 0) at shell 0 that both routes agree on
+    with pytest.raises(ValueError):
+        l_factor_satake(3, alpha)
+    with pytest.raises(ValueError):
+        BasicFunction(3, tuple(alpha)).table(2)
+    with pytest.raises(ValueError):
+        basic_zeta_check(alpha, trivial_char(3))
+
+
+@pytest.mark.parametrize("alpha, values", [
+    ([1e12], [1.4999999999999998, 866025403784.4385, 4.999999999999999e+23]),
+    ([1e6, 2e6], [1.4999999999999998, 2598076.2113533155, 3499999999999.999]),
+])
+def test_large_kept_constant_term_passes(alpha, values):
+    fn = BasicFunction(3, tuple(alpha))
+    assert fn.table(2) == list(enumerate(values))
+    assert basic_zeta_check(alpha, trivial_char(3)).ok()
+    assert basic_fourier_check(alpha, 3).ok()

@@ -150,6 +150,27 @@ def test_basic_command(capsys):
     assert len(obj["shell_values"]) == 6
 
 
+@pytest.mark.parametrize("alpha, expect", [
+    ("[[1e12,0]]",
+     '{"alpha":[[1000000000000.0,0.0]],'
+     '"fourier_check":{"max_coeff_diff":2.220446049250313e-16},"p":3,'
+     '"shell_values":[[0,1.4999999999999998,0.0],[1,866025403784.4385,0.0],'
+     '[2,4.999999999999999e+23,0.0]],'
+     '"zeta_check":{"max_coeff_diff":0.0,"route":"partial-fractions"}}'),
+    ("[[1e6,0],[2e6,0]]",
+     '{"alpha":[[1000000.0,0.0],[2000000.0,0.0]],'
+     '"fourier_check":{"max_coeff_diff":1.666666666666661e-13},"p":3,'
+     '"shell_values":[[0,1.4999999999999998,0.0],[1,2598076.2113533155,0.0],'
+     '[2,3499999999999.999,0.0]],'
+     '"zeta_check":{"max_coeff_diff":0.0,"route":"partial-fractions"}}'),
+], ids=["rank1", "rank2"])
+def test_basic_large_satake_parameters_kept(capsys, alpha, expect):
+    # large, but the constant term of prod (1 - alpha_i X) survives pruning
+    code, out = run_cli(capsys, "basic", "--alpha", alpha, "--p", "3",
+                        "--window", "2")
+    assert (code, out) == (0, expect + "\n")
+
+
 def test_lemma31_grid(capsys):
     code, out = run_cli(capsys, "lemma31", "--p", "3", "--grid", "default",
                         "--l0", "1", "--L", "4")
@@ -281,6 +302,12 @@ def test_missing_file_exit_two(capsys):
       "--pi", PI_TRIV5], "input/valueerror"),
     # a character at p = 3 against a function at p = 5
     (["zeta", "--phi", PHI_UNIT5, "--chi", CHI_QUAD3], "run/valueerror"),
+    # Satake parameters whose L-factor loses the 1 of prod (1 - alpha_i X)
+    # to relative pruning (unguarded: a wrong table and exit 0)
+    (["basic", "--alpha", "[[1e7,0],[2e7,0]]", "--p", "3", "--window", "2"],
+     "run/valueerror"),
+    (["basic", "--alpha", "[[1e13,0]]", "--p", "3", "--window", "2"],
+     "run/valueerror"),
 ])
 def test_input_error_exit_two(capsys, argv, code):
     status, out = run_cli(capsys, *argv)

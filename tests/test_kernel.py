@@ -658,6 +658,28 @@ def test_trace_average_matches_plain_loop():
         assert trace_average_check(p, g, l0, L) == _plain_trace_average(p, g, l0, L)
 
 
+def test_trace_average_builds_each_row_once(monkeypatch):
+    # the benchmark grid: 9,516 (a, b) pairs read 80 distinct phase rows,
+    # each built once per call
+    built = []
+    phase_row = kernel._phase_row
+
+    def counting(roots, r0, delta, span):
+        built.append((r0, delta))
+        return phase_row(roots, r0, delta, span)
+
+    monkeypatch.setattr(kernel, "_phase_row", counting)
+    pairs = 0
+    for p in (2, 3):
+        for l0 in (1, 2):
+            for g in lemma31_grid(p, l0):
+                start = len(built)
+                trace_average_check(p, g, l0, l0 + 3)
+                assert len(set(built[start:])) == len(built) - start
+                pairs += p ** 6
+    assert (len(built), pairs) == (80, 9516)
+
+
 def _count_gamma_closed(monkeypatch) -> list:
     """Record every gamma_closed call, by whichever module makes it."""
     calls = []

@@ -11,7 +11,11 @@ exact-conductor reduction involve no floating point at all.  `unit_values`,
 one memoized table per unit character, is the only place where phases become
 complex numbers.  Validating a new character (unit-group lookup, reduction,
 exact-conductor test) is one cached function of (p, cond, unit_char), so
-building a character again, at any t, looks nothing up.
+building a character again, at any t, looks nothing up.  The same holds for
+the other integer data: the exact-conductor reduction of a product of two
+ramified characters is cached on (p, both conductors, both exponent
+vectors), with t multiplied outside it, and the inverse of a character with
+t = 1 + 0j is one shared object per (p, cond, unit_char).
 """
 
 from __future__ import annotations
@@ -140,16 +144,30 @@ class MultChar:
 
     def unitary_part(self) -> "MultChar":
         """The same unit-group character with t = 1."""
-        # t = 1 - 0j compares equal to 1 but signs zeros differently in the
-        # products that use it, so only the exact 1 + 0j is returned as is.
-        if self.t == 1 and math.copysign(1.0, self.t.imag) == 1.0:
+        if _is_one(self.t):
             return self
         return MultChar(self.p, self.cond, self.unit_char, 1.0 + 0.0j)
 
     def inverse(self) -> "MultChar":
+        """chi^(-1); at t = 1 + 0j the one shared `_unitary_inverse`."""
+        if _is_one(self.t):
+            return _unitary_inverse(self.p, self.cond, self.unit_char)
         # __post_init__ reduces the negated exponents mod the generator orders
         return MultChar(self.p, self.cond, tuple(-k for k in self.unit_char),
                         1.0 / self.t)
+
+
+def _is_one(t: complex) -> bool:
+    """t is exactly 1 + 0j.  1 - 0j compares equal to 1 but signs zeros
+    differently in the products that use it."""
+    return t == 1 and math.copysign(1.0, t.imag) == 1.0
+
+
+@functools.cache
+def _unitary_inverse(p: int, cond: int, unit_char: tuple[int, ...]) -> MultChar:
+    """The inverse of the character with t = 1 + 0j, built once per process
+    and shared (MultChar is immutable); 1.0 / (1 + 0j) is 1 + 0j exactly."""
+    return MultChar(p, cond, tuple(-k for k in unit_char), 1.0 + 0.0j)
 
 
 def trivial_char(p: int) -> MultChar:
@@ -164,29 +182,37 @@ def char_product(a: MultChar, b: MultChar) -> MultChar:
     """chi_a * chi_b with the exact conductor recomputed after cancellation."""
     if a.p != b.p:
         raise ValueError("characters at different primes")
-    p = a.p
     t = a.t * b.t
     if not a.cond or not b.cond:     # an unramified factor changes t alone
         c = b if not a.cond else a
-        return MultChar(p, c.cond, c.unit_char, t)
-    level = max(a.cond, b.cond)
+        return MultChar(a.p, c.cond, c.unit_char, t)
+    cond, vec = _product_reduction(a.p, a.cond, a.unit_char, b.cond, b.unit_char)
+    return MultChar(a.p, cond, vec, t)
+
+
+@functools.cache
+def _product_reduction(p: int, cond_a: int, vec_a: tuple[int, ...],
+                       cond_b: int, vec_b: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(exact conductor, exponent vector) of the product of two ramified
+    unit characters; integers alone, so cached: a corpus multiplies the same
+    few pairs at many t."""
+    level = max(cond_a, cond_b)
     table = unit_group(p, level)
     n = _exponent(table)
-    factors = [(unit_group(p, c.cond), c.unit_char) for c in (a, b)]
+    factors = [(unit_group(p, cond_a), vec_a), (unit_group(p, cond_b), vec_b)]
 
     def phase(u: int) -> int:
         return sum(_phase(tab, vec, u, n) for tab, vec in factors) % n
 
     if all(phase(g) == 0 for g, _ in table.generators):
-        return MultChar(p, 0, (), t)
+        return 0, ()
     # the conductor is the least c with the product trivial on 1 + p^c Z_p;
     # 1 + p^c generates (1+p^c)/(1+p^level) (at p = 2 for c >= 2 only, and
     # c = 1 there would mean triviality on every unit, ruled out above)
     cond = next(c for c in range(1, level + 1)
                 if not (p == 2 and c == 1) and phase(1 + p ** c) == 0)
     # chi(g)^o = 1 for a generator g of order o, so phase(g) * o / n is exact
-    vec = tuple(phase(g) * o // n for g, o in unit_group(p, cond).generators)
-    return MultChar(p, cond, vec, t)
+    return cond, tuple(phase(g) * o // n for g, o in unit_group(p, cond).generators)
 
 
 def unitary_components(p: int, c_max: int) -> list[MultChar]:

@@ -44,7 +44,7 @@ def random_mult_step(rng: random.Random, p: int,
         else:
             u = 1
         coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        terms.append(MultTerm(coeff, PAdicElt(p, m, u, DEFAULT_PREC), k))
+        terms.append(MultTerm(coeff, PAdicElt.at(p, m, u), k))
     return MultStepFunction(p, terms)
 
 

@@ -39,8 +39,8 @@ case); no second summation loop lives here.  Within one
 (valuation, unit mod p^max(cond, d), level), d = max(0, -valuation); the
 memo belongs to the call.  An input shell below the kernel's support (the
 rule `zetagamma.vanishes_by_oscillation`: its integrals are all 0) is
-skipped.  `PAdicElt` appears only as the rows' representatives, immutable
-objects built once per process and shared by every call.
+skipped.  `PAdicElt` appears only as the rows' representatives, each the
+shared `PAdicElt.at(p, m, u)`, built once per process.
 
 `trace_average_check` is the finite verifier of the vanishing lemma for
 averages of psi(tr(g h)) over principal congruence subgroups of SL_2; it
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from operator import add, mul
 
 from .characters import MultChar, char_product
@@ -299,13 +299,6 @@ def kernel_coset_integral(k: Gl1Kernel, val: int, unit: int,
     return value * float(k.p) ** (-val / 2.0)
 
 
-@cache
-def _row_rep(p: int, m: int, u: int) -> PAdicElt:
-    """The row representative p^m * u at DEFAULT_PREC digits, built once per
-    process, kept for its life and shared by every later call (immutable)."""
-    return PAdicElt(p, m, u, DEFAULT_PREC)
-
-
 def hankel_convolve(phi: MultStepFunction, k: Gl1Kernel,
                     m_lo: int, m_hi: int, level: int) -> ShellTable:
     """(k * phi^v)(x) = int k(y) phi(x^(-1) y) dy* on the shell window.
@@ -316,7 +309,8 @@ def hankel_convolve(phi: MultStepFunction, k: Gl1Kernel,
     p^max(cond, d), d = max(0, -v(a)), so each call computes it once per
     such key; the memo lives for the call.  An input shell on which
     `vanishes_by_oscillation` holds adds only zeros and is skipped; each row
-    adds the other terms in phi's coset order.  Rows share representatives.
+    adds the other terms in phi's coset order.  The rows' representatives
+    are the shared `PAdicElt.at`.
     """
     p = phi.p
     if k.p != p:
@@ -343,7 +337,7 @@ def hankel_convolve(phi: MultStepFunction, k: Gl1Kernel,
                     if value is None:
                         value = memo[key] = kernel_coset_integral(k, val, unit, rep_k)
                     totals[i] += coeff * value
-        rows.extend((m, _row_rep(p, m, u), total)
+        rows.extend((m, PAdicElt.at(p, m, u), total)
                     for u, total in zip(units, totals))
     return ShellTable(p, level, rows)
 

@@ -67,10 +67,17 @@ class PAdicElt:
 
     @classmethod
     @functools.cache
+    def at(cls, p: int, val: int, unit: int) -> "PAdicElt":
+        """p^val * unit at DEFAULT_PREC digits, built once per process for
+        each (p, val, unit) and shared (the class is immutable): the one
+        representative that `MultStepFunction.terms`, the rows of
+        `hankel_convolve` and the corpus functions use."""
+        return cls(p, val, unit, DEFAULT_PREC)
+
+    @classmethod
     def one(cls, p: int) -> "PAdicElt":
-        """1 at DEFAULT_PREC digits, built once per prime and shared (the
-        class is immutable)."""
-        return cls(p, 0, 1, DEFAULT_PREC)
+        """1 at DEFAULT_PREC digits, the shared `at(p, 0, 1)`."""
+        return cls.at(p, 0, 1)
 
     @classmethod
     def from_int(cls, p: int, n: int, prec: int = DEFAULT_PREC) -> "PAdicElt":

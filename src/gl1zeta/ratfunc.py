@@ -257,7 +257,9 @@ def rf_reflected_product(a: RationalFunc, b: RationalFunc,
                          c: complex) -> RationalFunc:
     """a(c X^(-1)) * b(X^(-1)) as one rational function: one pass over the
     coefficient pairs of the numerators, one over those of the
-    denominators, and one canonicalization."""
+    denominators, and one canonicalization.  When both denominators are the
+    shared `LaurentPoly.one(q)`, so is the result's: reflecting 1 against 1
+    gives 1 + 0j exactly."""
     def reflect(pa: LaurentPoly, pb: LaurentPoly) -> LaurentPoly:
         out: dict[int, complex] = {}
         for e1, c1 in pa.coeffs.items():
@@ -268,7 +270,9 @@ def rf_reflected_product(a: RationalFunc, b: RationalFunc,
         return LaurentPoly(a.q, out)
 
     a.num._same_q(b.num)
-    return RationalFunc(reflect(a.num, b.num), reflect(a.den, b.den))
+    one = LaurentPoly.one(a.q)
+    den = one if a.den is one and b.den is one else reflect(a.den, b.den)
+    return RationalFunc(reflect(a.num, b.num), den)
 
 
 def rf_series_coeffs(a: RationalFunc, m_lo: int, m_hi: int) -> list[complex]:
@@ -276,13 +280,16 @@ def rf_series_coeffs(a: RationalFunc, m_lo: int, m_hi: int) -> list[complex]:
 
     In canonical form the denominator has constant term 1, so the expansion
     exists as a Laurent series with finite principal part; coefficients are
-    produced by the linear recurrence the denominator induces.
+    produced by the linear recurrence the denominator induces; over the
+    denominator 1 they are the numerator's own.
     """
     if m_lo > m_hi:
         raise ValueError("empty window [%d, %d]" % (m_lo, m_hi))
     if a.num.is_zero():
         return [0.0 + 0.0j] * (m_hi - m_lo + 1)
     den = a.den.coeffs
+    if den == {0: 1}:
+        return [a.num.coeffs.get(m, 0.0 + 0.0j) for m in range(m_lo, m_hi + 1)]
     if den.get(0, 0) == 0:
         raise ZeroDenominatorError("denominator vanishes at X=0; no expansion")
     start = a.num.min_exp()

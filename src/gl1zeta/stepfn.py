@@ -231,14 +231,16 @@ class MultStepFunction:
     Its one form is the shell table `_shells`: shell m -> (level, unit
     residue mod p^level -> coeff), shells and residues ascending, the cosets
     of a shell pairwise disjoint at its common level.  `terms` is its view as
-    `MultTerm`s, built on first read (racing reads build equal views); it
-    shares each input rep that already is PAdicElt(p, m, residue, DEFAULT_PREC).
+    `MultTerm`s, built on first read (racing reads build equal views); each
+    rep is the shared `PAdicElt.at(p, m, residue)`, so a function whose input
+    reps came from `PAdicElt.at` gets its own reps back, and a second function
+    on the same cosets builds no `PAdicElt`.
     """
 
     def __init__(self, p: int, terms):
         check_prime(p)
         self.p = p
-        self._given = given = [t for t in terms if t.coeff != 0]
+        given = [t for t in terms if t.coeff != 0]
         self._terms: tuple[MultTerm, ...] | None = None
         levels: dict[int, int] = {}   # shell -> the finest level on it
         for t in given:
@@ -265,14 +267,10 @@ class MultStepFunction:
     @property
     def terms(self) -> tuple[MultTerm, ...]:
         if self._terms is None:
-            given = {(t.rep.val, t.rep.unit): t.rep for t in self._given
-                     if t.rep.prec == DEFAULT_PREC}
-            p, out = self.p, []
-            for m, (level, coeffs) in self._shells.items():
-                for u, c in coeffs.items():
-                    rep = given.get((m, u)) or PAdicElt(p, m, u, DEFAULT_PREC)
-                    out.append(MultTerm(c, rep, level))
-            self._terms, self._given = tuple(out), ()
+            self._terms = tuple(
+                MultTerm(c, PAdicElt.at(self.p, m, u), level)
+                for m, (level, coeffs) in self._shells.items()
+                for u, c in coeffs.items())
         return self._terms
 
     def max_level(self) -> int:
@@ -341,7 +339,7 @@ def coset_indicator(p: int, rep: PAdicElt, k: int, coeff: complex = 1.0) -> Mult
 
 def unit_indicator(p: int) -> MultStepFunction:
     """The indicator of the unit group Z_p^x."""
-    return coset_indicator(p, PAdicElt(p, 0, 1, DEFAULT_PREC), 0)
+    return coset_indicator(p, PAdicElt.one(p), 0)
 
 
 def delta_approximant(p: int, k: int) -> MultStepFunction:
@@ -349,7 +347,7 @@ def delta_approximant(p: int, k: int) -> MultStepFunction:
     if k < 1:
         raise ValueError("delta approximant needs k >= 1")
     vol = float(p) ** (-k)
-    return coset_indicator(p, PAdicElt(p, 0, 1, DEFAULT_PREC), k, 1.0 / vol)
+    return coset_indicator(p, PAdicElt.one(p), k, 1.0 / vol)
 
 
 def mult_convolve(f: MultStepFunction, g: MultStepFunction) -> MultStepFunction:
@@ -402,17 +400,21 @@ class MellinData:
 def mellin_component(f: MultStepFunction, omega: MultChar) -> RationalFunc:
     """M(f)(omega)(X) = sum_m X^m * (coset sums of f * omega on S_m), for a
     unitary omega (t = 1).  The only integral of a MultStepFunction against
-    a character: `zetagamma.zeta` rescales it."""
+    a character: `zetagamma.zeta` rescales it.  omega's value table is read
+    once per call, and not at all when no shell is fine enough to see it."""
     p = f.p
     if omega.p != p:
         raise ValueError("mixed primes %d, %d" % (p, omega.p))
+    if omega.cond > f.max_level():
+        return RationalFunc.zero(p)
+    values = unit_values(p, omega.cond, omega.unit_char)
+    n = len(values)
     acc: dict[int, complex] = {}
     for m, (level, coeffs) in f._shells.items():
         if omega.cond > level:
             continue  # omega nontrivial on the coset subgroup: integral 0
         vol = shell_volume(p) if level == 0 else float(p) ** (-level)
-        acc[m] = sum((c * omega.unit_value(u) * vol
-                      for u, c in coeffs.items()), 0.0)
+        acc[m] = sum((c * values[u % n] * vol for u, c in coeffs.items()), 0.0)
     poly = LaurentPoly(p, acc)
     if poly.is_zero():
         return RationalFunc.zero(p)

@@ -241,13 +241,23 @@ def _zeta_step(phi: StepFunction, chi: MultChar) -> RationalFunc:
 # local factors
 
 
+def _constant_term_kept(lf: RationalFunc, what: str) -> RationalFunc:
+    """lf = 1 / prod_i (1 - a_i X), or a ValueError naming `what` when
+    relative pruning dropped the constant term 1 of the product (from
+    |a_i| ~ 1e13 on; lf would then be c X^(-1) / (...), with no pole left)."""
+    if lf.num.coeffs != {0: 1}:
+        raise ValueError("%s too large: constant term pruned" % what)
+    return lf
+
+
 def l_factor(chi: MultChar) -> RationalFunc:
-    """L(s, chi): 1/(1 - chi(p) X) unramified, 1 ramified."""
+    """L(s, chi): 1/(1 - chi(p) X) unramified, 1 ramified; a ValueError when
+    pruning dropped the constant term 1."""
     q = chi.p
     if chi.cond:
         return RationalFunc.one(q)
     den = LaurentPoly.one(q) - LaurentPoly.monomial(q, 1, chi.t)
-    return RationalFunc(LaurentPoly.one(q), den)
+    return _constant_term_kept(RationalFunc(LaurentPoly.one(q), den), "chi(p)")
 
 
 def l_factor_satake(p: int, alpha) -> RationalFunc:
@@ -256,9 +266,7 @@ def l_factor_satake(p: int, alpha) -> RationalFunc:
     out = RationalFunc.one(p)
     for a in alpha:
         out = out * l_factor(unramified_char(p, complex(a)))
-    if out.num.coeffs != {0: 1}:
-        raise ValueError("Satake parameters too large: constant term pruned")
-    return out
+    return _constant_term_kept(out, "Satake parameters")
 
 
 def epsilon_factor(chi: MultChar) -> RationalFunc:

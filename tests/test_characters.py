@@ -296,6 +296,70 @@ def test_char_product_matches_fraction_phases(pair):
     assert char_product(a, b) == _oracle_product(a, b)
 
 
+T_CYCLE = [1.0 + 0.0j, 0.5, -1.7, 0.6 + 0.8j, 2j, complex(1.0, -0.0)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_char_product_matches_fraction_phases_on_every_pair(p):
+    # every pair of characters of conductor <= 3, t drawn in turn from
+    # T_CYCLE; repr compares t bit for bit, signed zeros included.  The
+    # oracle's Fraction phases are read once per character at the points it
+    # evaluates (generators of each level, and 1 + p, 1 + p^2), as integers
+    # over the exponent n of (Z/p^3)^x, which every phase divides.
+    chars = [MultChar(p, w.cond, w.unit_char, t)
+             for w, t in zip(unitary_components(p, 3), itertools.cycle(T_CYCLE))]
+    points = {g for a in (1, 2, 3) for g, _ in unit_group(p, a).generators}
+    points |= {1 + p, 1 + p ** 2}
+    n = max(o for _, o in unit_group(p, 3).generators)
+    phases = []
+    for chi in chars:
+        frac = _char_phase(chi)
+        assert all((frac(u) * n).denominator == 1 for u in points)
+        phases.append({u: int(frac(u) * n) for u in points})
+    try:
+        for i, (a, pa) in enumerate(zip(chars, phases)):
+            for j, (b, pb) in enumerate(zip(chars[i:], phases[i:])):
+                want = _oracle_from_phase(
+                    p, max(a.cond, b.cond),
+                    lambda u: Fraction((pa[u] + pb[u]) % n, n), a.t * b.t)
+                # the factors in either order, by turns: a.t * b.t is b.t * a.t
+                got = char_product(a, b) if j % 2 else char_product(b, a)
+                assert repr(got) == repr(want), (a, b)
+    finally:
+        characters._product_reduction.cache_clear()   # ~43k pairs at p = 7
+
+
+def test_unitary_inverse_is_shared_and_equals_the_built_one(monkeypatch):
+    # the inverse at t = 1 + 0j is one shared object, equal (repr: bit for
+    # bit) to the character the general rule builds; t = 1 - 0j and a
+    # non-unitary t are built on every call
+    built = []
+    post_init = MultChar.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    for p in (2, 3, 5, 7):
+        for w in unitary_components(p, 2):
+            rule = MultChar(p, w.cond, tuple(-k for k in w.unit_char), 1.0 / w.t)
+            assert repr(w.inverse()) == repr(rule)
+            monkeypatch.setattr(MultChar, "__post_init__", counting_post_init)
+            assert w.inverse() is w.inverse()
+            assert MultChar(p, w.cond, w.unit_char, 1.0 + 0.0j).inverse() is w.inverse()
+            assert len(built) == 1   # the MultChar of the line above
+            del built[:]
+            monkeypatch.setattr(MultChar, "__post_init__", post_init)
+    for t in (complex(1.0, -0.0), 2.0 + 1j, 0.6 + 0.8j):
+        chi = MultChar(5, 2, (3,), t)
+        monkeypatch.setattr(MultChar, "__post_init__", counting_post_init)
+        inv = chi.inverse()
+        assert chi.inverse() is not inv and len(built) == 2
+        del built[:]
+        monkeypatch.setattr(MultChar, "__post_init__", post_init)
+        assert repr(inv) == repr(MultChar(5, 2, (-3,), 1.0 / t))
+
+
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("c_max", [0, 1, 2, 3])
 def test_unitary_components_match_fraction_phases(p, c_max):

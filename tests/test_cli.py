@@ -171,6 +171,31 @@ def test_basic_large_satake_parameters_kept(capsys, alpha, expect):
     assert (code, out) == (0, expect + "\n")
 
 
+@pytest.mark.parametrize("t, status, expect", [
+    ("1e12", 1,
+     '{"gamma_closed":{"den":[[0,1.0,0.0],[1,-5000000000000.0,0.0]],'
+     '"num":[[1,-5000000000000.0,0.0],[2,5e+24,0.0]],"q":5},'
+     '"gamma_pv":{"den":[[0,1.0,0.0],[1,-5000000000000.0,0.0]],'
+     '"num":[[1,-5000000000000.0,0.00011102230246251565],'
+     '[2,5e+24,-555111512.3125783]],"q":5},'
+     '"max_coeff_diff":2.775557561562892e+21,"shells":[-3,-1]}'),
+    ("1e-12", 0,
+     '{"gamma_closed":{"den":[[0,1.0,0.0],[1,-5e-12,0.0]],'
+     '"num":[[1,-5e-12,0.0],[2,5e-24,0.0]],"q":5},'
+     '"gamma_pv":{"den":[[0,1.0,0.0],[1,-5e-12,0.0]],'
+     '"num":[[1,-5.0000000000000005e-12,1.1102230246251565e-28],'
+     '[2,5.0000000000000005e-24,-5.5511151231257825e-40]],"q":5},'
+     '"max_coeff_diff":8.153872689979472e-28,"shells":[-3,-1]}'),
+], ids=["t1e12", "t1e-12"])
+def test_gamma_large_kept_constant_term(capsys, t, status, expect):
+    # the constant term of 1 - tX survives pruning, so the guard leaves the
+    # output as it was, byte for byte; at t = 1e12 the check still fails on
+    # the absolute tolerance (a discrepancy of 2.8e21 on coefficients of 5e24)
+    code, out = run_cli(capsys, "gamma", "--chi",
+                        '{"p":5,"cond":0,"unit_char":[],"t":[%s,0]}' % t)
+    assert (code, out) == (status, expect + "\n")
+
+
 def test_lemma31_grid(capsys):
     code, out = run_cli(capsys, "lemma31", "--p", "3", "--grid", "default",
                         "--l0", "1", "--L", "4")
@@ -307,6 +332,12 @@ def test_missing_file_exit_two(capsys):
     (["basic", "--alpha", "[[1e7,0],[2e7,0]]", "--p", "3", "--window", "2"],
      "run/valueerror"),
     (["basic", "--alpha", "[[1e13,0]]", "--p", "3", "--window", "2"],
+     "run/valueerror"),
+    # the same for the rank-1 L-factor behind gamma_closed (unguarded: a
+    # pole-less gamma on both routes and exit 1 on a 0.0022 discrepancy)
+    (["gamma", "--chi", '{"p":5,"cond":0,"unit_char":[],"t":[1e13,0]}'],
+     "run/valueerror"),
+    (["gamma", "--chi", '{"p":5,"cond":0,"unit_char":[],"t":[1e-13,0]}'],
      "run/valueerror"),
 ])
 def test_input_error_exit_two(capsys, argv, code):

@@ -1,11 +1,12 @@
 import cmath
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from gl1zeta import kernel, stepfn, zetagamma
+from gl1zeta import characters, kernel, stepfn, zetagamma
 from gl1zeta.basicfn import BasicFunction, basic_fourier_check
 from gl1zeta.characters import (MultChar, char_product, trivial_char,
                                 unitary_components)
@@ -535,6 +536,59 @@ def test_hankel_convolve_work_counts(monkeypatch):
         mass = n * p ** -top * abs(kern.chi_inv.value_at(val, unit, DEFAULT_PREC))
         nc = (n + 40) * 2.0 ** -53
         assert abs(value) <= nc / (1 - nc) * mass, (val, unit, level, value)
+
+
+def test_hankel_check_work_counts(monkeypatch):
+    # Work counts, no clock, over both routes of one Hankel check as the
+    # benchmark runs it.  A product of two ramified characters is reduced
+    # once per (p, conductors, exponent vectors), the inverse of a character
+    # with t = 1 + 0j is shared, and every representative is PAdicElt.at.
+    # So a second check whose unit characters repeat (other t, other
+    # coefficients, the same cosets) reduces no product, builds no PAdicElt
+    # and builds no character with t = 1 + 0j.
+    p, c_max = 5, 2
+    terms = [MultTerm(0.3 - 1j, PAdicElt.at(p, -1, 7), 2),
+             MultTerm(1.2, PAdicElt.at(p, 1, 3), 1),
+             MultTerm(-0.5j, PAdicElt.at(p, 0, 1), 0)]
+    phi = MultStepFunction(p, terms)
+    phi2 = MultStepFunction(p, [MultTerm(t.coeff * (2 - 1j), t.rep, t.k)
+                                for t in terms])
+    chars, elts = [], []
+    char_init, elt_init = MultChar.__post_init__, PAdicElt.__post_init__
+
+    def counting_char_init(self):
+        char_init(self)
+        chars.append(self)
+
+    def counting_elt_init(self):
+        elts.append(self)
+        elt_init(self)
+
+    def check(chi, f):
+        sym = gamma_symbol([chi], c_max, p=p)
+        back = mellin_invert(hankel_mellin(f, sym), -5, 5, c_max)
+        table = hankel_convolve(f, Gl1Kernel(chi), -5, 5, level=c_max)
+        return max(abs(v - back.eval(rep)) for _, rep, v in table.rows)
+
+    monkeypatch.setattr(MultChar, "__post_init__", counting_char_init)
+    monkeypatch.setattr(PAdicElt, "__post_init__", counting_elt_init)
+    reductions = characters._product_reduction.cache_info
+    start = reductions()
+    assert check(MultChar(p, 1, (1,), 0.6 + 0.8j), phi) < 1e-9
+    first = reductions()
+    lookups = first.hits + first.misses - start.hits - start.misses
+    # one lookup per ramified component of the symbol: omega of conductor
+    # 1 and 2 (3 + 16), less those M(phi) leaves at zero
+    assert 0 < lookups <= 19 and first.misses - start.misses <= lookups
+    assert chars
+    del chars[:], elts[:]
+    assert check(MultChar(p, 1, (1,), -0.8 + 0.6j), phi2) < 1e-9
+    second = reductions()
+    assert second.misses == first.misses
+    assert second.hits - first.hits == lookups
+    assert elts == []
+    assert chars and not any(c.t == 1 and math.copysign(1.0, c.t.imag) == 1.0
+                             for c in chars)
 
 
 def test_gamma_symbol_component_work_counts(monkeypatch):

@@ -176,3 +176,56 @@ def test_all_zero_coefficients_give_zero():
 def test_prune_is_relative_to_the_largest_coefficient():
     poly = LaurentPoly(Q, {0: 2.0, 1: 2e-14, 2: 2e-12j, 3: -3.0})
     assert poly.coeffs == {0: 2.0, 2: 2e-12j, 3: -3.0}
+
+
+# Polynomial fast paths against the general code, bit for bit: repr compares
+# every coefficient, signed zeros included (the CLI prints -0.0).
+
+SIGNED = st.one_of(st.floats(-1e3, 1e3, allow_nan=False),
+                   st.sampled_from([0.0, -0.0]))
+POLY = st.dictionaries(st.integers(-6, 6), st.builds(complex, SIGNED, SIGNED),
+                       max_size=6)
+
+
+def _series_by_recurrence(a, m_lo, m_hi):
+    """The general path of rf_series_coeffs, written out."""
+    if a.num.is_zero():
+        return [0.0 + 0.0j] * (m_hi - m_lo + 1)
+    coeffs = {}
+    for m in range(a.num.min_exp(), m_hi + 1):
+        c = a.num.coeffs.get(m, 0.0 + 0.0j)
+        for k, d in a.den.coeffs.items():
+            if k >= 1:
+                c -= d * coeffs.get(m - k, 0.0 + 0.0j)
+        coeffs[m] = c
+    return [coeffs.get(m, 0.0 + 0.0j) for m in range(m_lo, m_hi + 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(POLY, st.integers(-8, 8), st.integers(0, 10))
+def test_series_of_a_polynomial_keeps_the_recurrence_bits(coeffs, m_lo, width):
+    a = RationalFunc.from_poly(LaurentPoly(Q, coeffs))
+    assert a.den.coeffs == {0: 1}
+    got = rf_series_coeffs(a, m_lo, m_lo + width)
+    assert repr(got) == repr(_series_by_recurrence(a, m_lo, m_lo + width))
+
+
+def _reflect(pa, pb, c):
+    """pa(c X^(-1)) * pb(X^(-1)), as rf_reflected_product forms each side."""
+    out = {}
+    for e1, c1 in pa.coeffs.items():
+        c1 *= c ** e1
+        for e2, c2 in pb.coeffs.items():
+            out[-e1 - e2] = out.get(-e1 - e2, 0.0) + c1 * c2
+    return LaurentPoly(pa.q, out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(POLY, POLY, st.sampled_from([Q ** -0.5, 1.0, -0.25, 2 ** -0.5]))
+def test_reflected_product_over_one_keeps_the_bits_of_two_reflects(na, nb, c):
+    a = RationalFunc.from_poly(LaurentPoly(Q, na))
+    b = RationalFunc.from_poly(LaurentPoly(Q, nb))
+    got = rf_reflected_product(a, b, c)
+    assert got.den is LaurentPoly.one(Q)
+    want = RationalFunc(_reflect(a.num, b.num, c), _reflect(a.den, b.den, c))
+    assert repr(got) == repr(want)

@@ -231,14 +231,16 @@ def test_mellin_invert_rejects_hidden_conductor():
 
 def test_normalize_shares_reps_it_would_rebuild(monkeypatch):
     # Work counts, no clock: the shell table is the function's one form, so
-    # building it makes no PAdicElt; the terms view, built when read, keeps a
-    # rep that already is PAdicElt(p, m, u, DEFAULT_PREC) for its residue u
-    # mod p^level, and mellin_invert writes its table with no PAdicElt.
+    # building it makes no PAdicElt.  Each rep of the terms view, built when
+    # read, is the shared PAdicElt.at(p, m, u) of its residue u mod p^level:
+    # input reps from PAdicElt.at come back as they are, and a second
+    # function on the same cosets builds no PAdicElt at all (no cache miss).
+    # mellin_invert writes its table with no PAdicElt.
     p = 3
-    at_level = [PAdicElt(p, 0, u, DEFAULT_PREC) for u in (1, 2, 4)]
-    coarse = PAdicElt(p, 1, 2, DEFAULT_PREC)   # level 1 in a level-2 shell
-    fine = PAdicElt(p, 1, 5, DEFAULT_PREC)
-    short = PAdicElt(p, 2, 1, 5)               # fewer digits: rebuilt
+    at_level = [PAdicElt.at(p, 0, u) for u in (1, 2, 4)]
+    coarse = PAdicElt.at(p, 1, 2)              # level 1 in a level-2 shell
+    fine = PAdicElt.at(p, 1, 5)
+    short = PAdicElt(p, 2, 1, 5)               # fewer digits: not shared
     terms = ([MultTerm(1.0, x, 2) for x in at_level]
              + [MultTerm(0.5j, coarse, 1), MultTerm(2.0, fine, 2),
                 MultTerm(-1.0, short, 1)])
@@ -252,17 +254,26 @@ def test_normalize_shares_reps_it_would_rebuild(monkeypatch):
     monkeypatch.setattr(PAdicElt, "__post_init__", counting_post_init)
     f = MultStepFunction(p, terms)
     assert built == []
-    # coarse splits into residues 2, 5, 8 mod 9, and only 8 has no rep yet
+    misses = PAdicElt.at.cache_info().misses
     view = f.terms
-    assert built == [(1, 8), (2, 1)]
+    # every PAdicElt the view builds is a first request of PAdicElt.at
+    assert len(built) == PAdicElt.at.cache_info().misses - misses <= 2
     assert f.terms is view
     reps = {(t.rep.val, t.rep.unit): t.rep for t in view}
+    assert all(t.rep is PAdicElt.at(p, t.rep.val, t.rep.unit) for t in view)
     assert all(reps[(0, x.unit)] is x for x in at_level)
     assert reps[(1, 2)] is coarse and reps[(1, 5)] is fine
-    assert all(t.rep == PAdicElt(p, t.rep.val, t.rep.unit, DEFAULT_PREC)
-               for t in view)
-    md = mellin(f, 2)
+    # coarse splits into residues 2, 5, 8 mod 9
+    assert reps[(1, 8)] == PAdicElt(p, 1, 8, DEFAULT_PREC)
+    assert reps[(2, 1)] is not short and reps[(2, 1)].prec == DEFAULT_PREC
+    # the same cosets with other coefficients: no PAdicElt is built
     del built[:]
+    misses = PAdicElt.at.cache_info().misses
+    g = MultStepFunction(p, [MultTerm(t.coeff * 3, t.rep, t.k) for t in terms])
+    assert [t.rep for t in g.terms] == [t.rep for t in view]
+    assert all(a.rep is b.rep for a, b in zip(g.terms, view))
+    assert built == [] and PAdicElt.at.cache_info().misses == misses
+    md = mellin(f, 2)
     back = mellin_invert(md, 0, 2, 2)
     assert built == []
     assert mult_distance(f, back) < 1e-12

@@ -93,6 +93,25 @@ def test_l_factor():
     assert rf_close(lf, RationalFunc(LaurentPoly.one(3), den))
 
 
+@pytest.mark.parametrize("t", [1e13, -1e14j, 1e20])
+def test_l_factor_pruned_constant_term_raises(t):
+    # |t| this large makes relative pruning drop the 1 of 1 - tX; unguarded,
+    # L(s, chi) became -1/(t X) over 1, a factor without its pole, and so did
+    # gamma_closed (at t and at 1/t, through L(1 - s, chi^(-1)))
+    with pytest.raises(ValueError):
+        l_factor(unramified_char(5, t))
+    with pytest.raises(ValueError):
+        gamma_closed(unramified_char(5, t))
+    with pytest.raises(ValueError):
+        gamma_closed(unramified_char(5, 1 / t))
+
+
+@pytest.mark.parametrize("t", [1e12, -1e12j, 1e-12, 0.5])
+def test_l_factor_large_kept_constant_term_passes(t):
+    lf = l_factor(unramified_char(5, t))
+    assert lf.num.coeffs == {0: 1} and lf.den.coeffs == {0: 1, 1: -t}
+
+
 def test_epsilon_unramified_is_one():
     assert rf_close(epsilon_factor(unramified_char(5, 2.0j)), RationalFunc.one(5))
 

@@ -20,7 +20,8 @@ from .kernel import (GammaSymbol, Gl1Kernel, gamma_symbol, hankel_convolve,
 from .padic import (PAdicElt, PrecisionError, UnitGroupTable, psi_frac,
                     psi_value, shell_volume, unit_group)
 from .ratfunc import (IdentityReport, LaurentPoly, NumericError, RationalFunc,
-                      rf_close, rf_discrepancy, rf_dual_subst, rf_series_coeffs)
+                      VerificationError, rf_discrepancy, rf_dual_subst,
+                      rf_series_coeffs)
 from .stepfn import (MellinData, MultStepFunction, MultTerm, StepFunction,
                      StepTerm, coset_indicator, delta_approximant,
                      fourier_transform, indicator_ball, mellin, mellin_invert,

@@ -33,18 +33,19 @@ import sys
 from dataclasses import dataclass
 
 from .defaults import ARCH_FE_TOL, ARCH_POLE_GUARD, ARCH_QUAD_TOL
+from .ratfunc import VerificationError
 
 
 class ArchPoleError(ArithmeticError):
     """Evaluation too close to a pole of the numerator L-factor."""
 
 
-class ArchQuadratureError(ArithmeticError):
+class ArchQuadratureError(VerificationError):
     """A zeta integral did not converge: the exp-sinh levels kept disagreeing,
     or the integrand had not decayed at the truncation limits."""
 
 
-class ArchUnresolvedError(ArithmeticError):
+class ArchUnresolvedError(VerificationError):
     """Both sides of a functional-equation sample are within their own
     quadrature error bounds of zero, so their agreement verifies nothing."""
 

@@ -238,14 +238,3 @@ def _unitary_components(p: int, c_max: int) -> tuple[MultChar, ...]:
             if _exact(table, vec):
                 out.append(MultChar(p, cond, vec, 1.0 + 0.0j))
     return tuple(out)
-
-
-def char_to_json(chi: MultChar) -> dict:
-    return {"p": chi.p, "cond": chi.cond, "unit_char": list(chi.unit_char),
-            "t": [chi.t.real, chi.t.imag]}
-
-
-def char_from_json(obj: dict) -> MultChar:
-    return MultChar(int(obj["p"]), int(obj["cond"]),
-                    tuple(int(k) for k in obj["unit_char"]),
-                    complex(obj["t"][0], obj["t"][1]))

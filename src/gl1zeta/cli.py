@@ -7,11 +7,13 @@ references, then returns a closure that computes; outputs are deterministic
 
 `main` alone picks the exit code, by exception type.  0: success.  1: a
 checked identity exceeded its tolerance (`--emit csv` keeps this verdict), or
-the computation raised `ShellGuardError`, `ArchQuadratureError` or
-`ArchUnresolvedError`.  2: an input failed to parse or validate (`input/...`
-or the `InputFormatError` code), the computation rejected it with any
-other `ValueError`, `ArithmeticError` or `KeyError` (`run/<exception type>`),
-or an output file could not be written (`output/<exception type>`).
+the computation raised a `ratfunc.VerificationError`: `ShellGuardError`,
+`ArchQuadratureError`, `ArchUnresolvedError`, or the plain class from the
+shell-value spot check of `basic`.  2: an input failed to parse or validate
+(`input/...` or the `InputFormatError` code), the computation rejected it
+with any other `ValueError`, `ArithmeticError` or `KeyError`
+(`run/<exception type>`), or an output file could not be written
+(`output/<exception type>`).
 """
 
 from __future__ import annotations
@@ -23,20 +25,18 @@ import sys
 from fractions import Fraction
 
 from . import serialize
-from .arch import (ArchQuadratureError, ArchSeed, ArchUnresolvedError,
-                   arch_fe_check)
+from .arch import ArchSeed, arch_fe_check
 from .basicfn import BasicFunction, basic_fourier_check, basic_zeta_check
-from .characters import MultChar, char_to_json, trivial_char
+from .characters import MultChar, trivial_char
 from .corpus import corpus_generate
 from .defaults import ARCH_FE_TOL, COEFF_TOL
 from .kernel import (Gl1Kernel, gamma_symbol, hankel_convolve, hankel_mellin,
                      lemma31_grid, trace_average_check)
 from .padic import PAdicElt
-from .ratfunc import rf_to_json
+from .ratfunc import VerificationError
 from .serialize import InputFormatError, dumps
 from .stepfn import mellin_invert
-from .zetagamma import (ShellGuardError, gamma_pv, gamma_report_json, verify_fe,
-                        zeta)
+from .zetagamma import gamma_pv, verify_fe, zeta
 
 
 def _read_json_arg(arg: str):
@@ -65,14 +65,14 @@ def _gamma(args):
 
     def compute():
         report = gamma_pv(chi, twist)
-        return gamma_report_json(report), report.ok(args.tol)
+        return serialize.gamma_report_json(report), report.ok(args.tol)
     return compute
 
 
 def _zeta(args):
     phi = serialize.function_from_json(_read_json_arg(args.phi))
     chi = serialize.multchar_from_json(_read_json_arg(args.chi))
-    return lambda: (rf_to_json(zeta(phi, chi)), True)
+    return lambda: (serialize.rf_to_json(zeta(phi, chi)), True)
 
 
 def _fe_check(args):
@@ -130,7 +130,7 @@ def _hankel(args):
             sym = gamma_symbol(constituents, c_max, p=phi.p)
             out = hankel_mellin(phi, sym)
             payload["mellin"] = {
-                str(i): rf_to_json(rf)
+                str(i): serialize.rf_to_json(rf)
                 for i, (_, rf) in enumerate(sorted(
                     out.nonzero_components(),
                     key=lambda wr: (wr[0].cond, wr[0].unit_char)))}
@@ -234,7 +234,7 @@ def _corpus(args):
             phi = (serialize.step_to_json(e["phi"]) if e["kind"] == "step"
                    else serialize.mult_to_json(e["phi"]))
             fe_json.append({"kind": e["kind"], "p": e["p"], "phi": phi,
-                            "chi": char_to_json(e["chi"]),
+                            "chi": serialize.char_to_json(e["chi"]),
                             "pi": serialize.pi_to_json(e["pi"])})
         files = {
             "fe.json": fe_json,
@@ -243,7 +243,7 @@ def _corpus(args):
                             for e in corpus["hankel"]],
             "satake.json": [[[a.real, a.imag] for a in alpha]
                             for alpha in corpus["satake"]],
-            "gamma.json": [char_to_json(c) for c in corpus["gamma"]],
+            "gamma.json": [serialize.char_to_json(c) for c in corpus["gamma"]],
         }
         for name, obj in files.items():
             with open(os.path.join(args.dir, name), "w") as fh:
@@ -365,9 +365,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _fail("output/%s" % type(exc).__name__.lower(), str(exc))
     except (ValueError, ArithmeticError, KeyError) as exc:
-        status = (1 if isinstance(exc, (ShellGuardError, ArchQuadratureError,
-                                        ArchUnresolvedError))
-                  else 2)
+        status = 1 if isinstance(exc, VerificationError) else 2
         return _fail("run/%s" % type(exc).__name__.lower(), str(exc), status)
     return 0 if ok else 1
 

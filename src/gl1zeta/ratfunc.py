@@ -8,9 +8,14 @@ inside the class.
 
 Canonical form: the denominator is a Laurent polynomial with constant term 1
 and no negative exponents; any monomial factor of the denominator is pushed
-into the numerator.  Two rational functions are considered equal when the
-cross-multiplied difference num_a*den_b - num_b*den_a has all coefficients
-below a tolerance.  No polynomial gcd is attempted (coefficients are floats).
+into the numerator.  No polynomial gcd is attempted (coefficients are floats).
+
+Every comparison of two rational functions is an `IdentityReport`: it
+computes the largest coefficient of the cross-multiplied difference
+num_a*den_b - num_b*den_a (`rf_discrepancy`, called nowhere else) and judges
+it with `ok(tol)`.  A check that finds its own results inconsistent raises
+a `VerificationError`, a failed verification rather than bad input.  The
+JSON form of a rational function lives in `serialize`.
 """
 
 from __future__ import annotations
@@ -21,6 +26,12 @@ import math
 from dataclasses import dataclass, field
 
 from .defaults import COEFF_TOL, PRUNE_REL_EPS
+
+
+class VerificationError(ArithmeticError):
+    """A computation found its own results inconsistent: a broken internal
+    invariant, not bad input.  The CLI exits 1 on it and on its subclasses
+    alone."""
 
 
 class NumericError(ArithmeticError):
@@ -309,21 +320,21 @@ def rf_discrepancy(a: RationalFunc, b: RationalFunc) -> float:
     return diff.max_abs()
 
 
-def rf_close(a: RationalFunc, b: RationalFunc, tol: float = COEFF_TOL) -> bool:
-    return rf_discrepancy(a, b) <= tol
-
-
 @dataclass
 class IdentityReport:
-    """Both sides of a checked rational-function identity and their
-    coefficient discrepancy; every identity check returns one.  `meta` holds
-    what a check adds: the shell range of `gamma_pv` ("shells") and the
-    route of `basic_zeta_check` ("route")."""
+    """Both sides of a rational-function identity and their coefficient
+    discrepancy `max_coeff_diff`, which the report computes itself; every
+    identity check returns one.  `meta` holds what a check adds: the shell
+    range of `gamma_pv` ("shells") and the route of `basic_zeta_check`
+    ("route")."""
 
     lhs: RationalFunc
     rhs: RationalFunc
-    max_coeff_diff: float
     meta: dict = field(default_factory=dict)
+    max_coeff_diff: float = field(init=False)
+
+    def __post_init__(self):
+        self.max_coeff_diff = rf_discrepancy(self.lhs, self.rhs)
 
     def ok(self, tol: float = COEFF_TOL) -> bool:
         return self.max_coeff_diff <= tol
@@ -341,14 +352,6 @@ def geometric_series(q: int, ratio_coeff: complex, ratio_exp: int,
     one = LaurentPoly.one(q)
     ratio = LaurentPoly.monomial(q, ratio_exp, ratio_coeff)
     return first_term * RationalFunc(one, one - ratio)
-
-
-def rf_to_json(a: RationalFunc) -> dict:
-    return {
-        "q": a.q,
-        "num": [[e, c.real, c.imag] for e, c in sorted(a.num.coeffs.items())],
-        "den": [[e, c.real, c.imag] for e, c in sorted(a.den.coeffs.items())],
-    }
 
 
 TWO_PI = 2 * math.pi

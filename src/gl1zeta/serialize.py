@@ -1,10 +1,13 @@
-"""JSON codecs for the package's value types, plus CSV shell tables.
+"""The package's JSON wire format, plus CSV shell tables.
 
-The wire formats are pinned by the schema documents in gl1zeta/schemas/;
-each decoder validates its input, so the CLI checks it before computing.
-The check is done here, for the fixed set of draft 2020-12 keywords those
-documents use, read as jsonschema 4 reads them; a schema with any other
-keyword or form fails to load.
+This is the only module that knows JSON: every encoder (`*_to_json`, and
+`gamma_report_json` for a `gamma_pv` report) and every decoder
+(`*_from_json`) of the package's value types is here.  The wire formats are
+pinned by the schema documents in gl1zeta/schemas/; each decoder validates
+its input, so the CLI checks it before computing.  The check is done here,
+for the fixed set of draft 2020-12 keywords those documents use, read as
+jsonschema 4 reads them; a schema with any other keyword or form fails to
+load.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ import re
 from fractions import Fraction
 
 from .arch import ArchChar, ArchSeed
-from .characters import MultChar, char_from_json, char_to_json
+from .characters import MultChar
 from .defaults import DEFAULT_PREC
 from .padic import PAdicElt
+from .ratfunc import IdentityReport, RationalFunc
 from .stepfn import (MultStepFunction, MultTerm, StepFunction, StepTerm)
 
 
@@ -190,10 +194,17 @@ def function_from_json(obj: dict):
 
 # -- characters and pi parameters ------------------------------------------
 
+def char_to_json(chi: MultChar) -> dict:
+    return {"p": chi.p, "cond": chi.cond, "unit_char": list(chi.unit_char),
+            "t": [chi.t.real, chi.t.imag]}
+
+
 def multchar_from_json(obj: dict) -> MultChar:
     validate(obj, "character")
     try:
-        return char_from_json(obj)
+        return MultChar(int(obj["p"]), int(obj["cond"]),
+                        tuple(int(k) for k in obj["unit_char"]),
+                        complex(obj["t"][0], obj["t"][1]))
     except ValueError as exc:
         raise InputFormatError("character/invalid", str(exc)) from exc
 
@@ -247,6 +258,26 @@ def matrix2_from_json(obj) -> list[list]:
     """The entries as given: `Fraction` reads them when the average is taken."""
     validate(obj, "matrix2")
     return obj
+
+
+# -- rational functions and reports ----------------------------------------
+
+def rf_to_json(a: RationalFunc) -> dict:
+    return {
+        "q": a.q,
+        "num": [[e, c.real, c.imag] for e, c in sorted(a.num.coeffs.items())],
+        "den": [[e, c.real, c.imag] for e, c in sorted(a.den.coeffs.items())],
+    }
+
+
+def gamma_report_json(report: IdentityReport) -> dict:
+    """The `gamma_pv` report in the wire format of schemas/gamma_report.json."""
+    return {
+        "gamma_closed": rf_to_json(report.lhs),
+        "gamma_pv": rf_to_json(report.rhs),
+        "max_coeff_diff": report.max_coeff_diff,
+        "shells": list(report.meta["shells"]),
+    }
 
 
 # -- deterministic emission --------------------------------------------------

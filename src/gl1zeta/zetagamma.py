@@ -46,13 +46,13 @@ from cmath import rect
 
 from .characters import MultChar, char_product, unit_values, unramified_char
 from .padic import PAdicElt, PrecisionError, shell_volume
-from .ratfunc import (IdentityReport, LaurentPoly, RationalFunc, geometric_series,
-                      TWO_PI, rf_discrepancy, rf_dual_subst, rf_to_json)
+from .ratfunc import (IdentityReport, LaurentPoly, RationalFunc, TWO_PI,
+                      VerificationError, geometric_series, rf_dual_subst)
 from .stepfn import (MultStepFunction, StepFunction, fourier_transform,
                      mellin_component)
 
 
-class ShellGuardError(ArithmeticError):
+class ShellGuardError(VerificationError):
     """A shell that must vanish identically came back nonzero: conductor
     bookkeeping is broken somewhere upstream."""
 
@@ -355,8 +355,7 @@ def gamma_pv(chi: MultChar, twist: MultChar | None = None,
     prod = char_product(chi, twist) if twist is not None else chi
     total, shells = gamma_pv_total(prod, shell_floor)
     closed = gamma_closed(prod)
-    return IdentityReport(closed, total, rf_discrepancy(closed, total),
-                          {"shells": shells})
+    return IdentityReport(closed, total, {"shells": shells})
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +405,7 @@ def verify_fe(phi, chi: MultChar, pi_params) -> IdentityReport:
         rhs = gamma_closed(prod) * zeta(phi, prod).scale_x(1.0 / rt_q)
         g = fourier_transform(phi)
         lhs = rf_dual_subst(zeta(g, prod.inverse()).scale_x(1.0 / rt_q))
-        return IdentityReport(lhs, rhs, rf_discrepancy(lhs, rhs))
+        return IdentityReport(lhs, rhs)
     if isinstance(phi, MultStepFunction):
         from .kernel import gamma_symbol, hankel_component
         omega = chi.unitary_part()
@@ -416,15 +415,5 @@ def verify_fe(phi, chi: MultChar, pi_params) -> IdentityReport:
         lhs = rf_dual_subst(z_out)
         closed = gamma_symbol(constituents, omega.cond, p).component(omega)
         rhs = closed.scale_x(chi.t) * m_in.scale_x(chi.t * rt_q)
-        return IdentityReport(lhs, rhs, rf_discrepancy(lhs, rhs))
+        return IdentityReport(lhs, rhs)
     raise TypeError("unsupported function model %r" % type(phi).__name__)
-
-
-def gamma_report_json(report: IdentityReport) -> dict:
-    """The `gamma_pv` report in the wire format of schemas/gamma_report.json."""
-    return {
-        "gamma_closed": rf_to_json(report.lhs),
-        "gamma_pv": rf_to_json(report.rhs),
-        "max_coeff_diff": report.max_coeff_diff,
-        "shells": list(report.meta["shells"]),
-    }

@@ -11,7 +11,7 @@ from gl1zeta import basicfn
 from gl1zeta.basicfn import (BasicFunction, basic_fourier_check,
                              basic_zeta_check, complete_homogeneous)
 from gl1zeta.characters import MultChar, trivial_char, unramified_char
-from gl1zeta.ratfunc import rf_close, rf_series_coeffs
+from gl1zeta.ratfunc import IdentityReport, rf_discrepancy, rf_series_coeffs
 from gl1zeta.zetagamma import l_factor_satake
 
 
@@ -60,8 +60,8 @@ def test_zeta_check_rank1_trivial():
     rep = basic_zeta_check([1.0], trivial_char(5))
     # Z = 1/(1 - X)
     from gl1zeta.ratfunc import LaurentPoly, RationalFunc
-    assert rf_close(rep.lhs, RationalFunc(LaurentPoly.one(5),
-                                          LaurentPoly(5, {0: 1, 1: -1})))
+    assert IdentityReport(rep.lhs, RationalFunc(LaurentPoly.one(5),
+                                                LaurentPoly(5, {0: 1, 1: -1}))).ok()
     assert rep.ok(1e-12)
 
 
@@ -76,7 +76,7 @@ def test_zeta_check_unramified_twist_rescales():
     r1 = basic_zeta_check([0.5 + 0.2j], unramified_char(7, t))
     r2 = basic_zeta_check([(0.5 + 0.2j) * t], trivial_char(7))
     assert r1.ok(1e-10) and r2.ok(1e-10)
-    assert rf_close(r1.rhs, r2.rhs, 1e-10)
+    assert IdentityReport(r1.rhs, r2.rhs).ok(1e-10)
 
 
 def test_zeta_check_requires_unramified():
@@ -87,6 +87,7 @@ def test_zeta_check_requires_unramified():
 def test_zeta_check_repeated_roots_route():
     rep = basic_zeta_check([0.5, 0.5], trivial_char(3))
     assert rep.ok(1e-10) and rep.meta["route"] == "series-window"
+    assert rep.max_coeff_diff == rf_discrepancy(rep.lhs, rep.rhs)
 
 
 @pytest.mark.parametrize("gap", [1e-3, 1e-5])
@@ -98,11 +99,13 @@ def test_zeta_check_near_coincident_pair(gap):
     rep = basic_zeta_check(alpha, trivial_char(5))
     assert rep.meta["route"] == "series-window"
     assert rep.ok(1e-13)
+    assert rep.max_coeff_diff == rf_discrepancy(rep.lhs, rep.rhs)
 
 
 def test_zeta_check_separated_pair_keeps_partial_fractions():
     rep = basic_zeta_check([0.6 + 0.8j, 0.6 - 0.8j], trivial_char(3))
     assert rep.meta["route"] == "partial-fractions" and rep.ok(1e-12)
+    assert rep.max_coeff_diff == rf_discrepancy(rep.lhs, rep.rhs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -119,7 +122,9 @@ def test_zeta_check_unitary_with_close_pair(p, theta, k, sign, others):
 
 
 def test_fourier_check_rank1_trivial():
-    assert basic_fourier_check([1.0], 5).ok(1e-12)
+    rep = basic_fourier_check([1.0], 5)
+    assert rep.ok(1e-12)
+    assert rep.max_coeff_diff == rf_discrepancy(rep.lhs, rep.rhs)
 
 
 def test_fourier_check_self_dual_pair():
@@ -139,8 +144,8 @@ def test_random_unitary_corpus_with_permutations():
         perm = list(alpha)
         rng.shuffle(perm)
         z2 = basic_zeta_check(perm, trivial_char(p))
-        assert rf_close(z.rhs, z2.rhs, 1e-10)
-        assert rf_close(z.lhs, z2.lhs, 1e-9)
+        assert IdentityReport(z.rhs, z2.rhs).ok(1e-10)
+        assert IdentityReport(z.lhs, z2.lhs).ok(1e-9)
 
 
 def _per_shell_value(p, m, alpha):

@@ -77,6 +77,28 @@ def test_gamma_guard_shell_failure_exit_one(capsys, monkeypatch):
     assert json.loads(out)["error"]["code"] == "run/shellguarderror"
 
 
+def test_basic_spot_check_failure_exit_one(capsys, monkeypatch):
+    # one shell value 1e-6 off no longer matches the partial-fraction series
+    # built from the same Satake list: a broken internal invariant, reported
+    # as a verification failure, not as bad input
+    from gl1zeta.basicfn import BasicFunction, basic_zeta_check
+    from gl1zeta.characters import trivial_char
+    from gl1zeta.ratfunc import VerificationError
+    shell_values = BasicFunction.shell_values
+
+    def perturbed(self, window):
+        values = shell_values(self, window)
+        values[2] += 1e-6
+        return values
+
+    monkeypatch.setattr(BasicFunction, "shell_values", perturbed)
+    with pytest.raises(VerificationError, match="shell value mismatch at m=2"):
+        basic_zeta_check([0.6 + 0.8j, 0.6 - 0.8j], trivial_char(3))
+    code, out = run_cli(capsys, "basic", "--alpha", ALPHA, "--p", "3")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "run/verificationerror"
+
+
 def test_gamma_byte_identical(tmp_path, capsys):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["gamma", "--chi", CHI_QUAD5, "--out", str(p1)]) == 0

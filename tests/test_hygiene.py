@@ -5,7 +5,8 @@ bound by an import must occur as a name somewhere else in the module, in
 code or in a string annotation.  `__init__.py` is exempt, since its imports
 are the package's re-exports, and so is `from __future__ import annotations`.
 
-`_unit_sum` has one caller, and every parameter with a default in
+`_unit_sum` and `rf_discrepancy` have one caller each, only `serialize`
+defines JSON codecs, and every parameter with a default in
 src/gl1zeta/ is set by some call in src/, perfbench/ or tools/, or is
 listed with the test that needs it.  Calls are matched to functions by name
 alone, so a same-named function elsewhere can only hide a dead parameter,
@@ -90,12 +91,33 @@ def test_unit_sum_has_one_caller():
     assert callers == {"zetagamma.coset_integral"}
 
 
+def test_rf_discrepancy_has_one_caller():
+    # one comparison rule for every identity check: the report computes its
+    # own discrepancy, and no check or command computes one beside it;
+    # __init__.py only re-exports the name
+    callers = {"%s.%s" % (path.stem, scope)
+               for path in (ROOT / "src" / "gl1zeta").glob("*.py")
+               for scope in _scopes_naming(ast.parse(path.read_text()),
+                                           "rf_discrepancy")}
+    assert callers == {"ratfunc.__post_init__", "__init__.<module>"}
+
+
+def test_only_serialize_defines_json_codecs():
+    # one home for the wire format: every *_to_json and *_from_json function
+    # of the package is in serialize.py
+    codecs = {"%s.%s" % (path.stem, node.name)
+              for path in (ROOT / "src" / "gl1zeta").glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and node.name.endswith(("_to_json", "_from_json"))}
+    assert codecs and {c.split(".")[0] for c in codecs} == {"serialize"}
+
+
 # Parameters with a default that no call in src/, perfbench/ or tools/ sets,
 # each kept for the test named beside it.
 TEST_ONLY_PARAMETERS = {
     "gamma_pv.shell_floor": "test_zetagamma.py::test_gamma_pv_schedule_invariance",
     "main.argv": "test_cli.py (every test)",
-    "rf_close.tol": "test_kernel.py::test_gamma_symbol_satake_l_ratio",
     "PAdicElt.from_int.prec": "test_unit_sum.py::test_coset_sum_matches_naive_loop",
     "indicator_ball.twist": "test_stepfn.py::test_step_inner_needs_twist_digits",
     "random_mult_step.max_level":

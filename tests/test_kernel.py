@@ -17,7 +17,7 @@ from gl1zeta.kernel import (Gl1Kernel, gamma_symbol, hankel_component,
                             trace_average_check)
 from gl1zeta.defaults import DEFAULT_PREC
 from gl1zeta.padic import PAdicElt, unit_residues
-from gl1zeta.ratfunc import (RationalFunc, rf_close, rf_discrepancy,
+from gl1zeta.ratfunc import (IdentityReport, RationalFunc, rf_discrepancy,
                              rf_dual_subst, rf_reflected_product)
 from gl1zeta.stepfn import (MultStepFunction, MultTerm, delta_approximant,
                             indicator_ball, mellin, mellin_invert,
@@ -94,7 +94,8 @@ def test_trace_average_guards():
 
 def test_gamma_symbol_rank1():
     sym = gamma_symbol([trivial_char(5)], 1, p=5)
-    assert rf_close(sym.component(trivial_char(5)), gamma_closed(trivial_char(5)))
+    assert IdentityReport(sym.component(trivial_char(5)),
+                          gamma_closed(trivial_char(5))).ok()
 
 
 def test_gamma_symbol_satake_l_ratio():
@@ -104,7 +105,7 @@ def test_gamma_symbol_satake_l_ratio():
     sym = gamma_symbol([a, 1 / a], 0, p=p)
     got = sym.component(trivial_char(p))
     lhs = rf_dual_subst(l_factor_satake(p, [1 / a, a])) / l_factor_satake(p, [a, 1 / a])
-    assert rf_close(got, lhs, 1e-9)
+    assert IdentityReport(got, lhs).ok(1e-9)
 
 
 def test_gamma_symbol_permutation_invariance():
@@ -112,7 +113,7 @@ def test_gamma_symbol_permutation_invariance():
     s1 = gamma_symbol(alpha, 1, p=5)
     s2 = gamma_symbol(list(reversed(alpha)), 1, p=5)
     for w in unitary_components(5, 1):
-        assert rf_close(s1.component(w), s2.component(w), 1e-9)
+        assert IdentityReport(s1.component(w), s2.component(w)).ok(1e-9)
 
 
 def test_gamma_symbol_ramified_list():
@@ -120,7 +121,7 @@ def test_gamma_symbol_ramified_list():
     sym = gamma_symbol([chi_r, trivial_char(3)], 1, p=3)
     for w in unitary_components(3, 1):
         expect = gamma_closed(char_product(chi_r, w)) * gamma_closed(w)
-        assert rf_close(sym.component(w), expect, 1e-9)
+        assert IdentityReport(sym.component(w), expect).ok(1e-9)
 
 
 def test_gamma_symbol_missing_component():
@@ -223,8 +224,8 @@ def test_hankel_delta_approximant_recovers_symbol():
         expect = rf_dual_subst(sym.component(w.inverse())
                                ).subst_monomial(1 / rt, 1)
         got_in = mellin(phi, 1).component(w.inverse())
-        assert rf_close(got_in, RationalFunc.one(p), 1e-12)
-        assert rf_close(out.component(w), expect, 1e-10)
+        assert IdentityReport(got_in, RationalFunc.one(p)).ok(1e-12)
+        assert IdentityReport(out.component(w), expect).ok(1e-10)
 
 
 @pytest.mark.parametrize("route", ["closed", "pv"])
@@ -393,7 +394,7 @@ def test_hankel_linearity():
     for w in unitary_components(p, 2):
         zero = RationalFunc.zero(p)
         want = r1.comps.get(w, zero).scale(a) + r2.comps.get(w, zero).scale(b)
-        assert rf_close(lhs.comps.get(w, zero), want, 1e-10)
+        assert IdentityReport(lhs.comps.get(w, zero), want).ok(1e-10)
 
 
 def test_hankel_support_bookkeeping():
@@ -425,6 +426,7 @@ def test_homogeneous_identity_trivial():
     rep = homogeneous_identity_check(trivial_char(5), trivial_char(5),
                                      unit_indicator(5))
     assert rep.max_coeff_diff <= 1e-10
+    assert rep.max_coeff_diff == rf_discrepancy(rep.lhs, rep.rhs)
 
 
 def test_homogeneous_identity_corpus():

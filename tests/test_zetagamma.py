@@ -11,7 +11,7 @@ from gl1zeta.characters import (MultChar, char_product, trivial_char,
                                 unitary_components, unramified_char)
 from gl1zeta.corpus import random_char, random_mult_step, random_step
 from gl1zeta.padic import PAdicElt, psi_value, unit_group
-from gl1zeta.ratfunc import (LaurentPoly, RationalFunc, rf_close,
+from gl1zeta.ratfunc import (IdentityReport, LaurentPoly, RationalFunc,
                              rf_discrepancy, rf_dual_subst)
 from gl1zeta.stepfn import coset_indicator, indicator_ball, unit_indicator
 from gl1zeta.zetagamma import (epsilon_factor, gamma_closed,
@@ -22,7 +22,7 @@ from gl1zeta.zetagamma import (epsilon_factor, gamma_closed,
 
 def test_zeta_unit_shell():
     z = zeta(unit_indicator(5), trivial_char(5))
-    assert rf_close(z, RationalFunc.const(5, 1 - 1 / 5))
+    assert IdentityReport(z, RationalFunc.const(5, 1 - 1 / 5)).ok()
 
 
 def test_zeta_full_lattice_geometric_tail():
@@ -30,7 +30,7 @@ def test_zeta_full_lattice_geometric_tail():
     z = zeta(indicator_ball(q, None, 0), trivial_char(q))
     expect = RationalFunc(LaurentPoly(q, {0: 1 - 1 / q}),
                           LaurentPoly(q, {0: 1, 1: -q ** 0.5}))
-    assert rf_close(z, expect)
+    assert IdentityReport(z, expect).ok()
 
 
 def test_zeta_principal_unit_coset():
@@ -38,7 +38,7 @@ def test_zeta_principal_unit_coset():
     f = indicator_ball(5, one5, 1)
     for chi in unitary_components(5, 1):
         # vol(1 + 5 Z_5) regardless of the conductor <= 1 character
-        assert rf_close(zeta(f, chi), RationalFunc.const(5, 1 / 5))
+        assert IdentityReport(zeta(f, chi), RationalFunc.const(5, 1 / 5)).ok()
 
 
 def test_zeta_ramified_kills_tail():
@@ -83,14 +83,15 @@ def test_zeta_mult_vanishing_coset_sum_is_exact_zero():
 
 
 def test_l_factor():
-    assert rf_close(l_factor(trivial_char(7)),
-                    RationalFunc(LaurentPoly.one(7), LaurentPoly(7, {0: 1, 1: -1})))
-    assert rf_close(l_factor(MultChar(5, 1, (1,), 1.0)), RationalFunc.one(5))
+    assert IdentityReport(l_factor(trivial_char(7)), RationalFunc(
+        LaurentPoly.one(7), LaurentPoly(7, {0: 1, 1: -1}))).ok()
+    assert IdentityReport(l_factor(MultChar(5, 1, (1,), 1.0)),
+                          RationalFunc.one(5)).ok()
     a1, a2 = 0.3 + 0.4j, -0.8j
     lf = l_factor_satake(3, [a1, a2])
     den = (LaurentPoly.one(3) - LaurentPoly.monomial(3, 1, a1)) * \
           (LaurentPoly.one(3) - LaurentPoly.monomial(3, 1, a2))
-    assert rf_close(lf, RationalFunc(LaurentPoly.one(3), den))
+    assert IdentityReport(lf, RationalFunc(LaurentPoly.one(3), den)).ok()
 
 
 @pytest.mark.parametrize("t", [1e13, -1e14j, 1e20])
@@ -113,7 +114,8 @@ def test_l_factor_large_kept_constant_term_passes(t):
 
 
 def test_epsilon_unramified_is_one():
-    assert rf_close(epsilon_factor(unramified_char(5, 2.0j)), RationalFunc.one(5))
+    assert IdentityReport(epsilon_factor(unramified_char(5, 2.0j)),
+                          RationalFunc.one(5)).ok()
 
 
 def test_epsilon_quadratic_unitary():
@@ -168,13 +170,13 @@ def test_gamma_closed_trivial():
     g = gamma_closed(trivial_char(5))
     expect = RationalFunc(LaurentPoly(5, {0: 1, 1: -1}),
                           LaurentPoly(5, {0: 1, -1: -1 / 5}))
-    assert rf_close(g, expect)
+    assert IdentityReport(g, expect).ok()
 
 
 def test_gamma_closed_ramified_is_monomial():
     chi = MultChar(5, 1, (1,), 0.6 + 0.8j)
     g = gamma_closed(chi)
-    assert rf_close(g, epsilon_factor(chi))
+    assert IdentityReport(g, epsilon_factor(chi)).ok()
 
 
 def test_gamma_pv_measure_calibration():
@@ -187,6 +189,7 @@ def test_gamma_pv_measure_calibration():
                         LaurentPoly(q, {0: 1, -1: -1 / q}))
     assert rf_discrepancy(rep.rhs, hand) < 1e-12
     assert rep.max_coeff_diff < 1e-12
+    assert rep.max_coeff_diff == rf_discrepancy(rep.lhs, rep.rhs)
 
 
 def test_gamma_pv_agreement_small_corpus():
@@ -251,7 +254,7 @@ def test_gamma_duality_involution():
         chi = random_char(rng, p, 2, unitary_t=False)
         g1 = gamma_closed(chi)
         g2 = rf_dual_subst(gamma_closed(chi.inverse())).scale(chi.unit_value(-1))
-        assert rf_close(g1 * g2, RationalFunc.one(p), 1e-9)
+        assert IdentityReport(g1 * g2, RationalFunc.one(p)).ok(1e-9)
 
 
 def test_verify_fe_lattice_trivial():
@@ -266,6 +269,7 @@ def test_verify_fe_step_corpus():
         rep = verify_fe(random_step(rng, p), random_char(rng, p, 2),
                         random_char(rng, p, 1))
         assert rep.max_coeff_diff <= 1e-9
+        assert rep.max_coeff_diff == rf_discrepancy(rep.lhs, rep.rhs)
 
 
 def test_verify_fe_mult_ramified_exact():
@@ -276,6 +280,7 @@ def test_verify_fe_mult_ramified_exact():
         chi = MultChar(p, 1, (1,), cmath.exp(2j * cmath.pi * rng.random()))
         rep = verify_fe(random_mult_step(rng, p), chi, [random_char(rng, p, 1)])
         assert rep.max_coeff_diff <= 1e-9
+        assert rep.max_coeff_diff == rf_discrepancy(rep.lhs, rep.rhs)
 
 
 def test_verify_fe_satake_input():

@@ -31,7 +31,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from gl1zeta import serialize  # noqa: E402
-from gl1zeta.characters import char_to_json  # noqa: E402
 from gl1zeta.cli import main as cli_main  # noqa: E402
 from gl1zeta.corpus import corpus_generate  # noqa: E402
 
@@ -65,7 +64,7 @@ def readme_calls() -> list[list[str]]:
 def corpus_calls() -> list[list[str]]:
     """`gamma` per seed-42 gamma entry, `hankel --route both` per seed-43
     Hankel entry."""
-    calls = [["gamma", "--chi", _compact(char_to_json(chi))]
+    calls = [["gamma", "--chi", _compact(serialize.char_to_json(chi))]
              for chi in corpus_generate(42)["gamma"]]
     for e in corpus_generate(43)["hankel"]:
         calls.append(["hankel", "--phi", _compact(serialize.mult_to_json(e["phi"])),

@@ -9,6 +9,15 @@ inside the class.
 Canonical form: the denominator is a Laurent polynomial with constant term 1
 and no negative exponents; any monomial factor of the denominator is pushed
 into the numerator.  No polynomial gcd is attempted (coefficients are floats).
+Polynomials have the shared denominator `LaurentPoly.one(q)`: `from_poly`,
+`const` and `monomial` give it, and `+`, `-`, `*` and substitution of such
+keep it, so their arithmetic forms only numerators and skips
+canonicalization.  A denominator equal to 1 that is not the shared one (a
+quotient can leave one) takes the general path, with the same bits.
+Relative pruning (`_prune`) runs only where magnitudes can change: negation
+and `shift` keep those of a pruned polynomial.  The product x * 1 is not the
+identity on bits, since it turns the -0.0 parts of x into +0.0, so the
+polynomial `+` forms each of its two products by 1 as written.
 
 Every comparison of two rational functions is an `IdentityReport`: it
 computes the largest coefficient of the cross-multiplied difference
@@ -48,6 +57,9 @@ def _check_finite(c: complex) -> complex:
     return c
 
 
+_ONE = 1.0 + 0.0j
+
+
 class LaurentPoly:
     """A Laurent polynomial sum_e c_e X^e with complex coefficients.
 
@@ -73,7 +85,7 @@ class LaurentPoly:
     @classmethod
     @functools.cache
     def one(cls, q: int) -> "LaurentPoly":
-        return cls(q, {0: 1.0 + 0.0j})
+        return cls(q, {0: _ONE})
 
     @classmethod
     def monomial(cls, q: int, exp: int, coeff: complex = 1.0) -> "LaurentPoly":
@@ -110,7 +122,7 @@ class LaurentPoly:
         return LaurentPoly(self.q, out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.q, {e: -c for e, c in self.coeffs.items()})
+        return _pruned(self.q, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -130,7 +142,7 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by X^k."""
-        return LaurentPoly(self.q, {e + k: v for e, v in self.coeffs.items()})
+        return _pruned(self.q, {e + k: v for e, v in self.coeffs.items()})
 
     def subst_monomial(self, c: complex, sign: int) -> "LaurentPoly":
         """Substitute X -> c * X^sign (sign is +1 or -1)."""
@@ -145,9 +157,22 @@ class LaurentPoly:
         return _check_finite(sum((c * (x ** e) for e, c in self.coeffs.items()), 0.0 + 0.0j))
 
 
+def _pruned(q: int, coeffs: dict[int, complex]) -> LaurentPoly:
+    """A LaurentPoly of `coeffs`, which have the magnitudes of a pruned one's."""
+    poly = LaurentPoly.__new__(LaurentPoly)
+    poly.q, poly.coeffs = q, coeffs
+    return poly
+
+
 def _prune(coeffs: dict[int, complex]) -> dict[int, complex]:
     # Relative pruning keeps canonicalization from latching onto roundoff
     # residue as a "leading" coefficient.  A NaN or inf makes the sum non-finite.
+    if len(coeffs) == 1:
+        ((e, c),) = coeffs.items()
+        a = abs(c)
+        if not math.isfinite(a):
+            _check_finite(complex(c))
+        return {e: complex(c)} if a > a * PRUNE_REL_EPS else {}
     mags = list(map(abs, coeffs.values()))
     if not math.isfinite(sum(mags)):
         for c in coeffs.values():
@@ -164,6 +189,8 @@ class RationalFunc:
     den: LaurentPoly
 
     def __post_init__(self):
+        if self.den is LaurentPoly.one(self.num.q):
+            return      # already canonical
         if self.den.is_zero():
             raise ZeroDenominatorError("zero denominator")
         self.num._same_q(self.den)
@@ -205,6 +232,14 @@ class RationalFunc:
         return self.num.is_zero()
 
     def __add__(self, other: "RationalFunc") -> "RationalFunc":
+        one = LaurentPoly.one(self.q)
+        if self.den is one and other.den is one:
+            # num * 1 + num' * 1, each product's 0.0 + c * (1+0j) written out
+            # (it clears the sign of zero parts), pruned once
+            out = {e: 0.0 + c * _ONE for e, c in self.num.coeffs.items()}
+            for e, c in other.num.coeffs.items():
+                out[e] = out.get(e, 0.0) + (0.0 + c * _ONE)
+            return RationalFunc(LaurentPoly(self.q, out), one)
         return RationalFunc(self.num * other.den + other.num * self.den,
                             self.den * other.den)
 
@@ -215,7 +250,9 @@ class RationalFunc:
         return self + (-other)
 
     def __mul__(self, other: "RationalFunc") -> "RationalFunc":
-        return RationalFunc(self.num * other.num, self.den * other.den)
+        one = LaurentPoly.one(self.q)
+        den = one if self.den is one and other.den is one else self.den * other.den
+        return RationalFunc(self.num * other.num, den)
 
     def __truediv__(self, other: "RationalFunc") -> "RationalFunc":
         if other.num.is_zero():
@@ -227,8 +264,10 @@ class RationalFunc:
 
     def subst_monomial(self, c: complex, sign: int) -> "RationalFunc":
         """Substitute X -> c * X^sign and re-canonicalize."""
-        return RationalFunc(self.num.subst_monomial(c, sign),
-                            self.den.subst_monomial(c, sign))
+        den = self.den
+        if den is not LaurentPoly.one(self.q):
+            den = den.subst_monomial(c, sign)
+        return RationalFunc(self.num.subst_monomial(c, sign), den)
 
     def scale_x(self, c: complex) -> "RationalFunc":
         """Substitute X -> c*X, i.e. shift s by -log_q(c)."""

@@ -229,3 +229,31 @@ def test_reflected_product_over_one_keeps_the_bits_of_two_reflects(na, nb, c):
     assert got.den is LaurentPoly.one(Q)
     want = RationalFunc(_reflect(a.num, b.num, c), _reflect(a.den, b.den, c))
     assert repr(got) == repr(want)
+
+
+def _over_general_one(a):
+    """`a` over a denominator equal to 1 that is not the shared
+    `LaurentPoly.one`, so every operation on it takes the general path."""
+    return RationalFunc(a.num, LaurentPoly(Q, {0: 1 + 0j}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(POLY, POLY, st.sampled_from([Q ** -1.0, 1.0, -0.25, 2 ** -0.5, 3.0]),
+       st.integers(-4, 4))
+def test_polynomial_fast_paths_keep_the_bits_of_the_general_path(na, nb, c, k):
+    one = LaurentPoly.one(Q)
+    a = RationalFunc.from_poly(LaurentPoly(Q, na))
+    b = RationalFunc.from_poly(LaurentPoly(Q, nb))
+    ga, gb = _over_general_one(a), _over_general_one(b)
+    assert ga.den is not one
+    pairs = [(a + b, ga + gb), (a - b, ga - gb), (a * b, ga * gb), (-a, -ga),
+             (a.scale_x(c), ga.scale_x(c)),
+             (a.subst_monomial(c, 1), ga.subst_monomial(c, 1)),
+             (a.subst_monomial(c, -1), ga.subst_monomial(c, -1))]
+    for got, want in pairs:
+        assert got.den is one
+        assert repr(got) == repr(want)
+    # the unpruned builds of LaurentPoly against a pruning one
+    assert repr(-a.num) == repr(LaurentPoly(Q, {e: -v for e, v in na.items()}))
+    assert repr(a.num.shift(k)) == repr(
+        LaurentPoly(Q, {e + k: v for e, v in a.num.coeffs.items()}))

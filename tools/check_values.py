@@ -7,7 +7,9 @@ returns, or the type name of the exception it raised.  The checks are those
 of `perfbench/workloads.py`, which is imported and not changed; without
 `--seed` each workload runs at its default seed.  Two trees compute the same
 bits exactly when the outputs of this script on both are identical, so a
-bit-identity gate is a `diff` of two runs.
+bit-identity gate is a `diff` of two runs.  The exit code is 1 when a check
+raised or returned a value that is not within its tolerance (NaN included),
+else 0; stdout is the same either way.
 """
 
 from __future__ import annotations
@@ -24,13 +26,15 @@ import workloads  # noqa: E402
 
 
 def check_lines(name: str, seed: int, tiny: bool = False):
-    """One line per check of workload `name` at `seed`, in workload order."""
+    """One (line, passed) pair per check of workload `name` at `seed`, in
+    workload order."""
     for check in workloads.build(name, seed, tiny):
         try:
-            value = repr(check.run())
+            value = check.run()
         except Exception as exc:  # a failing check is a value to compare too
-            value = type(exc).__name__
-        yield "%s %s" % (check.label, value)
+            yield "%s %s" % (check.label, type(exc).__name__), False
+        else:
+            yield "%s %r" % (check.label, value), value <= check.tol  # NaN fails
 
 
 def main(argv=None) -> int:
@@ -43,11 +47,13 @@ def main(argv=None) -> int:
                     help="the small variant of each workload")
     args = ap.parse_args(argv)
     names = list(WORKLOADS) if args.workload == "all" else [args.workload]
+    failed = 0
     for name in names:
         seed = WORKLOADS[name].seed if args.seed is None else args.seed
-        for line in check_lines(name, seed, args.tiny):
+        for line, passed in check_lines(name, seed, args.tiny):
             print("%s %s" % (name, line))
-    return 0
+            failed += not passed
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -44,15 +44,17 @@ shared `PAdicElt.at(p, m, u)`, built once per process.
 
 `trace_average_check` is the finite verifier of the vanishing lemma for
 averages of psi(tr(g h)) over principal congruence subgroups of SL_2; it
-builds each distinct row of roots once, in a dict that lives for the call.
+counts the integer phases mod p^d of psi(tr(g h)), walking each distinct
+row of phases once per call, and adds at most p^d float terms.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import add, mul
+from operator import mul
 
 from .characters import MultChar, char_product
 from .defaults import DEFAULT_PREC
@@ -94,21 +96,35 @@ class Gl1Kernel:
 
 def trace_average_check(p: int, g, l0: int, L: int) -> complex:
     """Average of psi(tr(g h)) over h in (1 + p^l0 M_2) ∩ SL_2 modulo the
-    level-L principal congruence subgroup, computed exactly.
+    level-L principal congruence subgroup.
 
     `g` is a 2x2 matrix of rationals with p-power denominators.  Desk-scale
     guard rails: p in {2, 3} and L - l0 <= 3 (at most p^9 cosets), with
     L >= l0 + d where d is the largest denominator exponent in g (so the
     integrand is constant on level-L cosets).
 
-    h = [[a, b], [c, (1 + bc)/a]] runs over a = 1 + p^l0 ia, b = p^l0 ib,
-    c = p^l0 ic.  The phase of psi(tr(g h)) lives mod p^d, and p^d divides
-    p^L (L >= l0 + d > d), so reducing a, b and a^(-1) mod p^L first changes
-    nothing mod p^d.  tr(g h) is affine in c, so the phase in the innermost
-    index is (r0 + ic * delta) mod p^d, with r0 and delta fixed by (a, b).
-    The row of roots for (r0, delta) is built once per call and kept in a
-    dict for the pairs that share it (the lemma-3.1 grid: 80 rows for 9,516
-    pairs); rows are added in the order of the plain triple loop.
+    The phase of psi(tr(g h)) is an integer j mod p^d, so the average is
+    sum_j N_j zeta^j / p^(3(L - l0)), zeta = exp(2 pi i / p^d), from the
+    integer counts N = `_phase_counts(p, g, l0, L)`: at most p^d float
+    terms, in ascending j.  It is 0 exactly when N_j depends only on
+    j mod p^(d-1), as Phi_(p^d)(x) = Phi_p(x^(p^(d-1))) (T. Y. Lam and
+    K. H. Leung, J. Algebra 224 (2000)).
+    """
+    counts = _phase_counts(p, g, l0, L)
+    total = sum(n * root_of_unity(j, len(counts)) for j, n in enumerate(counts))
+    return total / p ** (3 * (L - l0))
+
+
+def _phase_counts(p: int, g, l0: int, L: int) -> list[int]:
+    """N_j, the number of cosets h where psi(tr(g h)) has phase j / p^d.
+
+    h = [[a, b], [c, (1 + bc)/a]] runs over a in 1 + p^l0 Z, b, c in p^l0 Z,
+    each mod p^L.  The phase lives mod p^d, and p^d divides p^L (L >= l0 + d
+    > d), so reducing a, b and a^(-1) mod p^L first changes nothing mod p^d.
+    tr(g h) is affine in c = p^l0 ic, so the phases of one (a, b) are
+    (r0 + ic * delta) mod p^d, ic < p^(L - l0).  Each pair adds 1 to its row
+    (r0, delta), and each distinct row adds its multiplicity to N along its
+    phases (the lemma-3.1 grid: 80 rows for 9,516 pairs).
     """
     check_prime(p)
     if p not in (2, 3):
@@ -137,27 +153,19 @@ def trace_average_check(p: int, g, l0: int, L: int) -> complex:
     modL = p ** L
     span = p ** (L - l0)
     step = p ** l0
-    roots = [root_of_unity(r, modD) for r in range(modD)]
-    rows: dict[tuple[int, int], tuple[complex, ...]] = {}
-    total = 0.0 + 0.0j
-    for ia in range(span):
-        a = 1 + step * ia
+    rows: Counter[tuple[int, int]] = Counter()
+    for a in range(1, modL, step):
         a_inv = pow(a, -1, modL)
-        for ib in range(span):
-            b = step * ib
+        for b in range(0, modL, step):
             # tr(g h) = n00 a + n10 b + n11 a^(-1) + c (n01 + n11 b a^(-1))
             r0 = (n00 * a + n10 * b + n11 * a_inv) % modD
             delta = (step * (n01 + n11 * b * a_inv)) % modD
-            row = rows.get((r0, delta))
-            if row is None:
-                row = rows[r0, delta] = _phase_row(roots, r0, delta, span)
-            total = reduce(add, row, total)
-    return total / span ** 3
-
-
-def _phase_row(roots: list[complex], r0: int, delta: int, span: int) -> tuple:
-    """One (a, b) row: roots[(r0 + ic * delta) mod p^d] for ic < span."""
-    return tuple(roots[(r0 + ic * delta) % len(roots)] for ic in range(span))
+            rows[r0, delta] += 1
+    counts = [0] * modD
+    for (r0, delta), mult in rows.items():
+        for ic in range(span):
+            counts[(r0 + ic * delta) % modD] += mult
+    return counts
 
 
 def lemma31_grid(p: int, l0: int) -> list[list[list[Fraction]]]:

@@ -673,10 +673,10 @@ def test_kernel_coset_integral_depends_on_the_memo_key_alone():
                                 kern, val, v, level) == want, (p, omega, val, level, u)
 
 
-def _plain_trace_average(p, g, l0, L):
+def _plain_phases(p, g, l0, L):
     """The triple loop over (a, b, c) that `trace_average_check` replaces:
-    the same root table (in exp form), read once per coset in the same
-    order, the phase recomputed from h = [[a, b], [c, (1 + bc)/a]]."""
+    p^d and the phase mod p^d of each coset, in loop order, recomputed from
+    h = [[a, b], [c, (1 + bc)/a]]."""
     entries = [Fraction(g[i][j]) for i in range(2) for j in range(2)]
     # the least d with every (p-power) denominator dividing p^d
     d = next(k for k in range(L + 1)
@@ -684,9 +684,7 @@ def _plain_trace_average(p, g, l0, L):
     modD, modL = p ** d, p ** L
     n00, n01, n10, n11 = (int(e * modD) % modD for e in entries)
     span, step = p ** (L - l0), p ** l0
-    roots = [cmath.exp(2j * cmath.pi * r / modD) for r in range(modD)]
-    total = 0.0 + 0.0j
-    count = 0
+    phases = []
     for ia in range(span):
         a = (1 + step * ia) % modL
         a_inv = pow(a, -1, modL)
@@ -695,9 +693,36 @@ def _plain_trace_average(p, g, l0, L):
             for ic in range(span):
                 c = (step * ic) % modL
                 dd = ((1 + b * c) * a_inv) % modL
-                total += roots[(n00 * a + n01 * c + n10 * b + n11 * dd) % modD]
-                count += 1
-    return total / count
+                phases.append((n00 * a + n01 * c + n10 * b + n11 * dd) % modD)
+    return modD, phases
+
+
+def _plain_trace_average(p, g, l0, L):
+    """The plain loop's phase counts N_j, and sum_j N_j roots[j] / count in
+    ascending j, with the root table in exp form."""
+    modD, phases = _plain_phases(p, g, l0, L)
+    counts = [0] * modD
+    for phase in phases:
+        counts[phase] += 1
+    roots = [cmath.exp(2j * cmath.pi * r / modD) for r in range(modD)]
+    return counts, sum(n * root for n, root in zip(counts, roots)) / len(phases)
+
+
+def _float_trace_average(p, g, l0, L):
+    """The plain loop summing one root per coset, in loop order."""
+    modD, phases = _plain_phases(p, g, l0, L)
+    roots = [cmath.exp(2j * cmath.pi * r / modD) for r in range(modD)]
+    total = 0.0 + 0.0j
+    for phase in phases:
+        total += roots[phase]
+    return total / len(phases)
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), u = 2^-53 (Higham, Accuracy and Stability
+    of Numerical Algorithms, 3.3-3.5)."""
+    nu = n * 2.0 ** -53
+    return nu / (1.0 - nu)
 
 
 def test_trace_average_matches_plain_loop():
@@ -711,29 +736,79 @@ def test_trace_average_matches_plain_loop():
             g = [[Fraction(1, p), Fraction(1, p * p)], [Fraction(2, p), Fraction(5, den)]]
             cases += [(p, g, 1, 4), (p, g, 2, 5)]
     for p, g, l0, L in cases:
-        assert trace_average_check(p, g, l0, L) == _plain_trace_average(p, g, l0, L)
+        counts, value = _plain_trace_average(p, g, l0, L)
+        assert kernel._phase_counts(p, g, l0, L) == counts, (p, g, l0, L)
+        got = trace_average_check(p, g, l0, L)
+        assert got == value, (p, g, l0, L)
+        # the float loop, one root per coset: its n - 1 additions, the
+        # kernel's p^d products and p^d - 1 additions, and both divisions
+        n = sum(counts)
+        assert abs(got - _float_trace_average(p, g, l0, L)) <= _gamma(
+            n + len(counts) + 2), (p, g, l0, L)
 
 
-def test_trace_average_builds_each_row_once(monkeypatch):
-    # the benchmark grid: 9,516 (a, b) pairs read 80 distinct phase rows,
-    # each built once per call
-    built = []
-    phase_row = kernel._phase_row
+def _vanishes_exactly(counts: list[int]) -> bool:
+    """sum_j N_j zeta^j = 0 for a primitive p^d-th root zeta, p = the prime
+    with len(counts) = p^d, d >= 1: N_j depends only on j mod p^(d-1)."""
+    p = min(k for k in range(2, len(counts) + 1) if len(counts) % k == 0)
+    period = len(counts) // p
+    return all(n == counts[j % period] for j, n in enumerate(counts))
 
-    def counting(roots, r0, delta, span):
-        built.append((r0, delta))
-        return phase_row(roots, r0, delta, span)
 
-    monkeypatch.setattr(kernel, "_phase_row", counting)
-    pairs = 0
+def test_trace_average_grid_vanishes_exactly():
+    # the integer counts certify the lemma: the average is exactly 0
     for p in (2, 3):
         for l0 in (1, 2):
             for g in lemma31_grid(p, l0):
-                start = len(built)
+                assert _vanishes_exactly(kernel._phase_counts(p, g, l0, l0 + 3)), (p, l0, g)
+        # at l0 = 3 psi(tr(g h)) is constant on the subgroup: one phase
+        # holds every coset and the average has modulus 1
+        for g in lemma31_grid(p, 3):
+            counts = kernel._phase_counts(p, g, 3, 6)
+            assert not _vanishes_exactly(counts), (p, g)
+            assert sorted(counts)[-2:] == [0, p ** 9], (p, g)
+            assert abs(abs(trace_average_check(p, g, 3, 6)) - 1) < 1e-12, (p, g)
+
+
+def test_trace_average_builds_each_row_once(monkeypatch):
+    # the benchmark grid: 9,516 (a, b) pairs count into 80 distinct phase
+    # rows, each walked once per call, and each call reads each of its
+    # p^d roots of unity once, in one product with its count
+    walked = []
+
+    class Rows(Counter):
+        def items(self):
+            rows = list(super().items())
+            walked.append(rows)
+            return rows
+
+    reads = []
+
+    class Root(complex):
+        pass
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        def read(self, other, _op=getattr(complex, name)):
+            reads.append(self)
+            return _op(self, other)
+        setattr(Root, name, read)
+    root_of_unity = kernel.root_of_unity
+    monkeypatch.setattr(kernel, "Counter", Rows)
+    monkeypatch.setattr(kernel, "root_of_unity", lambda j, n: Root(root_of_unity(j, n)))
+    rows = pairs = 0
+    for p in (2, 3):
+        for l0 in (1, 2):
+            for g in lemma31_grid(p, l0):
+                del walked[:], reads[:]
                 trace_average_check(p, g, l0, l0 + 3)
-                assert len(set(built[start:])) == len(built) - start
+                (call,) = walked
+                keys = [key for key, _ in call]
+                assert len(set(keys)) == len(keys)
+                assert sum(mult for _, mult in call) == p ** 6
+                rows += len(keys)
                 pairs += p ** 6
-    assert (len(built), pairs) == (80, 9516)
+                assert len(reads) <= p ** 3 == len(kernel._phase_counts(p, g, l0, l0 + 3))
+    assert (rows, pairs) == (80, 9516)
 
 
 def _count_gamma_closed(monkeypatch) -> list:

@@ -747,10 +747,9 @@ def test_trace_average_matches_plain_loop():
             n + len(counts) + 2), (p, g, l0, L)
 
 
-def _vanishes_exactly(counts: list[int]) -> bool:
-    """sum_j N_j zeta^j = 0 for a primitive p^d-th root zeta, p = the prime
-    with len(counts) = p^d, d >= 1: N_j depends only on j mod p^(d-1)."""
-    p = min(k for k in range(2, len(counts) + 1) if len(counts) % k == 0)
+def _vanishes_exactly(counts: list[int], p: int) -> bool:
+    """sum_j N_j zeta^j = 0 for a primitive p^d-th root zeta, p^d =
+    len(counts), d >= 1: N_j depends only on j mod p^(d-1)."""
     period = len(counts) // p
     return all(n == counts[j % period] for j, n in enumerate(counts))
 
@@ -760,12 +759,12 @@ def test_trace_average_grid_vanishes_exactly():
     for p in (2, 3):
         for l0 in (1, 2):
             for g in lemma31_grid(p, l0):
-                assert _vanishes_exactly(kernel._phase_counts(p, g, l0, l0 + 3)), (p, l0, g)
+                assert _vanishes_exactly(kernel._phase_counts(p, g, l0, l0 + 3), p), (p, l0, g)
         # at l0 = 3 psi(tr(g h)) is constant on the subgroup: one phase
         # holds every coset and the average has modulus 1
         for g in lemma31_grid(p, 3):
             counts = kernel._phase_counts(p, g, 3, 6)
-            assert not _vanishes_exactly(counts), (p, g)
+            assert not _vanishes_exactly(counts, p), (p, g)
             assert sorted(counts)[-2:] == [0, p ** 9], (p, g)
             assert abs(abs(trace_average_check(p, g, 3, 6)) - 1) < 1e-12, (p, g)
 
@@ -807,7 +806,7 @@ def test_trace_average_builds_each_row_once(monkeypatch):
                 assert sum(mult for _, mult in call) == p ** 6
                 rows += len(keys)
                 pairs += p ** 6
-                assert len(reads) <= p ** 3 == len(kernel._phase_counts(p, g, l0, l0 + 3))
+                assert len(reads) <= p ** 3  # p^d roots, d = 3 on the grid
     assert (rows, pairs) == (80, 9516)
 
 

@@ -169,11 +169,15 @@ def _phase_counts(p: int, g, l0: int, L: int) -> list[int]:
 
 
 def lemma31_grid(p: int, l0: int) -> list[list[list[Fraction]]]:
-    """Default grid of matrices satisfying the vanishing hypotheses, with the
-    dominant entry placed on and off the diagonal (the entry-dominance
-    branches reachable at n = 2)."""
+    """Default grid of matrices satisfying the vanishing hypotheses at level
+    l0 in {1, 2}, with the dominant entry placed on and off the diagonal (the
+    entry-dominance branches reachable at n = 2).  The same six matrices
+    serve both levels; at l0 >= 3 psi(tr(g h)) is constant on every coset,
+    outside the lemma, so other levels raise ValueError."""
     if p not in (2, 3):
         raise ValueError("grid is defined for p in {2, 3}")
+    if l0 not in (1, 2):
+        raise ValueError("grid is defined for l0 in {1, 2}")
     u = 2 if p == 3 else 1
     P = Fraction(p)
     mats = [
@@ -187,7 +191,6 @@ def lemma31_grid(p: int, l0: int) -> list[list[list[Fraction]]]:
         [[Fraction(0), u * P ** 2], [P ** -3, Fraction(0)]],
         [[Fraction(1), u * P ** 2], [P ** -3, Fraction(0)]],
     ]
-    del l0
     return mats
 
 

@@ -14,10 +14,14 @@ Polynomials have the shared denominator `LaurentPoly.one(q)`: `from_poly`,
 keep it, so their arithmetic forms only numerators and skips
 canonicalization.  A denominator equal to 1 that is not the shared one (a
 quotient can leave one) takes the general path, with the same bits.
-Relative pruning (`_prune`) runs only where magnitudes can change: negation
-and `shift` keep those of a pruned polynomial.  The product x * 1 is not the
-identity on bits, since it turns the -0.0 parts of x into +0.0, so the
-polynomial `+` forms each of its two products by 1 as written.
+Relative pruning (`_prune`) runs only where magnitudes can change: negation,
+`shift` and a product by the shared 1 keep those of a pruned polynomial.
+The product x * 1 is not the identity on bits, since it turns the -0.0
+parts of x into +0.0, so `LaurentPoly.__mul__` writes a product by the
+shared 1 out as 0.0 + c * (1+0j) per coefficient, without the double loop
+or `_prune`, and the polynomial `+` forms each of its two products by 1 the
+same way.  The factors 1 - c X^e of L-factors and geometric series have one
+constructor, `LaurentPoly.one_minus`.
 
 Every comparison of two rational functions is an `IdentityReport`: it
 computes the largest coefficient of the cross-multiplied difference
@@ -91,6 +95,12 @@ class LaurentPoly:
     def monomial(cls, q: int, exp: int, coeff: complex = 1.0) -> "LaurentPoly":
         return cls(q, {exp: complex(coeff)})
 
+    @classmethod
+    def one_minus(cls, q: int, exp: int, coeff: complex) -> "LaurentPoly":
+        """1 - coeff * X^exp for exp != 0, with the bits and the pruning of
+        `one(q) - monomial(q, exp, coeff)`."""
+        return cls(q, {0: _ONE, exp: 0.0 + -complex(coeff)})
+
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -129,6 +139,12 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._same_q(other)
+        one = LaurentPoly.one(self.q)
+        if self is one or other is one:
+            # the double loop's 0.0 + c * (1+0j) for each c of the other
+            # factor, in either order the same bits and the same magnitudes
+            x = other if self is one else self
+            return _pruned(self.q, {e: 0.0 + c * _ONE for e, c in x.coeffs.items()})
         out: dict[int, complex] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -217,7 +233,7 @@ class RationalFunc:
     @classmethod
     @functools.cache
     def one(cls, q: int) -> "RationalFunc":
-        return cls.const(q, 1.0)
+        return cls(LaurentPoly.one(q), LaurentPoly.one(q))
 
     @classmethod
     def monomial(cls, q: int, exp: int, coeff: complex = 1.0) -> "RationalFunc":
@@ -387,11 +403,11 @@ def geometric_series(q: int, ratio_coeff: complex, ratio_exp: int,
     The formal geometric resummation used for principal-value tails; the
     result is the rational function first_term / (1 - ratio), regardless of
     the numeric magnitude of ratio_coeff (meromorphic continuation by
-    rational-function identity).
+    rational-function identity), with 1 - ratio built by
+    `LaurentPoly.one_minus`.
     """
-    one = LaurentPoly.one(q)
-    ratio = LaurentPoly.monomial(q, ratio_exp, ratio_coeff)
-    return first_term * RationalFunc(one, one - ratio)
+    return first_term * RationalFunc(LaurentPoly.one(q),
+                                     LaurentPoly.one_minus(q, ratio_exp, ratio_coeff))
 
 
 TWO_PI = 2 * math.pi

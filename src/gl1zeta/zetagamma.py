@@ -45,7 +45,7 @@ import functools
 from cmath import rect
 
 from .characters import MultChar, char_product, unit_values, unramified_char
-from .padic import PAdicElt, PrecisionError, shell_volume
+from .padic import PAdicElt, PrecisionError, check_prime, shell_volume
 from .ratfunc import (IdentityReport, LaurentPoly, RationalFunc, TWO_PI,
                       VerificationError, geometric_series, rf_dual_subst)
 from .stepfn import (MultStepFunction, StepFunction, fourier_transform,
@@ -241,13 +241,13 @@ def _zeta_step(phi: StepFunction, chi: MultChar) -> RationalFunc:
 # local factors
 
 
-def _constant_term_kept(lf: RationalFunc, what: str) -> RationalFunc:
-    """lf = 1 / prod_i (1 - a_i X), or a ValueError naming `what` when
-    relative pruning dropped the constant term 1 of the product (from
-    |a_i| ~ 1e13 on; lf would then be c X^(-1) / (...), with no pole left)."""
-    if lf.num.coeffs != {0: 1}:
+def _constant_term_kept(den: LaurentPoly, what: str) -> LaurentPoly:
+    """den = prod_i (1 - a_i X), or a ValueError naming `what` when relative
+    pruning dropped its constant term 1 (from |a_i| ~ 1e13 on; 1/den would
+    then be c X^(-1) / (...), with no pole left)."""
+    if 0 not in den.coeffs:
         raise ValueError("%s too large: constant term pruned" % what)
-    return lf
+    return den
 
 
 def l_factor(chi: MultChar) -> RationalFunc:
@@ -256,17 +256,25 @@ def l_factor(chi: MultChar) -> RationalFunc:
     q = chi.p
     if chi.cond:
         return RationalFunc.one(q)
-    den = LaurentPoly.one(q) - LaurentPoly.monomial(q, 1, chi.t)
-    return _constant_term_kept(RationalFunc(LaurentPoly.one(q), den), "chi(p)")
+    den = _constant_term_kept(LaurentPoly.one_minus(q, 1, chi.t), "chi(p)")
+    return RationalFunc(LaurentPoly.one(q), den)
 
 
 def l_factor_satake(p: int, alpha) -> RationalFunc:
-    """L(s, pi) = prod_i 1/(1 - alpha_i X) for Satake parameters alpha; a
-    ValueError when pruning dropped the product's constant term 1."""
-    out = RationalFunc.one(p)
-    for a in alpha:
-        out = out * l_factor(unramified_char(p, complex(a)))
-    return _constant_term_kept(out, "Satake parameters")
+    """L(s, pi) = 1 / prod_i (1 - alpha_i X) for Satake parameters alpha: the
+    denominators multiplied in list order from 1, under the numerator 1,
+    with the bits of the product of the `l_factor`s at chi(p) = alpha_i.  A
+    ValueError for alpha_i = 0 or when pruning dropped the constant term 1
+    of a factor or, once every factor has passed, of the product."""
+    den = LaurentPoly.one(p)
+    for a in map(complex, alpha):
+        check_prime(p)
+        if a == 0:
+            raise ValueError("chi(p) must be nonzero")
+        factor = _constant_term_kept(LaurentPoly.one_minus(p, 1, a), "chi(p)")
+        if 0 in den.coeffs:     # a product without its 1 stays without it
+            den = den * factor
+    return RationalFunc(LaurentPoly.one(p), _constant_term_kept(den, "Satake parameters"))
 
 
 def epsilon_factor(chi: MultChar) -> RationalFunc:

@@ -234,6 +234,17 @@ def test_lemma31_single_matrix(capsys):
     assert json.loads(out)["max_abs"] <= 1e-10
 
 
+@pytest.mark.parametrize("l0", ["3", "0"])
+def test_lemma31_grid_outside_its_levels_exit_two(capsys, l0):
+    # the default grid meets the lemma's hypotheses at l0 in {1, 2} only; at
+    # l0 = 3 psi(tr(g h)) is constant on every coset, and the command once
+    # exited 1 with max_abs 1.0, a failed identity for an input error
+    code, out = run_cli(capsys, "lemma31", "--p", "2", "--grid", "default",
+                        "--l0", l0, "--L", "6")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "run/valueerror"
+
+
 def test_arch_fe_command(capsys):
     code, out = run_cli(capsys, "arch-fe", "--place", "real",
                         "--chi", '{"eps":1,"t":0}',

@@ -6,7 +6,8 @@ code or in a string annotation.  `__init__.py` is exempt, since its imports
 are the package's re-exports, and so is `from __future__ import annotations`.
 
 `_unit_sum` and `rf_discrepancy` have one caller each, only `serialize`
-defines JSON codecs, and every parameter with a default in
+defines JSON codecs, no monomial is subtracted (1 - c X^e is
+`LaurentPoly.one_minus`), and every parameter with a default in
 src/gl1zeta/ is set by some call in src/, perfbench/ or tools/, or is
 listed with the test that needs it.  Calls are matched to functions by name
 alone, so a same-named function elsewhere can only hide a dead parameter,
@@ -185,3 +186,24 @@ def test_every_default_parameter_has_a_caller():
             if not any(_sets(c, param, index) for c in calls.get(name, [])):
                 unset.add(qual)
     assert unset == set(TEST_ONLY_PARAMETERS)
+
+
+def _one_minus_monomials(tree: ast.AST) -> list[int]:
+    """Lines of every subtraction of a `monomial(...)` call, such as
+    LaurentPoly.one(q) - LaurentPoly.monomial(q, e, c)."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.right, ast.Call)
+            and isinstance(node.right.func, ast.Attribute)
+            and node.right.func.attr == "monomial"]
+
+
+def test_one_minus_a_monomial_has_one_constructor():
+    # 1 - c X^e is built by LaurentPoly.one_minus alone, in one pruning
+    # pass, not by a monomial, its negation and a sum
+    assert _one_minus_monomials(ast.parse(
+        "den = LaurentPoly.one(q) - LaurentPoly.monomial(q, 1, t)")) == [1]
+    found = {"%s:%d" % (path.name, line)
+             for path in (ROOT / "src" / "gl1zeta").glob("*.py")
+             for line in _one_minus_monomials(ast.parse(path.read_text()))}
+    assert not found, found

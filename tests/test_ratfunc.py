@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gl1zeta.ratfunc import (IdentityReport, LaurentPoly, NumericError,
@@ -257,3 +257,51 @@ def test_polynomial_fast_paths_keep_the_bits_of_the_general_path(na, nb, c, k):
     assert repr(-a.num) == repr(LaurentPoly(Q, {e: -v for e, v in na.items()}))
     assert repr(a.num.shift(k)) == repr(
         LaurentPoly(Q, {e + k: v for e, v in a.num.coeffs.items()}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(POLY)
+@example({1: complex(-0.0, 2.0), 3: complex(-0.0, -0.0), -2: complex(1.5, -0.0)})
+def test_product_by_the_shared_one_keeps_the_bits_of_the_double_loop(coeffs):
+    # x * 1 clears the sign of zero parts, so the written-out product by
+    # the shared 1 must too; LaurentPoly(Q, {0: 1+0j}) is not shared and
+    # takes the double loop
+    one, loop_one = LaurentPoly.one(Q), LaurentPoly(Q, {0: 1 + 0j})
+    assert loop_one is not one
+    for x in (LaurentPoly(Q, coeffs), LaurentPoly.zero(Q), one, loop_one):
+        assert repr(x * one) == repr(x * loop_one)
+        assert repr(one * x) == repr(loop_one * x)
+        assert (x * one).coeffs.keys() == x.coeffs.keys()
+
+
+WIDE = st.one_of(st.floats(-1e16, 1e16, allow_nan=False),
+                 st.sampled_from([0.0, -0.0, 1e-15, -1e14, 1e13]))
+
+
+def _raised(build):
+    try:
+        build()
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(complex, WIDE, WIDE), st.sampled_from([1, -1]))
+@example(complex(0.0, 2.0), 1)
+@example(complex(-0.0, 0.0), -1)
+@example(complex(1e14, 0.5), 1)
+def test_one_minus_keeps_the_bits_of_one_minus_a_monomial(c, e):
+    # the 1 of 1 - c X^e is pruned from |c| ~ 1e13 on, and c from
+    # |c| ~ 1e-13 down, in both builds
+    want = LaurentPoly.one(Q) - LaurentPoly.monomial(Q, e, c)
+    assert repr(LaurentPoly.one_minus(Q, e, c)) == repr(want)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf),
+                                 complex(math.nan, 1.0)])
+@pytest.mark.parametrize("e", [1, -1])
+def test_one_minus_raises_like_one_minus_a_monomial(bad, e):
+    got = _raised(lambda: LaurentPoly.one_minus(Q, e, bad))
+    assert got is NumericError
+    assert got is _raised(lambda: LaurentPoly.one(Q) - LaurentPoly.monomial(Q, e, bad))

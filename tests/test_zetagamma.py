@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gl1zeta.characters import (MultChar, char_product, trivial_char,
@@ -92,6 +92,61 @@ def test_l_factor():
     den = (LaurentPoly.one(3) - LaurentPoly.monomial(3, 1, a1)) * \
           (LaurentPoly.one(3) - LaurentPoly.monomial(3, 1, a2))
     assert IdentityReport(lf, RationalFunc(LaurentPoly.one(3), den)).ok()
+
+
+def _loop_product(x, y):
+    """x * y by the double loop over coefficient pairs, with no path for a
+    product by the shared 1."""
+    out = {}
+    for e1, c1 in x.coeffs.items():
+        for e2, c2 in y.coeffs.items():
+            out[e1 + e2] = out.get(e1 + e2, 0.0) + c1 * c2
+    return LaurentPoly(x.q, out)
+
+
+def _satake_fold(p, alpha):
+    """L(s, pi) as the fold 1 * L(s, chi_1) * ... * L(s, chi_n) of rank-1
+    L-factors, chi_i(p) = alpha_i, each a RationalFunc (canonicalized) over
+    1 - monomial, every product by the double loop: the oracle for the bits
+    and errors of `l_factor_satake`."""
+    one = LaurentPoly.one(p)
+    out = RationalFunc(LaurentPoly(p, {0: 1.0 + 0j}), one)
+    for a in alpha:
+        chi = unramified_char(p, complex(a))
+        lf = RationalFunc(one, one - LaurentPoly.monomial(p, 1, chi.t))
+        if lf.num.coeffs != {0: 1}:
+            raise ValueError("chi(p) too large: constant term pruned")
+        out = RationalFunc(_loop_product(out.num, lf.num),
+                           _loop_product(out.den, lf.den))
+    if out.num.coeffs != {0: 1}:
+        raise ValueError("Satake parameters too large: constant term pruned")
+    return out
+
+
+SATAKE = st.one_of(
+    st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)),
+    st.sampled_from([0, complex(0.0, 0.5), complex(-0.5, -0.0), 1e7, -2e7j,
+                     1e13, 1e14, 1e-14]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 4]), st.lists(SATAKE, max_size=4))
+@example(3, [])
+@example(3, [1e7, 2e7])
+@example(3, [1e7, 2e7, 0])
+@example(3, [1e7, 2e7, 1e14])
+@example(3, [0.5, 0])
+@example(4, [0.5])
+@example(5, [1e12] * 30)
+def test_l_factor_satake_keeps_the_bits_and_errors_of_the_rank1_fold(p, alpha):
+    try:
+        want = repr(_satake_fold(p, alpha))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            l_factor_satake(p, alpha)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    assert repr(l_factor_satake(p, alpha)) == want
 
 
 @pytest.mark.parametrize("t", [1e13, -1e14j, 1e20])

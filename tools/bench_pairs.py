@@ -12,8 +12,13 @@ speed does not favour either side.  The record keeps, per workload and
 seed and per end-to-end metric of BENCHMARK.json, every run of each side,
 its median and quartiles (`statistics.quantiles`, inclusive method) and the
 number of pairs that side won, and the number of failed checks summed over
-each side's runs.  Standard library only; the benchmark itself is run as
-it is, from each checkout's own files.
+each side's runs.  Its `verdict` reads those numbers: whether the change
+won at least 9 in 10 pairs of the claimed metric, on each seed of the
+claimed workload, with a median better than the parent's by more than the
+parent's interquartile range; and whether, for every end-to-end metric on
+every workload and seed, the change's median is within the metric's
+BENCHMARK.json `bound` of the parent's.  Standard library only; the
+benchmark itself is run as it is, from each checkout's own files.
 """
 
 from __future__ import annotations
@@ -80,6 +85,40 @@ def summarize(workload: str, seed: int, pairs: list[tuple[dict, dict]],
             "metrics": metrics}
 
 
+def verdict(results: list[dict], claim: dict, end_to_end: list[dict]) -> dict:
+    """The record's `verdict` on `results` (a list of `summarize` entries).
+    Per seed of the claimed workload, the claimed metric's pairs won and
+    its median gain (parent minus change, by the metric's direction)
+    against the parent's interquartile range: it holds on at least 9 wins
+    in 10 pairs and a gain beyond the range.  Per workload, seed and
+    end-to-end metric, the change's median relative to the parent's, within
+    the bound when it is worse by at most `bound` of the parent's median.
+    `end_to_end` is the BENCHMARK.json list of {"name", "better", "bound"}."""
+    specs = {spec["name"]: spec for spec in end_to_end}
+    claimed, bounds = [], []
+    for r in results:
+        for name, m in r["metrics"].items():
+            sign = 1 if specs[name]["better"] == "lower" else -1
+            parent, change = m["parent"], m["change"]
+            gain = sign * (parent["median"] - change["median"])
+            bounds.append({
+                "workload": r["workload"], "seed": r["seed"], "metric": name,
+                "relative": change["median"] / parent["median"] - 1
+                if parent["median"] else None,
+                "bound": specs[name]["bound"],
+                "within": -gain <= specs[name]["bound"] * abs(parent["median"])})
+            if r["workload"] == claim["workload"] and name == claim["metric"]:
+                iqr = parent["q3"] - parent["q1"]
+                claimed.append({
+                    "seed": r["seed"], "won": change["won"], "pairs": r["pairs"],
+                    "median_gain": gain, "parent_iqr": iqr,
+                    "holds": 10 * change["won"] >= 9 * r["pairs"] and gain > iqr})
+    return {"claim": claimed,
+            "claim_holds": bool(claimed) and all(c["holds"] for c in claimed),
+            "bounds": bounds,
+            "all_within_bound": all(b["within"] for b in bounds)}
+
+
 def _head(tree: Path) -> str:
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree,
                           capture_output=True, text=True)
@@ -127,6 +166,7 @@ def main(argv=None) -> int:
         "method": METHOD,
         "claim": claim,
         "results": results,
+        "verdict": verdict(results, claim, bench["end_to_end"]),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

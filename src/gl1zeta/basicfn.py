@@ -9,33 +9,50 @@ values
 where h_m is the complete homogeneous symmetric polynomial (the X^m series
 coefficient of prod_i (1 - alpha_i X)^(-1)).  The 1/(1 - 1/q) normalization
 is the unique constant making Z(s, L_pi, chi) = L(s, pi x chi) under this
-package's measure (vol(Z_p^x, dx*) = 1 - 1/q).  h_0..h_w come from one
-series pass per Satake list; a list so large that pruning drops the constant
-term 1 of the product raises ValueError (`zetagamma.l_factor_satake`).
+package's measure (vol(Z_p^x, dx*) = 1 - 1/q).  h_0..h_w come from Newton's
+identities in the power sums of alpha, one pass per Satake list, and read no
+L-factor.
 
-basic_zeta_check assembles the zeta integral by an independent route
-(partial fractions into geometric shell tails) and compares it with the
-Satake product; basic_fourier_check verifies F(L_pi) = L_{pi~} in the
-Mellin domain, i.e. gamma(s, pi) L(s, pi) = L(1-s, pi~) as rational
-functions.
+basic_zeta_check compares the zeta coefficients of the shell values with the
+series of the Satake product L(s, pi x chi) on one window of X, scaled by the
+largest |alpha_i t|; a list so large that pruning drops the constant term 1
+of the product raises ValueError (`zetagamma.l_factor_satake`).
+basic_fourier_check verifies F(L_pi) = L_{pi~} in the Mellin domain, i.e.
+gamma(s, pi) L(s, pi) = L(1-s, pi~) as rational functions.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .characters import MultChar, trivial_char
 from .kernel import gamma_symbol, hankel_component
 from .padic import check_prime
-from .ratfunc import (IdentityReport, LaurentPoly, RationalFunc, VerificationError,
-                      geometric_series, rf_series_coeffs)
+from .ratfunc import (IdentityReport, LaurentPoly, NumericError, RationalFunc,
+                      rf_series_coeffs)
 from .zetagamma import l_factor_satake
 
 
 def _h_series(alpha, window: int) -> list[complex]:
-    """h_0(alpha), ..., h_window(alpha): one pass of the series recurrence of
-    prod (1 - alpha_i X)^(-1).  h_m has no prime; q = 2 only tags X."""
-    return rf_series_coeffs(l_factor_satake(2, alpha), 0, window)
+    """h_0(alpha), ..., h_window(alpha) by Newton's identities
+    m h_m = sum_{k=1..m} p_k h_(m-k), with the power sums p_k = sum_i
+    alpha_i^k (Macdonald, Symmetric Functions and Hall Polynomials, I.2).
+    The powers come by repeated multiplication, so an overflow is a
+    non-finite coefficient (NumericError), and a conjugate-closed list keeps
+    every imaginary part exactly 0."""
+    if window < 0:
+        raise ValueError("empty window [0, %d]" % window)
+    powers, power_sums = list(alpha), []
+    for _ in range(window):
+        power_sums.append(sum(powers, 0.0 + 0.0j))
+        powers = [x * a for x, a in zip(powers, alpha)]
+    h = [1.0 + 0.0j]
+    for m in range(1, window + 1):
+        h.append(sum(power_sums[k - 1] * h[m - k] for k in range(1, m + 1)) / m)
+    if not all(map(cmath.isfinite, h)):
+        raise NumericError("h_m(alpha) overflows at some m <= %d" % window)
+    return h
 
 
 def complete_homogeneous(m: int, alpha) -> complex:
@@ -80,76 +97,33 @@ class BasicFunction:
         return list(enumerate(self.shell_values(window)))
 
 
-# Largest partial-fraction weight |c_i| = |prod_{j != i} 1/(1 - alpha_j/alpha_i)|
-# for which basic_zeta_check assembles the zeta side from geometric tails.
-# Cancellation among the tails costs digits in proportion to the weights.  On
-# 30,000 random unitary lists of rank 3 and 4 with p <= 13, those with every
-# |c_i| <= 30 stayed below 5e-12, against the 1e-10 tolerance.
-_MAX_PF_WEIGHT = 30.0
-
-
-def _pf_weights(alpha) -> list[complex] | None:
-    """c_i with h_m(alpha) = sum_i c_i alpha_i^m, or None when two Satake
-    parameters coincide or some |c_i| exceeds _MAX_PF_WEIGHT."""
-    weights = []
-    for i, ai in enumerate(alpha):
-        c = 1.0 + 0.0j
-        for j, aj in enumerate(alpha):
-            if j != i:
-                gap = 1.0 - aj / ai
-                if gap == 0:
-                    return None
-                c /= gap
-        if abs(c) > _MAX_PF_WEIGHT:
-            return None
-        weights.append(c)
-    return weights
-
-
 def basic_zeta_check(alpha, chi: MultChar,
                      window: int = 10) -> IdentityReport:
     """Z(s, L_pi, chi) == L(s, pi x chi) for unramified chi.
 
-    The zeta side is assembled from the shell values: when the Satake
-    parameters are well separated (every partial-fraction weight |c_i| at
-    most 30), via partial fractions into closed-form geometric tails
-    (sum_i c_i / (1 - alpha_i t q^... X) after the s-1/2 shift); otherwise the
-    report compares two polynomials, of the shell coefficients and of the
-    L-series coefficients, on X^0 .. X^window (meta["route"] says which).  On
-    the first route a spot check ties the assembled series back to the
-    defining shell values, and raises VerificationError when it does not.
+    Compares two polynomials on X^0 .. X^window: the zeta coefficients of the
+    shell values, value * vol * t^m * q^(m/2) at shell m, and the series
+    coefficients of L(s, pi x chi) = prod_i (1 - alpha_i t X)^(-1).  Both
+    are read in the variable R X with R = max(1, max_i |alpha_i t|), so
+    coefficient m is scaled by R^(-m) and large Satake parameters compare
+    on the scale of their own terms.  The shell values come from Newton's
+    identities, which read no L-factor, so a wrong one fails the check.
     """
     if chi.cond != 0:
         raise ValueError("the basic function pairs with unramified chi only")
-    q = chi.p
+    q, t = chi.p, chi.t
     fn = BasicFunction(q, tuple(complex(a) for a in alpha))
-    t = chi.t
     twisted = [a * t for a in fn.alpha]
-    rhs = l_factor_satake(q, twisted)
+    want = rf_series_coeffs(l_factor_satake(q, twisted), 0, window)
     vol = 1.0 - 1.0 / q
-    weights = _pf_weights(fn.alpha)
-    if weights is not None:
-        # partial fractions: h_m(alpha) = sum_i c_i alpha_i^m
-        lhs = RationalFunc.zero(q)
-        for ai, c in zip(fn.alpha, weights):
-            # shell m contributes value*vol*t^m*(q^(1/2)X)^m; value has
-            # q^(-m/2)/vol, so the shell series is sum_m c_i (alpha_i t X)^m
-            lhs = lhs + geometric_series(q, ai * t, 1, RationalFunc.const(q, c))
-    else:
-        coeffs = [v * vol * (t ** m) * float(q) ** (m / 2.0)
-                  for m, v in enumerate(fn.shell_values(window))]
-        want = rf_series_coeffs(rhs, 0, window)
-        return IdentityReport(
-            RationalFunc.from_poly(LaurentPoly(q, dict(enumerate(coeffs)))),
-            RationalFunc.from_poly(LaurentPoly(q, dict(enumerate(want)))),
-            {"route": "series-window"})
-    # spot check: assembled series coefficients reproduce the shell values
-    got = rf_series_coeffs(lhs, 0, min(window, 6))
-    for m, (c, v) in enumerate(zip(got, fn.shell_values(min(window, 6)))):
-        want = v * vol * (t ** m) * float(q) ** (m / 2.0)
-        if abs(c - want) > 1e-9 * max(1.0, abs(want)):
-            raise VerificationError("shell value mismatch at m=%d" % m)
-    return IdentityReport(lhs, rhs, {"route": "partial-fractions"})
+    r = max([1.0] + [abs(a) for a in twisted])
+    got = [v * vol * (t ** m) * float(q) ** (m / 2.0)
+           for m, v in enumerate(fn.shell_values(window))]
+
+    def in_rx(coeffs):
+        return RationalFunc.from_poly(
+            LaurentPoly(q, {m: c * r ** -m for m, c in enumerate(coeffs)}))
+    return IdentityReport(in_rx(got), in_rx(want))
 
 
 def basic_fourier_check(alpha, p: int) -> IdentityReport:

@@ -8,10 +8,9 @@ references, then returns a closure that computes; outputs are deterministic
 `main` alone picks the exit code, by exception type.  0: success.  1: a
 checked identity exceeded its tolerance (`--emit csv` keeps this verdict), or
 the computation raised a `ratfunc.VerificationError`: `ShellGuardError`,
-`ArchQuadratureError`, `ArchUnresolvedError`, or the plain class from the
-shell-value spot check of `basic`.  2: an input failed to parse or validate
-(`input/...` or the `InputFormatError` code), the computation rejected it
-with any other `ValueError`, `ArithmeticError` or `KeyError`
+`ArchQuadratureError` or `ArchUnresolvedError`.  2: an input failed to parse
+or validate (`input/...` or the `InputFormatError` code), the computation
+rejected it with any other `ValueError`, `ArithmeticError` or `KeyError`
 (`run/<exception type>`), or an output file could not be written
 (`output/<exception type>`).
 """
@@ -164,8 +163,7 @@ def _basic(args):
             "p": p,
             "alpha": [[a.real, a.imag] for a in fn.alpha],
             "shell_values": [[m, v.real, v.imag] for m, v in fn.table(window)],
-            "zeta_check": {"max_coeff_diff": z_rep.max_coeff_diff,
-                           "route": z_rep.meta["route"]},
+            "zeta_check": {"max_coeff_diff": z_rep.max_coeff_diff},
             "fourier_check": {"max_coeff_diff": f_rep.max_coeff_diff},
         }, ok
     return compute

@@ -380,9 +380,8 @@ def rf_discrepancy(a: RationalFunc, b: RationalFunc) -> float:
 class IdentityReport:
     """Both sides of a rational-function identity and their coefficient
     discrepancy `max_coeff_diff`, which the report computes itself; every
-    identity check returns one.  `meta` holds what a check adds: the shell
-    range of `gamma_pv` ("shells") and the route of `basic_zeta_check`
-    ("route")."""
+    identity check returns one.  `meta` holds what a check adds: only the
+    shell range of `gamma_pv` ("shells")."""
 
     lhs: RationalFunc
     rhs: RationalFunc

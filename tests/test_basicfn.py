@@ -11,7 +11,8 @@ from gl1zeta import basicfn
 from gl1zeta.basicfn import (BasicFunction, basic_fourier_check,
                              basic_zeta_check, complete_homogeneous)
 from gl1zeta.characters import MultChar, trivial_char, unramified_char
-from gl1zeta.ratfunc import IdentityReport, rf_discrepancy, rf_series_coeffs
+from gl1zeta.ratfunc import (IdentityReport, LaurentPoly, NumericError,
+                             RationalFunc, rf_discrepancy, rf_series_coeffs)
 from gl1zeta.zetagamma import l_factor_satake
 
 
@@ -58,10 +59,9 @@ def test_shell_values_and_support():
 
 def test_zeta_check_rank1_trivial():
     rep = basic_zeta_check([1.0], trivial_char(5))
-    # Z = 1/(1 - X)
-    from gl1zeta.ratfunc import LaurentPoly, RationalFunc
-    assert IdentityReport(rep.lhs, RationalFunc(LaurentPoly.one(5),
-                                                LaurentPoly(5, {0: 1, 1: -1}))).ok()
+    # Z = 1/(1 - X), read on the window X^0 .. X^10 of its series
+    assert IdentityReport(rep.lhs, RationalFunc.from_poly(
+        LaurentPoly(5, {m: 1.0 for m in range(11)}))).ok(1e-14)
     assert rep.ok(1e-12)
 
 
@@ -86,26 +86,46 @@ def test_zeta_check_requires_unramified():
 
 def test_zeta_check_repeated_roots_route():
     rep = basic_zeta_check([0.5, 0.5], trivial_char(3))
-    assert rep.ok(1e-10) and rep.meta["route"] == "series-window"
+    assert rep.ok(1e-10) and rep.meta == {}
     assert rep.max_coeff_diff == rf_discrepancy(rep.lhs, rep.rhs)
 
 
 @pytest.mark.parametrize("gap", [1e-3, 1e-5])
 def test_zeta_check_near_coincident_pair(gap):
-    # partial fractions once gave 5.6e-10 at gap 1e-3 and a "shell value
-    # mismatch" ArithmeticError at gap 1e-5: weights |c_i| grow like 1/gap
+    # partial fractions in alpha once gave 5.6e-10 at gap 1e-3 and a "shell
+    # value mismatch" ArithmeticError at gap 1e-5: weights |c_i| grow like
+    # 1/gap; Newton's identities have no weights
     alpha = [cmath.exp(0.5j), cmath.exp((0.5 + gap) * 1j), cmath.exp(2j),
              cmath.exp(-1j)]
     rep = basic_zeta_check(alpha, trivial_char(5))
-    assert rep.meta["route"] == "series-window"
     assert rep.ok(1e-13)
     assert rep.max_coeff_diff == rf_discrepancy(rep.lhs, rep.rhs)
 
 
-def test_zeta_check_separated_pair_keeps_partial_fractions():
+def test_zeta_check_separated_pair():
     rep = basic_zeta_check([0.6 + 0.8j, 0.6 - 0.8j], trivial_char(3))
-    assert rep.meta["route"] == "partial-fractions" and rep.ok(1e-12)
+    assert rep.ok(1e-12)
     assert rep.max_coeff_diff == rf_discrepancy(rep.lhs, rep.rhs)
+
+
+@pytest.mark.parametrize("alpha", [[0.5, 0.5], [0.6 + 0.8j, 0.6 - 0.8j]],
+                         ids=["repeated", "separated"])
+def test_zeta_check_fails_on_a_wrong_l_factor(monkeypatch, alpha):
+    # the shell values read no L-factor, so a wrong one shows on the other
+    # side: 1.5 times the series moves its constant term by 0.5
+    l_factor = basicfn.l_factor_satake
+    monkeypatch.setattr(basicfn, "l_factor_satake",
+                        lambda p, a: l_factor(p, a).scale(1.5))
+    rep = basic_zeta_check(alpha, trivial_char(3))
+    assert not rep.ok() and rep.max_coeff_diff >= 0.5 - 1e-12
+
+
+@pytest.mark.parametrize("alpha", [[1e6, 1e6], [1e3 + 1e3j, 1e3 - 1e3j, 5e2]])
+def test_zeta_check_large_parameters_compare_in_scaled_x(alpha):
+    # compared unscaled, at window 12 these missed by 1.6e57 (a series
+    # window) and by 0.12 (partial fractions)
+    rep = basic_zeta_check(alpha, trivial_char(3), window=12)
+    assert rep.ok(1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -149,9 +169,8 @@ def test_random_unitary_corpus_with_permutations():
 
 
 def _per_shell_value(p, m, alpha):
-    """One shell value on its own: the rank-n L-factor and its series built
-    for this m alone."""
-    h = rf_series_coeffs(l_factor_satake(2, alpha), m, m)[0]
+    """One shell value on its own: Newton's identities run up to this m."""
+    h = complete_homogeneous(m, alpha)
     return h * float(p) ** (-m / 2.0) / (1.0 - 1.0 / p)
 
 
@@ -169,9 +188,13 @@ def test_shell_table_keeps_its_bits(p, alpha, window):
     fn = BasicFunction(p, tuple(alpha))
     assert fn.table(window) == [(m, _per_shell_value(p, m, fn.alpha))
                                 for m in range(window + 1)]
-    assert [complete_homogeneous(m, alpha) for m in range(window + 1)] == [
-        rf_series_coeffs(l_factor_satake(2, alpha), m, m)[0]
-        for m in range(window + 1)]
+    # the L-series is another computation of h_m; h_m(|alpha|) bounds every
+    # term of both
+    series = rf_series_coeffs(l_factor_satake(2, alpha), 0, window)
+    bound = [complete_homogeneous(m, [abs(a) for a in alpha]).real
+             for m in range(window + 1)]
+    for m, (s, b) in enumerate(zip(series, bound)):
+        assert abs(complete_homogeneous(m, alpha) - s) <= 1e-12 * b
 
 
 def _count_l_factors(monkeypatch) -> list:
@@ -186,30 +209,42 @@ def _count_l_factors(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("alpha, route", [
-    ([0.6 + 0.8j, 0.6 - 0.8j], "partial-fractions"),
-    ([0.5, 0.5], "series-window"),
-])
-def test_zeta_check_builds_two_l_factors(monkeypatch, alpha, route):
-    # the L-factor of the twist and one series of shell values; a factor
-    # built per shell value would make 8 and 12 calls here
+@pytest.mark.parametrize("alpha", [[0.6 + 0.8j, 0.6 - 0.8j], [0.5, 0.5]],
+                         ids=["separated", "repeated"])
+def test_zeta_check_builds_one_l_factor(monkeypatch, alpha):
+    # the L-factor of the twist alone; the shell values read none
     calls = _count_l_factors(monkeypatch)
-    rep = basic_zeta_check(alpha, trivial_char(3))
-    assert rep.meta["route"] == route
-    assert calls == [3, 2]
+    basic_zeta_check(alpha, trivial_char(3))
+    assert calls == [3]
 
 
 @pytest.mark.parametrize("alpha", [[1e7, 2e7], [1e13]])
 def test_pruned_constant_term_raises(alpha):
     # |alpha| this large makes the relative pruning drop the 1 of
     # prod (1 - alpha_i X); unguarded, the factor becomes c X^(-1) / (...),
-    # with a shell table of -1/3 (or 0) at shell 0 that both routes agree on
+    # with a series of -1/3 (or 0) at X^0.  The shell table reads no
+    # L-factor and keeps h_0 = 1; the check still raises on the factor.
     with pytest.raises(ValueError):
         l_factor_satake(3, alpha)
-    with pytest.raises(ValueError):
-        BasicFunction(3, tuple(alpha)).table(2)
+    assert BasicFunction(3, tuple(alpha)).table(2)[0] == (0, 1 / (1 - 1 / 3))
     with pytest.raises(ValueError):
         basic_zeta_check(alpha, trivial_char(3))
+
+
+def test_shell_window_below_zero_raises():
+    with pytest.raises(ValueError, match="empty window"):
+        BasicFunction(3, (0.5,)).table(-1)
+
+
+def test_conjugate_pair_shell_values_are_real():
+    # conjugate powers by repeated multiplication cancel exactly in p_k
+    fn = BasicFunction(3, (0.6 + 0.8j, 0.6 - 0.8j))
+    assert all(v.imag == 0.0 for v in fn.shell_values(30))
+
+
+def test_overflowing_shell_values_raise_numeric_error():
+    with pytest.raises(NumericError):
+        BasicFunction(3, (1e200, 1e200)).table(3)
 
 
 @pytest.mark.parametrize("alpha, values", [

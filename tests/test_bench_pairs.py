@@ -1,7 +1,9 @@
 """tools/bench_pairs.py summarizes alternated benchmark pairs; its summary is
-checked here on made-up runs, without starting a benchmark."""
+checked here on made-up runs, and its refusal of a tree that is not a git
+checkout, without starting a benchmark."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,3 +103,37 @@ def test_verdict_bounds_every_end_to_end_median():
     got = _verdict([0.1] * 4, [0.1] * 4, 100, 94)
     assert [b["metric"] for b in got["bounds"] if not b["within"]] == ["hits"]
     assert _verdict([0.1] * 4, [0.1] * 4, 100, 300)["all_within_bound"]
+
+
+def _refused(capsys, monkeypatch, parent, change, side):
+    started = []
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda *args: started.append(args))
+    code = bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--run", "aux-checks:107:1",
+                             "--claim", "aux-checks:wall_s", "--what", "x",
+                             "--out", str(parent / "BENCH_x.json")])
+    assert (code, started) == (2, [])
+    err = capsys.readouterr().err
+    assert err.startswith("--%s: " % side) and "git worktree add" in err
+
+
+def test_main_refuses_a_plain_directory(tmp_path, capsys, monkeypatch):
+    # a `git archive` copy has no HEAD to name as the record's parent
+    _refused(capsys, monkeypatch, tmp_path, tmp_path, "parent")
+
+
+def test_main_refuses_a_copy_inside_another_checkout(tmp_path, capsys,
+                                                     monkeypatch):
+    # inside another checkout, `git rev-parse HEAD` names that checkout
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=tmp_path, check=True, capture_output=True)
+    git("init", "-q")
+    (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 1}')
+    git("add", "BENCHMARK.json")
+    git("commit", "-q", "-m", "one commit")
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    # the checkout itself passes as the parent; its subdirectory is refused
+    _refused(capsys, monkeypatch, tmp_path, copy, "change")

@@ -103,6 +103,15 @@ def test_rf_discrepancy_has_one_caller():
     assert callers == {"ratfunc.__post_init__", "__init__.<module>"}
 
 
+def test_basic_shell_values_read_no_l_factor():
+    # basic_zeta_check compares the shell values with the L-factor's series,
+    # so the shell values must not be computed from it: inside basicfn only
+    # the Mellin component and the check itself name l_factor_satake
+    path = ROOT / "src" / "gl1zeta" / "basicfn.py"
+    scopes = _scopes_naming(ast.parse(path.read_text()), "l_factor_satake")
+    assert scopes == {"<module>", "mellin_component", "basic_zeta_check"}
+
+
 def test_only_serialize_defines_json_codecs():
     # one home for the wire format: every *_to_json and *_from_json function
     # of the package is in serialize.py

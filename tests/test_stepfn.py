@@ -55,6 +55,40 @@ def test_fourier_involution_and_plancherel_corpus():
     assert worst_pl <= 1e-12
 
 
+# 0 (None), or p^val * u with u in 1..60 made a unit: small units meet the
+# centers of random_step's balls, which are units mod p^2
+_POINT = st.one_of(st.none(), st.tuples(st.integers(-3, 3), st.integers(1, 60)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 2 ** 32),
+       st.lists(_POINT, min_size=1, max_size=6))
+def test_fourier_twice_evaluates_as_the_reflection(p, seed, points):
+    # pointwise: the twisted terms of F F f, evaluated at 0 (None) and at
+    # points near and far from each ball, agree with f at -x
+    f = random_step(random.Random(seed), p)
+    ff = fourier_transform(fourier_transform(f))
+    tol = 1e-12 * sum(abs(t.coeff) for t in f.terms)
+    for point in points:
+        x = None
+        if point is not None:
+            val, u = point
+            x = PAdicElt(p, val, u if u % p else u + 1, DEFAULT_PREC)
+        assert abs(ff.eval(x) - f.eval(x and x.neg())) <= tol
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_ball_around_zero_holds_its_radius(p):
+    # p^rad Z_p holds 0 and the points of valuation >= rad; the property
+    # above cannot see this boundary, which F F f and f(-x) share
+    for rad in range(-1, 3):
+        ball = indicator_ball(p, None, rad)
+        assert ball.eval(None) == 1
+        for val in (rad - 1, rad, rad + 1):
+            x = PAdicElt(p, val, p - 1, DEFAULT_PREC)
+            assert ball.eval(x) == (1 if val >= rad else 0)
+
+
 def test_fourier_closed_form_single_term():
     # F(psi(a.)1_{b+p^n})(y) = p^-n psi(ab) psi(by) 1_{-a+p^-n}(y)
     p = 3

@@ -19,6 +19,10 @@ parent's interquartile range; and whether, for every end-to-end metric on
 every workload and seed, the change's median is within the metric's
 BENCHMARK.json `bound` of the parent's.  Standard library only; the
 benchmark itself is run as it is, from each checkout's own files.
+
+Each tree must be the top of its own git checkout, such as one made by
+`git worktree add`, since the record names the parent by its HEAD; the
+script exits 2 before any run otherwise.
 """
 
 from __future__ import annotations
@@ -119,10 +123,23 @@ def verdict(results: list[dict], claim: dict, end_to_end: list[dict]) -> dict:
             "all_within_bound": all(b["within"] for b in bounds)}
 
 
-def _head(tree: Path) -> str:
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree,
-                          capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else str(tree)
+def _git(tree: Path, *args: str) -> str | None:
+    """The stdout of `git ARGS` run in `tree`, or None when it fails."""
+    proc = subprocess.run(["git", *args], cwd=tree, capture_output=True,
+                          text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _not_a_checkout(tree: Path) -> str | None:
+    """Why `tree` cannot stand for a commit in the record, or None.  The
+    record names the parent by its HEAD, so each tree must be the top of its
+    own git checkout: a copy inside another checkout reads that checkout's
+    HEAD, and a plain directory has none."""
+    top = _git(tree, "rev-parse", "--show-toplevel") if tree.is_dir() else None
+    if top is not None and Path(top).resolve() == tree:
+        return None
+    return ("%s is not the top of a git checkout; make one with "
+            "`git worktree add DIR COMMIT`" % tree)
 
 
 def _triple(text: str) -> tuple[str, int, int]:
@@ -140,9 +157,14 @@ def main(argv=None) -> int:
     ap.add_argument("--what", required=True)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
-    bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = bench["run_seconds"]
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, tree in trees.items():
+        problem = _not_a_checkout(tree)
+        if problem:
+            print("--%s: %s" % (side, problem), file=sys.stderr)
+            return 2
+    bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     results = []
     for workload, seed, n_pairs in args.run:
         pairs = []
@@ -159,7 +181,7 @@ def main(argv=None) -> int:
              "seeds": [r["seed"] for r in results if r["workload"] == workload]}
     record = {
         "what": args.what,
-        "parent": _head(trees["parent"]),
+        "parent": _git(trees["parent"], "rev-parse", "HEAD"),
         "command": COMMAND % seconds,
         "host": "%d CPUs, %s, Python %s" % (
             os.cpu_count() or 0, platform.machine(), platform.python_version()),

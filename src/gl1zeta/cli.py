@@ -75,18 +75,19 @@ def _zeta(args):
 
 
 def _fe_check(args):
-    if args.phi and args.chi and args.pi:
+    if args.corpus is None and args.phi and args.chi and args.pi:
         phi = serialize.function_from_json(_read_json_arg(args.phi))
         chi = serialize.multchar_from_json(_read_json_arg(args.chi))
         pi = serialize.pi_from_json(_read_json_arg(args.pi))
         single = [{"phi": phi, "chi": chi, "pi": pi, "kind": "single", "p": chi.p}]
-    elif args.corpus and not args.phi:
+    elif args.corpus and not (args.phi or args.chi or args.pi):
         single = None
         if args.size < 1:
             raise InputFormatError("fe/size", "--size %d checks nothing; pass "
                                    "at least 1" % args.size)
     else:
-        raise InputFormatError("fe/inputs", "pass --corpus or --phi/--chi/--pi")
+        raise InputFormatError("fe/inputs",
+                               "pass one of --corpus and --phi/--chi/--pi")
 
     def compute():
         entries = single or corpus_generate(args.seed, {"fe": args.size})["fe"]
@@ -170,8 +171,9 @@ def _basic(args):
 
 
 def _lemma31(args):
-    if not (args.grid or args.g):
-        raise InputFormatError("lemma31/inputs", "pass --g or --grid default")
+    if bool(args.grid) == bool(args.g):
+        raise InputFormatError("lemma31/inputs",
+                               "pass one of --g and --grid default")
     g = None if args.grid else serialize.matrix2_from_json(_read_json_arg(args.g))
 
     def compute():

@@ -44,8 +44,10 @@ shared `PAdicElt.at(p, m, u)`, built once per process.
 
 `trace_average_check` is the finite verifier of the vanishing lemma for
 averages of psi(tr(g h)) over principal congruence subgroups of SL_2; it
-counts the integer phases mod p^d of psi(tr(g h)), walking each distinct
-row of phases once per call, and adds at most p^d float terms.
+counts the integer phases mod p^d of psi(tr(g h)) from the entries of h
+mod p^max(d, l0), walking each distinct row of phases once per call over
+one period, so its work does not grow with the level L, and adds at most
+p^d float terms.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
+from math import gcd
 from operator import mul
 
 from .characters import MultChar, char_product
@@ -98,10 +101,11 @@ def trace_average_check(p: int, g, l0: int, L: int) -> complex:
     """Average of psi(tr(g h)) over h in (1 + p^l0 M_2) ∩ SL_2 modulo the
     level-L principal congruence subgroup.
 
-    `g` is a 2x2 matrix of rationals with p-power denominators.  Desk-scale
-    guard rails: p in {2, 3} and L - l0 <= 3 (at most p^9 cosets), with
-    L >= l0 + d where d is the largest denominator exponent in g (so the
-    integrand is constant on level-L cosets).
+    `g` is a 2x2 matrix of rationals with p-power denominators.  Input
+    range: p in {2, 3} and L - l0 <= 3 (at most p^9 cosets, which the
+    counts do not visit one by one), with L >= l0 + d where d is the
+    largest denominator exponent in g (so the integrand is constant on
+    level-L cosets).
 
     The phase of psi(tr(g h)) is an integer j mod p^d, so the average is
     sum_j N_j zeta^j / p^(3(L - l0)), zeta = exp(2 pi i / p^d), from the
@@ -119,12 +123,15 @@ def _phase_counts(p: int, g, l0: int, L: int) -> list[int]:
     """N_j, the number of cosets h where psi(tr(g h)) has phase j / p^d.
 
     h = [[a, b], [c, (1 + bc)/a]] runs over a in 1 + p^l0 Z, b, c in p^l0 Z,
-    each mod p^L.  The phase lives mod p^d, and p^d divides p^L (L >= l0 + d
-    > d), so reducing a, b and a^(-1) mod p^L first changes nothing mod p^d.
-    tr(g h) is affine in c = p^l0 ic, so the phases of one (a, b) are
-    (r0 + ic * delta) mod p^d, ic < p^(L - l0).  Each pair adds 1 to its row
-    (r0, delta), and each distinct row adds its multiplicity to N along its
-    phases (the lemma-3.1 grid: 80 rows for 9,516 pairs).
+    each mod p^L.  The phase lives mod p^d and sees a, b and a^(-1) only mod
+    p^d, so (a, b) runs mod M = p^max(d, l0), each pair standing for its
+    (p^L / M)^2 lifts mod p^L.  tr(g h) is affine in c = p^l0 ic, so the
+    phases of one (a, b) are (r0 + ic * delta) mod p^d, ic < p^(L - l0),
+    which repeat with period P = p^d / gcd(delta, p^d) (Lam-Leung, below);
+    P divides p^(L - l0), as L >= l0 + d.  Each pair adds its lifts to its
+    row (r0, delta), and each distinct row adds its multiplicity times
+    p^(L - l0) / P to N along one period (the lemma-3.1 grid: 80 rows from
+    660 pairs in 108 steps), whatever L is.
     """
     check_prime(p)
     if p not in (2, 3):
@@ -150,21 +157,24 @@ def _phase_counts(p: int, g, l0: int, L: int) -> list[int]:
     modD = p ** d
     # integer numerators of the entries over the common denominator p^d
     n00, n01, n10, n11 = (int(e * modD) % modD for e in entries)
-    modL = p ** L
+    modM = p ** max(d, l0)
+    lifts = (p ** L // modM) ** 2
     span = p ** (L - l0)
     step = p ** l0
     rows: Counter[tuple[int, int]] = Counter()
-    for a in range(1, modL, step):
-        a_inv = pow(a, -1, modL)
-        for b in range(0, modL, step):
+    for a in range(1, modM, step):
+        a_inv = pow(a, -1, modM)
+        for b in range(0, modM, step):
             # tr(g h) = n00 a + n10 b + n11 a^(-1) + c (n01 + n11 b a^(-1))
             r0 = (n00 * a + n10 * b + n11 * a_inv) % modD
             delta = (step * (n01 + n11 * b * a_inv)) % modD
-            rows[r0, delta] += 1
+            rows[r0, delta] += lifts
     counts = [0] * modD
     for (r0, delta), mult in rows.items():
-        for ic in range(span):
-            counts[(r0 + ic * delta) % modD] += mult
+        period = modD // gcd(delta, modD)
+        weight = mult * span // period
+        for ic in range(period):
+            counts[(r0 + ic * delta) % modD] += weight
     return counts
 
 

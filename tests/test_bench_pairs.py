@@ -137,3 +137,50 @@ def test_main_refuses_a_copy_inside_another_checkout(tmp_path, capsys,
     copy.mkdir()
     # the checkout itself passes as the parent; its subdirectory is refused
     _refused(capsys, monkeypatch, tmp_path, copy, "change")
+
+
+def test_verdict_claim_fails_on_more_failed_checks():
+    # the same nine wins in ten and 15 % gain as above, but a failed check
+    # on the change's side that the parent does not have
+    change = [0.085] * 9 + [0.103]
+    pairs = [(_run(a, 100), _run(b, 100, failed=int(i == 3)))
+             for i, (a, b) in enumerate(zip(PARENT, change))]
+    result = bench_pairs.summarize("aux-checks", 107, pairs, BOUNDED)
+    got = bench_pairs.verdict([result], CLAIM, BOUNDED)
+    (claim,) = got["claim"]
+    assert claim["failed"] == {"parent": 0, "change": 1}
+    assert claim["won"] == 9 and claim["median_gain"] > claim["parent_iqr"]
+    assert not claim["holds"] and not got["claim_holds"]
+    # as many failures on each side leave the claim to the timings
+    pairs = [(_run(a, 100, failed=1), _run(b, 100, failed=1))
+             for a, b in zip(PARENT, change)]
+    result = bench_pairs.summarize("aux-checks", 107, pairs, BOUNDED)
+    assert bench_pairs.verdict([result], CLAIM, BOUNDED)["claim_holds"]
+
+
+def test_verdict_bound_unresolved_when_parent_spread_exceeds_it():
+    # wall_s bound 0.25 of the parent's median 0.1, i.e. 0.025: the parent's
+    # inclusive quartiles 0.0775 and 0.1225 are 0.045 apart
+    spread = [0.06, 0.07, 0.08, 0.1, 0.1, 0.12, 0.13, 0.14]
+    got = _verdict(spread, spread)
+    (wall,) = [b for b in got["bounds"] if b["metric"] == "wall_s"]
+    assert wall["within"] and not wall["resolved"]
+    assert got["all_within_bound"] and not got["all_resolved"]
+    # unless every change run beats every parent run
+    got = _verdict(spread, [0.05] * 8)
+    (wall,) = [b for b in got["bounds"] if b["metric"] == "wall_s"]
+    assert wall["resolved"] and got["all_resolved"]
+    # with higher better, every change run must read higher: hits bound 0.05
+    # of the parent's median 90, against quartiles 75 and 105
+    pairs = [(_run(0.1, h), _run(0.1, h + 70)) for h in (60, 80, 100, 120)]
+    result = bench_pairs.summarize("aux-checks", 107, pairs, BOUNDED)
+    (hits,) = [b for b in bench_pairs.verdict([result], CLAIM, BOUNDED)["bounds"]
+               if b["metric"] == "hits"]
+    assert hits["resolved"]
+    pairs = [(_run(0.1, h), _run(0.1, h + 30)) for h in (60, 80, 100, 120)]
+    result = bench_pairs.summarize("aux-checks", 107, pairs, BOUNDED)
+    (hits,) = [b for b in bench_pairs.verdict([result], CLAIM, BOUNDED)["bounds"]
+               if b["metric"] == "hits"]
+    assert not hits["resolved"]
+    # a spread inside the bound resolves it, whichever side is ahead
+    assert _verdict(PARENT, [p + 0.002 for p in PARENT])["all_resolved"]

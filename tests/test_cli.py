@@ -411,6 +411,14 @@ def test_missing_file_exit_two(capsys):
      "run/valueerror"),
     (["gamma", "--chi", '{"p":5,"cond":0,"unit_char":[],"t":[1e-13,0]}'],
      "run/valueerror"),
+    # one input source per call: the grid once dropped --g silently, and that
+    # matrix alone has |average| = 1
+    (["lemma31", "--p", "3", "--grid", "default", "--g",
+      '[["1/9","1/3"],["1/3","1/9"]]', "--l0", "1", "--L", "4"],
+     "lemma31/inputs"),
+    (["fe-check", "--corpus", "default", "--phi", PHI_UNIT5, "--chi", CHI_TRIV5,
+      "--pi", PI_TRIV5], "fe/inputs"),
+    (["fe-check", "--corpus", "default", "--chi", CHI_TRIV5], "fe/inputs"),
 ])
 def test_input_error_exit_two(capsys, argv, code):
     status, out = run_cli(capsys, *argv)

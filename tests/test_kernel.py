@@ -735,6 +735,20 @@ def test_trace_average_matches_plain_loop():
         for den in (p ** 2, p ** 3):
             g = [[Fraction(1, p), Fraction(1, p * p)], [Fraction(2, p), Fraction(5, den)]]
             cases += [(p, g, 1, 4), (p, g, 2, 5)]
+    # every valid L at p in {2, 3}, l0 in {1, 2, 3}, and each denominator
+    # exponent d (d = 0, 0 < d <= l0, d > l0): a generic matrix, one whose
+    # slopes n11 b / a meet p^d in several gcds, and one whose slopes all
+    # vanish mod p^d
+    for p in (2, 3):
+        for l0 in (1, 2, 3):
+            for L in range(l0 + 1, l0 + 4):
+                for d in range(L - l0 + 1):
+                    den = Fraction(1, p ** d)
+                    cases += [(p, g, l0, L) for g in (
+                        [[den, den], [Fraction(1), 5 * den]],
+                        [[den, Fraction(0)], [Fraction(0), den]],
+                        [[den, Fraction(p)], [den, Fraction(1)]])]
+    regimes = set()
     for p, g, l0, L in cases:
         counts, value = _plain_trace_average(p, g, l0, L)
         assert kernel._phase_counts(p, g, l0, L) == counts, (p, g, l0, L)
@@ -745,6 +759,17 @@ def test_trace_average_matches_plain_loop():
         n = sum(counts)
         assert abs(got - _float_trace_average(p, g, l0, L)) <= _gamma(
             n + len(counts) + 2), (p, g, l0, L)
+        # each (a, b) holds p^(L - l0) consecutive cosets in c, whose phases
+        # step by the row's slope delta
+        modD, phases = _plain_phases(p, g, l0, L)
+        gcds = {math.gcd(phases[i + 1] - phases[i], modD)
+                for i in range(0, len(phases), p ** (L - l0))}
+        regimes.add("d = 0" if modD == 1 else
+                    "0 < d <= l0" if modD <= p ** l0 else "d > l0")
+        if modD > 1 and max(gcds) > min(modD, p ** l0):
+            regimes.add("gcd(delta, p^d) > p^min(d, l0)")
+    assert regimes == {"d = 0", "0 < d <= l0", "d > l0",
+                       "gcd(delta, p^d) > p^min(d, l0)"}
 
 
 def _vanishes_exactly(counts: list[int], p: int) -> bool:
@@ -771,14 +796,29 @@ def test_trace_average_grid_vanishes_exactly():
 
 
 def test_trace_average_builds_each_row_once(monkeypatch):
-    # the benchmark grid: 9,516 (a, b) pairs count into 80 distinct phase
-    # rows, each walked once per call, and each call reads each of its
-    # p^d roots of unity once, in one product with its count
+    # the benchmark grid and its identity control: (a, b) runs mod
+    # p^max(d, l0), not mod p^L, and each of the 80 + 1 distinct phase rows
+    # is walked once per call over one period of its phases, not over all
+    # p^(L - l0) cosets (9,597 pairs and 1,637 steps that way); each call
+    # reads each of its p^d roots of unity once, in one product with its count
     walked = []
+    pairs = []
+    steps = []
+
+    class Slope(int):
+        # a row's delta: the walk steps along the row by ic * delta
+        def __rmul__(self, other):
+            steps.append(other)
+            return int(other) * int(self)
 
     class Rows(Counter):
+        def __setitem__(self, key, value):
+            pairs.append(key)
+            super().__setitem__(key, value)
+
         def items(self):
-            rows = list(super().items())
+            rows = [((r0, Slope(delta)), mult)
+                    for (r0, delta), mult in super().items()]
             walked.append(rows)
             return rows
 
@@ -795,20 +835,23 @@ def test_trace_average_builds_each_row_once(monkeypatch):
     root_of_unity = kernel.root_of_unity
     monkeypatch.setattr(kernel, "Counter", Rows)
     monkeypatch.setattr(kernel, "root_of_unity", lambda j, n: Root(root_of_unity(j, n)))
-    rows = pairs = 0
-    for p in (2, 3):
-        for l0 in (1, 2):
-            for g in lemma31_grid(p, l0):
-                del walked[:], reads[:]
-                trace_average_check(p, g, l0, l0 + 3)
-                (call,) = walked
-                keys = [key for key, _ in call]
-                assert len(set(keys)) == len(keys)
-                assert sum(mult for _, mult in call) == p ** 6
-                rows += len(keys)
-                pairs += p ** 6
-                assert len(reads) <= p ** 3  # p^d roots, d = 3 on the grid
-    assert (rows, pairs) == (80, 9516)
+    identity = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    # (p, g, l0, L, d), d the largest denominator exponent of g
+    cases = [(p, g, l0, l0 + 3, 3) for p in (2, 3) for l0 in (1, 2)
+             for g in lemma31_grid(p, l0)]
+    cases.append((3, identity, 1, 3, 0))
+    rows = []
+    for p, g, l0, L, d in cases:
+        del walked[:], reads[:]
+        trace_average_check(p, g, l0, L)
+        (call,) = walked
+        keys = [key for key, _ in call]
+        assert len(set(keys)) == len(keys)
+        assert sum(mult for _, mult in call) == p ** (2 * (L - l0))
+        rows.append(len(keys))
+        assert len(reads) <= p ** d
+    assert (sum(rows[:-1]), rows[-1]) == (80, 1)
+    assert (len(pairs), len(steps)) == (661, 109)
 
 
 def _count_gamma_closed(monkeypatch) -> list:

@@ -15,10 +15,12 @@ number of pairs that side won, and the number of failed checks summed over
 each side's runs.  Its `verdict` reads those numbers: whether the change
 won at least 9 in 10 pairs of the claimed metric, on each seed of the
 claimed workload, with a median better than the parent's by more than the
-parent's interquartile range; and whether, for every end-to-end metric on
-every workload and seed, the change's median is within the metric's
-BENCHMARK.json `bound` of the parent's.  Standard library only; the
-benchmark itself is run as it is, from each checkout's own files.
+parent's interquartile range and no more failed checks than the parent;
+and whether, for every end-to-end metric on every workload and seed, the
+change's median is within the metric's BENCHMARK.json `bound` of the
+parent's, and whether the parent's own spread resolves that bound.
+Standard library only; the benchmark itself is run as it is, from each
+checkout's own files.
 
 Each tree must be the top of its own git checkout, such as one made by
 `git worktree add`, since the record names the parent by its HEAD; the
@@ -94,10 +96,13 @@ def verdict(results: list[dict], claim: dict, end_to_end: list[dict]) -> dict:
     Per seed of the claimed workload, the claimed metric's pairs won and
     its median gain (parent minus change, by the metric's direction)
     against the parent's interquartile range: it holds on at least 9 wins
-    in 10 pairs and a gain beyond the range.  Per workload, seed and
-    end-to-end metric, the change's median relative to the parent's, within
-    the bound when it is worse by at most `bound` of the parent's median.
-    `end_to_end` is the BENCHMARK.json list of {"name", "better", "bound"}."""
+    in 10 pairs, a gain beyond the range and no more failed checks than the
+    parent's.  Per workload, seed and end-to-end metric, the change's median
+    relative to the parent's, within the bound when it is worse by at most
+    `bound` of the parent's median, and resolved unless the parent's
+    interquartile range exceeds that bound, which it may only when every
+    change run beats every parent run.  `end_to_end` is the BENCHMARK.json
+    list of {"name", "better", "bound"}."""
     specs = {spec["name"]: spec for spec in end_to_end}
     claimed, bounds = [], []
     for r in results:
@@ -105,22 +110,28 @@ def verdict(results: list[dict], claim: dict, end_to_end: list[dict]) -> dict:
             sign = 1 if specs[name]["better"] == "lower" else -1
             parent, change = m["parent"], m["change"]
             gain = sign * (parent["median"] - change["median"])
+            iqr = parent["q3"] - parent["q1"]
+            allowed = specs[name]["bound"] * abs(parent["median"])
             bounds.append({
                 "workload": r["workload"], "seed": r["seed"], "metric": name,
                 "relative": change["median"] / parent["median"] - 1
                 if parent["median"] else None,
                 "bound": specs[name]["bound"],
-                "within": -gain <= specs[name]["bound"] * abs(parent["median"])})
+                "within": -gain <= allowed,
+                "resolved": iqr <= allowed
+                or max(sign * v for v in change["runs"])
+                < min(sign * v for v in parent["runs"])})
             if r["workload"] == claim["workload"] and name == claim["metric"]:
-                iqr = parent["q3"] - parent["q1"]
                 claimed.append({
                     "seed": r["seed"], "won": change["won"], "pairs": r["pairs"],
-                    "median_gain": gain, "parent_iqr": iqr,
-                    "holds": 10 * change["won"] >= 9 * r["pairs"] and gain > iqr})
+                    "median_gain": gain, "parent_iqr": iqr, "failed": r["failed"],
+                    "holds": 10 * change["won"] >= 9 * r["pairs"] and gain > iqr
+                    and r["failed"]["change"] <= r["failed"]["parent"]})
     return {"claim": claimed,
             "claim_holds": bool(claimed) and all(c["holds"] for c in claimed),
             "bounds": bounds,
-            "all_within_bound": all(b["within"] for b in bounds)}
+            "all_within_bound": all(b["within"] for b in bounds),
+            "all_resolved": all(b["resolved"] for b in bounds)}
 
 
 def _git(tree: Path, *args: str) -> str | None:

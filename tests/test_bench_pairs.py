@@ -172,15 +172,12 @@ def test_verdict_bound_unresolved_when_parent_spread_exceeds_it():
     assert wall["resolved"] and got["all_resolved"]
     # with higher better, every change run must read higher: hits bound 0.05
     # of the parent's median 90, against quartiles 75 and 105
-    pairs = [(_run(0.1, h), _run(0.1, h + 70)) for h in (60, 80, 100, 120)]
-    result = bench_pairs.summarize("aux-checks", 107, pairs, BOUNDED)
-    (hits,) = [b for b in bench_pairs.verdict([result], CLAIM, BOUNDED)["bounds"]
-               if b["metric"] == "hits"]
-    assert hits["resolved"]
-    pairs = [(_run(0.1, h), _run(0.1, h + 30)) for h in (60, 80, 100, 120)]
-    result = bench_pairs.summarize("aux-checks", 107, pairs, BOUNDED)
-    (hits,) = [b for b in bench_pairs.verdict([result], CLAIM, BOUNDED)["bounds"]
-               if b["metric"] == "hits"]
-    assert not hits["resolved"]
+    def hits_resolved(gain):
+        pairs = [(_run(0.1, h), _run(0.1, h + gain)) for h in (60, 80, 100, 120)]
+        result = bench_pairs.summarize("aux-checks", 107, pairs, BOUNDED)
+        (hits,) = [b for b in bench_pairs.verdict([result], CLAIM, BOUNDED)["bounds"]
+                   if b["metric"] == "hits"]
+        return hits["resolved"]
+    assert hits_resolved(70) and not hits_resolved(30)
     # a spread inside the bound resolves it, whichever side is ahead
     assert _verdict(PARENT, [p + 0.002 for p in PARENT])["all_resolved"]

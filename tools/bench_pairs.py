@@ -99,10 +99,10 @@ def verdict(results: list[dict], claim: dict, end_to_end: list[dict]) -> dict:
     in 10 pairs, a gain beyond the range and no more failed checks than the
     parent's.  Per workload, seed and end-to-end metric, the change's median
     relative to the parent's, within the bound when it is worse by at most
-    `bound` of the parent's median, and resolved unless the parent's
-    interquartile range exceeds that bound, which it may only when every
-    change run beats every parent run.  `end_to_end` is the BENCHMARK.json
-    list of {"name", "better", "bound"}."""
+    `bound` of the parent's median, and resolved when the parent's
+    interquartile range is within that bound too, or when every change run
+    beats every parent run.  `end_to_end` is the BENCHMARK.json list of
+    {"name", "better", "bound"}."""
     specs = {spec["name"]: spec for spec in end_to_end}
     claimed, bounds = [], []
     for r in results:

@@ -192,7 +192,12 @@ def _lemma31(args):
 def _arch_fe(args):
     chi_obj = _read_json_arg(args.chi)
     if isinstance(chi_obj, dict):  # anything else fails the schema below
-        chi_obj.setdefault("place", args.place)
+        # one input source per call: --place fills in a missing place and
+        # must agree with a given one
+        place = chi_obj.setdefault("place", args.place or "real")
+        if args.place and place != args.place:
+            raise InputFormatError("arch/inputs", "--place %s contradicts the "
+                                   "character's place %r" % (args.place, place))
     chi = serialize.arch_char_from_json(chi_obj)
     samples = serialize.complex_list_from_json(_read_json_arg(args.samples))
     # without --seed-spec, a seed of the character's parity: against the even
@@ -319,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(l31, _lemma31)
 
     af = sub.add_parser("arch-fe", help="Archimedean functional-equation check")
-    af.add_argument("--place", choices=["real", "complex"], default="real")
+    af.add_argument("--place", choices=["real", "complex"], default=None,
+                    help="the character's place when its JSON names none "
+                         "(default real); it must agree with one it names")
     af.add_argument("--chi", required=True)
     af.add_argument("--samples", required=True,
                     help="JSON [[re,im],...] of s samples (inline or path)")

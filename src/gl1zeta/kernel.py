@@ -56,7 +56,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import gcd
+from math import gcd, log2
 from operator import mul
 
 from .characters import MultChar, char_product
@@ -102,10 +102,12 @@ def trace_average_check(p: int, g, l0: int, L: int) -> complex:
     level-L principal congruence subgroup.
 
     `g` is a 2x2 matrix of rationals with p-power denominators.  Input
-    range: p in {2, 3} and L - l0 <= 3 (at most p^9 cosets, which the
-    counts do not visit one by one), with L >= l0 + d where d is the
+    range: p in {2, 3} and 1 <= l0 < L with L >= l0 + d, where d is the
     largest denominator exponent in g (so the integrand is constant on
-    level-L cosets).
+    level-L cosets).  The counts' work does not grow with L, only the size
+    of their integers; the float average needs the p^(3(L - l0)) cosets to
+    be a finite double (L - l0 <= 341 at p = 2, <= 215 at p = 3), and a
+    larger L is a ValueError.
 
     The phase of psi(tr(g h)) is an integer j mod p^d, so the average is
     sum_j N_j zeta^j / p^(3(L - l0)), zeta = exp(2 pi i / p^d), from the
@@ -114,6 +116,9 @@ def trace_average_check(p: int, g, l0: int, L: int) -> complex:
     j mod p^(d-1), as Phi_(p^d)(x) = Phi_p(x^(p^(d-1))) (T. Y. Lam and
     K. H. Leung, J. Algebra 224 (2000)).
     """
+    check_prime(p)
+    if 3 * (L - l0) * log2(p) >= 1024:
+        raise ValueError("float range: need p^(3(L - l0)) < 2^1024")
     counts = _phase_counts(p, g, l0, L)
     total = sum(n * root_of_unity(j, len(counts)) for j, n in enumerate(counts))
     return total / p ** (3 * (L - l0))
@@ -136,8 +141,8 @@ def _phase_counts(p: int, g, l0: int, L: int) -> list[int]:
     check_prime(p)
     if p not in (2, 3):
         raise ValueError("finite verifier is capped at p in {2, 3}")
-    if not (1 <= l0 < L <= l0 + 3):
-        raise ValueError("need 1 <= l0 < L <= l0 + 3")
+    if not 1 <= l0 < L:
+        raise ValueError("need 1 <= l0 < L")
     entries = [Fraction(g[i][j]) for i in range(2) for j in range(2)]
     d = 0
     for e in entries:

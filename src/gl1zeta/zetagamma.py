@@ -7,9 +7,9 @@ Everything is exact in X = q^(-s):
   identity itself); that of a C_c^inf(F^x) function is the Mellin component
   `stepfn.mellin_component` at the unitary part of chi, rescaled by
   X -> t q^(1/2) X;
-* gamma_closed assembles eps(s,chi,psi) * L(1-s,chi^(-1)) / L(s,chi), with
-  the epsilon factor computed as a normalized Gauss sum over the last
-  nonvanishing shell;
+* gamma_closed is eps(s,chi,psi) * L(1-s,chi^(-1)) / L(s,chi): for ramified
+  chi the epsilon factor, a normalized Gauss sum over the last nonvanishing
+  shell; for unramified chi one closed-form rational function;
 * gamma_pv_total integrates the GL(1) kernel psi(x) chi^(-1)(x) |x|^(1/2)
   shell by shell (principal value): finitely many negative shells by brute
   coset summation, the nonnegative tail resummed in closed form.  The two
@@ -45,6 +45,7 @@ import functools
 from cmath import rect
 
 from .characters import MultChar, char_product, unit_values, unramified_char
+from .defaults import PRUNE_REL_EPS
 from .padic import PAdicElt, PrecisionError, check_prime, shell_volume
 from .ratfunc import (IdentityReport, LaurentPoly, RationalFunc, TWO_PI,
                       VerificationError, geometric_series, rf_dual_subst)
@@ -293,12 +294,25 @@ def epsilon_factor(chi: MultChar) -> RationalFunc:
 
 
 def gamma_closed(chi: MultChar) -> RationalFunc:
-    """gamma(s, chi, psi) = eps(s, chi, psi) L(1-s, chi^(-1)) / L(s, chi),
-    the eps monomial alone for ramified chi (both L-factors are 1)."""
-    eps = epsilon_factor(chi)
+    """gamma(s, chi, psi) = eps(s, chi, psi) L(1-s, chi^(-1)) / L(s, chi):
+    the eps monomial alone for ramified chi (both L-factors are 1), and for
+    unramified chi, t = chi(p), the one closed form
+
+        (-t q X + t^2 q X^2) / (1 - t q X),
+
+    built as one RationalFunc with the signed zeros of the factor-by-factor
+    product (0.0 - tq, not -tq: a real t keeps +0.0 imaginary parts).  A
+    ValueError exactly where `l_factor(chi)` or `l_factor(chi^(-1))` raises:
+    1 - c X keeps its constant term under relative pruning iff
+    1 > |c| PRUNE_REL_EPS, for c = t and c = 1/t."""
     if chi.cond:
-        return eps
-    return eps * rf_dual_subst(l_factor(chi.inverse())) / l_factor(chi)
+        return epsilon_factor(chi)
+    q, t = chi.p, chi.t
+    if not (abs(t) * PRUNE_REL_EPS < 1.0 and abs(1.0 / t) * PRUNE_REL_EPS < 1.0):
+        raise ValueError("chi(p) too large: constant term pruned")
+    tq = t * q
+    return RationalFunc(LaurentPoly(q, {1: 0.0 - tq, 2: t * tq}),
+                        LaurentPoly.one_minus(q, 1, tq))
 
 
 def _guard_roundoff(q: int, m: int, t: complex) -> float:

@@ -265,6 +265,25 @@ def test_lemma31_grid(capsys):
     assert obj["max_abs"] <= 1e-10 and len(obj["entries"]) >= 6
 
 
+def test_lemma31_grid_beyond_three_levels(capsys):
+    # L = l0 + 8: the counts' work does not grow with L, so no cap on
+    # L - l0 stands in for a cost limit
+    code, out = run_cli(capsys, "lemma31", "--p", "3", "--grid", "default",
+                        "--L", "9")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["L"] == 9 and obj["max_abs"] <= 1e-15 and len(obj["entries"]) == 6
+
+
+def test_arch_fe_place_agreeing_with_the_json(capsys):
+    # a --place that names the JSON's own place is the same call as none
+    chi = '{"place":"complex","eps":1,"t":0}'
+    plain = run_cli(capsys, "arch-fe", "--chi", chi, "--samples", "[[0.5,0]]")
+    assert plain[0] == 0
+    assert run_cli(capsys, "arch-fe", "--place", "complex", "--chi", chi,
+                   "--samples", "[[0.5,0]]") == plain
+
+
 def test_lemma31_single_matrix(capsys):
     code, out = run_cli(capsys, "lemma31", "--p", "3",
                         "--g", '[["1/27","0"],["0","18"]]',
@@ -383,7 +402,8 @@ def test_missing_file_exit_two(capsys):
     # the math layer rejects these while computing; they are still bad input
     (["gamma", "--chi", CHI_QUAD5, "--twist", CHI_QUAD3], "run/valueerror"),
     (["lemma31", "--p", "5", "--grid", "default"], "run/valueerror"),
-    (["lemma31", "--p", "3", "--grid", "default", "--L", "9"], "run/valueerror"),
+    # 3^(3 * 299) cosets are past the float range of the average
+    (["lemma31", "--p", "3", "--grid", "default", "--L", "300"], "run/valueerror"),
     (["hankel", "--phi", PHI_UNIT5, "--pi", PI_QUAD3], "run/valueerror"),
     (["basic", "--alpha", "[[0,0]]", "--p", "3"], "run/valueerror"),
     (["basic", "--alpha", ALPHA, "--p", "4"], "run/valueerror"),
@@ -419,6 +439,11 @@ def test_missing_file_exit_two(capsys):
     (["fe-check", "--corpus", "default", "--phi", PHI_UNIT5, "--chi", CHI_TRIV5,
       "--pi", PI_TRIV5], "fe/inputs"),
     (["fe-check", "--corpus", "default", "--chi", CHI_TRIV5], "fe/inputs"),
+    # an explicit --place once lost silently to the JSON's place
+    (["arch-fe", "--place", "complex", "--chi", '{"place":"real","eps":0,"t":0}',
+      "--samples", "[[0.4,0]]"], "arch/inputs"),
+    (["arch-fe", "--place", "real", "--chi", '{"place":"complex","eps":0,"t":0}',
+      "--samples", "[[0.4,0]]"], "arch/inputs"),
 ])
 def test_input_error_exit_two(capsys, argv, code):
     status, out = run_cli(capsys, *argv)

@@ -795,6 +795,30 @@ def test_trace_average_grid_vanishes_exactly():
             assert abs(abs(trace_average_check(p, g, 3, 6)) - 1) < 1e-12, (p, g)
 
 
+def test_trace_average_grid_vanishes_exactly_at_l0_plus_12():
+    # no cost cap on L: at L = l0 + 12 the counts are p^(3 L) times those
+    # at any valid smaller L, and the certificate holds on the same rows
+    for p in (2, 3):
+        for l0 in (1, 2):
+            for g in lemma31_grid(p, l0):
+                counts = kernel._phase_counts(p, g, l0, l0 + 12)
+                assert sum(counts) == p ** 36, (p, l0, g)
+                assert _vanishes_exactly(counts, p), (p, l0, g)
+                assert abs(trace_average_check(p, g, l0, l0 + 12)) <= 1e-15, (p, l0, g)
+
+
+@pytest.mark.parametrize("p, top", [(2, 341), (3, 215)])
+def test_trace_average_float_range(p, top):
+    # the float average holds the p^(3(L - l0)) cosets up to 2^1024; past
+    # that L is refused before any count is formed
+    g = lemma31_grid(p, 1)[0]
+    assert abs(trace_average_check(p, g, 1, 1 + top)) <= 1e-15
+    with pytest.raises(ValueError, match="float range"):
+        trace_average_check(p, g, 1, 2 + top)
+    with pytest.raises(ValueError, match="float range"):
+        trace_average_check(p, g, 1, 10 ** 12)
+
+
 def test_trace_average_builds_each_row_once(monkeypatch):
     # the benchmark grid and its identity control: (a, b) runs mod
     # p^max(d, l0), not mod p^L, and each of the 80 + 1 distinct phase rows

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gl1zeta import zetagamma
 from gl1zeta.characters import (MultChar, char_product, trivial_char,
                                 unitary_components, unramified_char)
 from gl1zeta.corpus import random_char, random_mult_step, random_step
@@ -385,3 +386,70 @@ def test_ramified_gamma_closed_work_counts(monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", counting)
     gamma_closed(chi)
     assert built == {"RationalFunc": 1, "MultChar": 1}
+
+
+def _gamma_closed_by_factors(chi):
+    """eps(s, chi, psi) L(1-s, chi^(-1)) / L(s, chi), factor by factor: the
+    oracle of the unramified closed form."""
+    return (epsilon_factor(chi) * rf_dual_subst(l_factor(chi.inverse()))
+            / l_factor(chi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7, 11, 13)), st.floats(-6, 6),
+       st.floats(0, 2 * math.pi))
+@example(2, 6.0, math.pi)
+@example(13, -6.0, 0.0)
+def test_unramified_gamma_closed_matches_its_factors(p, log_t, arg):
+    # the closed form (-tqX + t^2 q X^2) / (1 - tqX) against the three
+    # factors, relative to the largest coefficient of the cross products
+    chi = unramified_char(p, cmath.rect(10.0 ** log_t, arg))
+    got, want = gamma_closed(chi), _gamma_closed_by_factors(chi)
+    cross = (got.num * want.den).max_abs(), (want.num * got.den).max_abs()
+    assert rf_discrepancy(got, want) <= 1e-15 * max(cross)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_unramified_gamma_closed_raises_where_its_factors_do(p):
+    # the guard reads the two l_factor prunings off |t| and |1/t|
+    def raises(route, t):
+        try:
+            route(unramified_char(p, t))
+        except ValueError:
+            return True
+        return False
+
+    for phase in (1, -1, 1j, cmath.rect(1, 0.7)):
+        ks = [k for k in range(-16, 17)
+              if raises(_gamma_closed_by_factors, phase * 10.0 ** k)]
+        assert ks == [k for k in range(-16, 17)
+                      if raises(gamma_closed, phase * 10.0 ** k)], (p, phase)
+        assert {-16, 16} <= set(ks) and not set(ks) & set(range(-12, 13)), (p, phase)
+
+
+def test_unramified_gamma_closed_work_counts(monkeypatch):
+    # Work counts, no clock: an unramified closed gamma is one RationalFunc,
+    # with neither chi^(-1) nor an l_factor built
+    chi = unramified_char(5, 0.6 - 1.1j)
+    built = Counter()
+    for cls in (RationalFunc, MultChar):
+        def counting(self, post_init=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            post_init(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    gamma_closed(chi)
+    assert built == {"RationalFunc": 1}
+
+
+def test_gamma_pv_catches_a_wrong_closed_form(monkeypatch):
+    # mutation: t * tq replaced by tq * tq in the X^2 coefficient
+    def mutant(chi):
+        q, t = chi.p, chi.t
+        tq = t * q
+        return RationalFunc(LaurentPoly(q, {1: 0.0 - tq, 2: tq * tq}),
+                            LaurentPoly.one_minus(q, 1, tq))
+
+    chi = unramified_char(5, 0.7 - 0.2j)
+    assert gamma_pv(chi).ok()
+    monkeypatch.setattr(zetagamma, "gamma_closed", mutant)
+    assert not gamma_pv(chi).ok()

@@ -102,12 +102,12 @@ def trace_average_check(p: int, g, l0: int, L: int) -> complex:
     level-L principal congruence subgroup.
 
     `g` is a 2x2 matrix of rationals with p-power denominators.  Input
-    range: p in {2, 3} and 1 <= l0 < L with L >= l0 + d, where d is the
-    largest denominator exponent in g (so the integrand is constant on
-    level-L cosets).  The counts' work does not grow with L, only the size
-    of their integers; the float average needs the p^(3(L - l0)) cosets to
-    be a finite double (L - l0 <= 341 at p = 2, <= 215 at p = 3), and a
-    larger L is a ValueError.
+    range: p in {2, 3}, d <= 3 and 1 <= l0 < L with L >= l0 + d, where d
+    is the largest denominator exponent in g (so the integrand is constant
+    on level-L cosets).  The counts' work grows with p^d, so d is capped,
+    and not with L, which grows only their integers.  The float average
+    needs the p^(3(L - l0)) cosets to be a finite double (L - l0 <= 341
+    at p = 2, <= 215 at p = 3).  Inputs outside the range are a ValueError.
 
     The phase of psi(tr(g h)) is an integer j mod p^d, so the average is
     sum_j N_j zeta^j / p^(3(L - l0)), zeta = exp(2 pi i / p^d), from the
@@ -154,6 +154,8 @@ def _phase_counts(p: int, g, l0: int, L: int) -> list[int]:
         if den != 1:
             raise ValueError("entry %r has a denominator prime to p" % (e,))
         d = max(d, k)
+    if d > 3:
+        raise ValueError("cost cap: need denominators dividing p^3, got p^%d" % (d,))
     if L < l0 + d:
         raise ValueError("precision guard: need L >= l0 + %d" % (d,))
     g00, g01, g10, g11 = entries

@@ -444,6 +444,11 @@ def test_missing_file_exit_two(capsys):
       "--samples", "[[0.4,0]]"], "arch/inputs"),
     (["arch-fe", "--place", "real", "--chi", '{"place":"complex","eps":0,"t":0}',
       "--samples", "[[0.4,0]]"], "arch/inputs"),
+    # a denominator of p^d with d > 3 is past the counts' cost cap
+    (["lemma31", "--p", "3", "--g", '[["1/81","0"],["0","1"]]', "--l0", "1",
+      "--L", "5"], "run/valueerror"),
+    (["lemma31", "--p", "3", "--g", '[["1/531441","0"],["0","1"]]', "--l0", "1",
+      "--L", "13"], "run/valueerror"),
 ])
 def test_input_error_exit_two(capsys, argv, code):
     status, out = run_cli(capsys, *argv)

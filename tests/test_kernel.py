@@ -90,6 +90,12 @@ def test_trace_average_guards():
         trace_average_check(3, [[1, 1], [1, 1]], 1, 3)  # singular
     with pytest.raises(ValueError):
         trace_average_check(3, [[Fraction(1, 2), 0], [0, 1]], 1, 3)
+    # the cost cap is on d, the largest denominator exponent, not on L
+    for p in (2, 3):
+        with pytest.raises(ValueError, match="cost cap"):
+            trace_average_check(p, [[Fraction(1, p ** 4), 0], [0, 1]], 1, 5)
+        with pytest.raises(ValueError, match="cost cap"):
+            kernel._phase_counts(p, [[1, 0], [0, Fraction(1, p ** 40)]], 1, 41)
 
 
 def test_gamma_symbol_rank1():
@@ -796,8 +802,8 @@ def test_trace_average_grid_vanishes_exactly():
 
 
 def test_trace_average_grid_vanishes_exactly_at_l0_plus_12():
-    # no cost cap on L: at L = l0 + 12 the counts are p^(3 L) times those
-    # at any valid smaller L, and the certificate holds on the same rows
+    # no cost cap on L: at L = l0 + 12 the counts are p^(3(L - L')) times
+    # those at any valid L' < L, and the certificate holds on the same rows
     for p in (2, 3):
         for l0 in (1, 2):
             for g in lemma31_grid(p, l0):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .characters import MultChar, trivial_char
 from .kernel import gamma_symbol, hankel_component
-from .padic import check_prime
+from .padic import check_prime, shell_volume
 from .ratfunc import (IdentityReport, LaurentPoly, NumericError, RationalFunc,
                       rf_series_coeffs)
 from .zetagamma import l_factor_satake
@@ -77,7 +77,8 @@ class BasicFunction:
 
     def shell_values(self, window: int) -> list[complex]:
         """L_pi(S_0), ..., L_pi(S_window), one `_h_series` pass."""
-        return [h * float(self.p) ** (-m / 2.0) / (1.0 - 1.0 / self.p)
+        vol = shell_volume(self.p)
+        return [h * float(self.p) ** (-m / 2.0) / vol
                 for m, h in enumerate(_h_series(self.alpha, window))]
 
     def shell_value(self, m: int) -> complex:
@@ -115,7 +116,7 @@ def basic_zeta_check(alpha, chi: MultChar,
     fn = BasicFunction(q, tuple(complex(a) for a in alpha))
     twisted = [a * t for a in fn.alpha]
     want = rf_series_coeffs(l_factor_satake(q, twisted), 0, window)
-    vol = 1.0 - 1.0 / q
+    vol = shell_volume(q)
     r = max([1.0] + [abs(a) for a in twisted])
     got = [v * vol * (t ** m) * float(q) ** (m / 2.0)
            for m, v in enumerate(fn.shell_values(window))]

@@ -15,7 +15,7 @@ building a character again, at any t, looks nothing up.  The same holds for
 the other integer data: the exact-conductor reduction of a product of two
 ramified characters is cached on (p, both conductors, both exponent
 vectors), with t multiplied outside it, and the inverse of a character with
-t = 1 + 0j is one shared object per (p, cond, unit_char).
+t = 1 is one shared object per (p, cond, unit_char).
 """
 
 from __future__ import annotations
@@ -144,29 +144,23 @@ class MultChar:
 
     def unitary_part(self) -> "MultChar":
         """The same unit-group character with t = 1."""
-        if _is_one(self.t):
+        if self.t == 1:
             return self
         return MultChar(self.p, self.cond, self.unit_char, 1.0 + 0.0j)
 
     def inverse(self) -> "MultChar":
-        """chi^(-1); at t = 1 + 0j the one shared `_unitary_inverse`."""
-        if _is_one(self.t):
+        """chi^(-1); at t = 1 the one shared `_unitary_inverse`."""
+        if self.t == 1:
             return _unitary_inverse(self.p, self.cond, self.unit_char)
         # __post_init__ reduces the negated exponents mod the generator orders
         return MultChar(self.p, self.cond, tuple(-k for k in self.unit_char),
                         1.0 / self.t)
 
 
-def _is_one(t: complex) -> bool:
-    """t is exactly 1 + 0j.  1 - 0j compares equal to 1 but signs zeros
-    differently in the products that use it."""
-    return t == 1 and math.copysign(1.0, t.imag) == 1.0
-
-
 @functools.cache
 def _unitary_inverse(p: int, cond: int, unit_char: tuple[int, ...]) -> MultChar:
-    """The inverse of the character with t = 1 + 0j, built once per process
-    and shared (MultChar is immutable); 1.0 / (1 + 0j) is 1 + 0j exactly."""
+    """The inverse of the character with t = 1, built once per process and
+    shared (MultChar is immutable); 1.0 / 1 is 1 exactly."""
     return MultChar(p, cond, tuple(-k for k in unit_char), 1.0 + 0.0j)
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import serialize
 from .arch import ArchSeed, arch_fe_check
 from .basicfn import BasicFunction, basic_fourier_check, basic_zeta_check
-from .characters import MultChar, trivial_char
+from .characters import trivial_char
 from .corpus import corpus_generate
 from .defaults import ARCH_FE_TOL, COEFF_TOL
 from .kernel import (Gl1Kernel, gamma_symbol, hankel_convolve, hankel_mellin,
@@ -35,7 +35,7 @@ from .padic import PAdicElt
 from .ratfunc import VerificationError
 from .serialize import InputFormatError, dumps
 from .stepfn import mellin_invert
-from .zetagamma import gamma_pv, verify_fe, zeta
+from .zetagamma import gamma_pv, normalize_pi, verify_fe, zeta
 
 
 def _read_json_arg(arg: str):
@@ -58,7 +58,7 @@ def _gamma(args):
     chi = serialize.multchar_from_json(_read_json_arg(args.chi))
     twist = (serialize.multchar_from_json(_read_json_arg(args.twist))
              if args.twist else None)
-    if args.p and args.p != chi.p:
+    if args.p is not None and args.p != chi.p:
         raise InputFormatError("gamma/p-mismatch",
                                "--p disagrees with the character's prime")
 
@@ -104,8 +104,7 @@ def _hankel(args):
     phi = serialize.mult_from_json(_read_json_arg(args.phi))
     constituents = serialize.pi_from_json(_read_json_arg(args.pi))
     convolve = args.route in ("convolve", "both")
-    if convolve and (len(constituents) != 1
-                     or not isinstance(constituents[0], MultChar)):
+    if convolve and len(constituents) != 1:
         raise InputFormatError("hankel/rank", "convolution route needs a rank-1 pi")
     if args.emit == "csv" and not convolve:
         raise InputFormatError("hankel/emit", "csv emission needs the convolve route")
@@ -114,20 +113,20 @@ def _hankel(args):
         raise InputFormatError("hankel/shells", "empty window [%d, %d]" % args.shells)
 
     def compute():
-        c_max = max([phi.max_level()] + [c.cond for c in constituents
-                                          if isinstance(c, MultChar)])
+        chis = normalize_pi(constituents, phi.p)
+        c_max = max([phi.max_level()] + [c.cond for c in chis])
         payload: dict = {"p": phi.p, "shells": [m_lo, m_hi], "route": args.route}
         ok = True
         if convolve:
-            kern = Gl1Kernel(constituents[0])
+            kern = Gl1Kernel(chis[0])
             table = hankel_convolve(phi, kern, m_lo, m_hi, level=c_max)
             # the kernel never vanishes, so truncation at ell leaves it
             # whole on S_m exactly when ell >= -m
             payload["truncation_threshold"] = max(1, -m_lo)
-            payload["values"] = [[m, str(rep.lift()), v.real, v.imag]
+            payload["values"] = [[m, str(rep.lift()), *serialize.complex_to_json(v)]
                                  for m, rep, v in table.rows]
         if args.route != "convolve":
-            sym = gamma_symbol(constituents, c_max, p=phi.p)
+            sym = gamma_symbol(chis, c_max, p=phi.p)
             out = hankel_mellin(phi, sym)
             payload["mellin"] = {
                 str(i): serialize.rf_to_json(rf)
@@ -162,8 +161,9 @@ def _basic(args):
             return None, ok
         return {
             "p": p,
-            "alpha": [[a.real, a.imag] for a in fn.alpha],
-            "shell_values": [[m, v.real, v.imag] for m, v in fn.table(window)],
+            "alpha": [serialize.complex_to_json(a) for a in fn.alpha],
+            "shell_values": [[m, *serialize.complex_to_json(v)]
+                             for m, v in fn.table(window)],
             "zeta_check": {"max_coeff_diff": z_rep.max_coeff_diff},
             "fourier_check": {"max_coeff_diff": f_rep.max_coeff_diff},
         }, ok
@@ -181,7 +181,7 @@ def _lemma31(args):
                 else [[[Fraction(x) for x in row] for row in g]])
         avgs = [trace_average_check(args.p, mat, args.l0, args.L) for mat in mats]
         rows = [{"index": i, "g": [[str(Fraction(x)) for x in row] for row in mat],
-                 "average": [avg.real, avg.imag], "abs": abs(avg)}
+                 "average": serialize.complex_to_json(avg), "abs": abs(avg)}
                 for i, (mat, avg) in enumerate(zip(mats, avgs))]
         worst = max([0.0] + [abs(avg) for avg in avgs])
         return {"p": args.p, "l0": args.l0, "L": args.L, "entries": rows,
@@ -213,8 +213,9 @@ def _arch_fe(args):
         rep = arch_fe_check(seed, chi, samples)
         return {
             "place": chi.place,
-            "rows": [{"s": [r.s.real, r.s.imag], "lhs": [r.lhs.real, r.lhs.imag],
-                      "rhs": [r.rhs.real, r.rhs.imag], "abs_err": r.abs_err}
+            "rows": [{"s": serialize.complex_to_json(r.s),
+                      "lhs": serialize.complex_to_json(r.lhs),
+                      "rhs": serialize.complex_to_json(r.rhs), "abs_err": r.abs_err}
                      for r in rep.rows],
             "max_err": rep.max_err(),
         }, rep.ok(args.tol)
@@ -246,7 +247,7 @@ def _corpus(args):
             "hankel.json": [{"p": e["p"], "phi": serialize.mult_to_json(e["phi"]),
                              "pi": serialize.pi_to_json([e["chi_pi"]])}
                             for e in corpus["hankel"]],
-            "satake.json": [[[a.real, a.imag] for a in alpha]
+            "satake.json": [[serialize.complex_to_json(a) for a in alpha]
                             for alpha in corpus["satake"]],
             "gamma.json": [serialize.char_to_json(c) for c in corpus["gamma"]],
         }

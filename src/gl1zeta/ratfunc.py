@@ -13,15 +13,12 @@ Polynomials have the shared denominator `LaurentPoly.one(q)`: `from_poly`,
 `const` and `monomial` give it, and `+`, `-`, `*` and substitution of such
 keep it, so their arithmetic forms only numerators and skips
 canonicalization.  A denominator equal to 1 that is not the shared one (a
-quotient can leave one) takes the general path, with the same bits.
-Relative pruning (`_prune`) runs only where magnitudes can change: negation,
-`shift` and a product by the shared 1 keep those of a pruned polynomial.
-The product x * 1 is not the identity on bits, since it turns the -0.0
-parts of x into +0.0, so `LaurentPoly.__mul__` writes a product by the
-shared 1 out as 0.0 + c * (1+0j) per coefficient, without the double loop
-or `_prune`, and the polynomial `+` forms each of its two products by 1 the
-same way.  The factors 1 - c X^e of L-factors and geometric series have one
-constructor, `LaurentPoly.one_minus`.
+quotient can leave one) takes the general path, with the same values.
+Relative pruning (`_prune`) runs only where magnitudes can change: negation
+and `shift` keep those of a pruned polynomial.  A product by the shared 1
+returns the other factor itself; sharing is safe because a `LaurentPoly` is
+never mutated after construction.  The factors 1 - c X^e of L-factors and
+geometric series have one constructor, `LaurentPoly.one_minus`.
 
 Every comparison of two rational functions is an `IdentityReport`: it
 computes the largest coefficient of the cross-multiplied difference
@@ -97,9 +94,9 @@ class LaurentPoly:
 
     @classmethod
     def one_minus(cls, q: int, exp: int, coeff: complex) -> "LaurentPoly":
-        """1 - coeff * X^exp for exp != 0, with the bits and the pruning of
+        """1 - coeff * X^exp for exp != 0, with the values and the pruning of
         `one(q) - monomial(q, exp, coeff)`."""
-        return cls(q, {0: _ONE, exp: 0.0 + -complex(coeff)})
+        return cls(q, {0: _ONE, exp: -complex(coeff)})
 
     # -- structure ---------------------------------------------------------
 
@@ -141,10 +138,7 @@ class LaurentPoly:
         self._same_q(other)
         one = LaurentPoly.one(self.q)
         if self is one or other is one:
-            # the double loop's 0.0 + c * (1+0j) for each c of the other
-            # factor, in either order the same bits and the same magnitudes
-            x = other if self is one else self
-            return _pruned(self.q, {e: 0.0 + c * _ONE for e, c in x.coeffs.items()})
+            return other if self is one else self
         out: dict[int, complex] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -249,14 +243,6 @@ class RationalFunc:
         return self.num.is_zero()
 
     def __add__(self, other: "RationalFunc") -> "RationalFunc":
-        one = LaurentPoly.one(self.q)
-        if self.den is one and other.den is one:
-            # num * 1 + num' * 1, each product's 0.0 + c * (1+0j) written out
-            # (it clears the sign of zero parts), pruned once
-            out = {e: 0.0 + c * _ONE for e, c in self.num.coeffs.items()}
-            for e, c in other.num.coeffs.items():
-                out[e] = out.get(e, 0.0) + (0.0 + c * _ONE)
-            return RationalFunc(LaurentPoly(self.q, out), one)
         return RationalFunc(self.num * other.den + other.num * self.den,
                             self.den * other.den)
 
@@ -267,9 +253,7 @@ class RationalFunc:
         return self + (-other)
 
     def __mul__(self, other: "RationalFunc") -> "RationalFunc":
-        one = LaurentPoly.one(self.q)
-        den = one if self.den is one and other.den is one else self.den * other.den
-        return RationalFunc(self.num * other.num, den)
+        return RationalFunc(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "RationalFunc") -> "RationalFunc":
         if other.num.is_zero():

@@ -7,7 +7,8 @@ pinned by the schema documents in gl1zeta/schemas/; each decoder validates
 its input, so the CLI checks it before computing.  The check is done here,
 for the fixed set of draft 2020-12 keywords those documents use, read as
 jsonschema 4 reads them; a schema with any other keyword or form fails to
-load.
+load.  Every complex number the package writes, in JSON or CSV, goes through
+`complex_to_json`, so no negative zero is written.
 """
 
 from __future__ import annotations
@@ -145,11 +146,17 @@ def padic_from_json(obj, p: int) -> PAdicElt | None:
                     int(obj.get("prec", DEFAULT_PREC)))
 
 
+def complex_to_json(c: complex) -> list[float]:
+    """[re, im] of c, with +0.0 for a zero part of either sign and every
+    other float as it is."""
+    return [c.real + 0.0, c.imag + 0.0]
+
+
 # -- functions --------------------------------------------------------------
 
 def step_to_json(f: StepFunction) -> dict:
     return {"model": "step", "p": f.p,
-            "terms": [{"coeff": [t.coeff.real, t.coeff.imag],
+            "terms": [{"coeff": complex_to_json(t.coeff),
                        "twist": padic_to_json(t.twist),
                        "center": padic_to_json(t.center),
                        "rad": t.rad} for t in f.terms]}
@@ -169,7 +176,7 @@ def step_from_json(obj: dict) -> StepFunction:
 
 def mult_to_json(f: MultStepFunction) -> dict:
     return {"model": "mult", "p": f.p,
-            "terms": [{"coeff": [t.coeff.real, t.coeff.imag],
+            "terms": [{"coeff": complex_to_json(t.coeff),
                        "rep": padic_to_json(t.rep),
                        "k": t.k} for t in f.terms]}
 
@@ -196,7 +203,7 @@ def function_from_json(obj: dict):
 
 def char_to_json(chi: MultChar) -> dict:
     return {"p": chi.p, "cond": chi.cond, "unit_char": list(chi.unit_char),
-            "t": [chi.t.real, chi.t.imag]}
+            "t": complex_to_json(chi.t)}
 
 
 def multchar_from_json(obj: dict) -> MultChar:
@@ -227,7 +234,7 @@ def pi_to_json(params) -> dict:
             return {"kind": "gl1", "chi": char_to_json(params[0])}
         return {"kind": "chars", "chis": [char_to_json(c) for c in params]}
     return {"kind": "satake",
-            "alpha": [[complex(a).real, complex(a).imag] for a in params]}
+            "alpha": [complex_to_json(a) for a in params]}
 
 
 # -- Archimedean ------------------------------------------------------------
@@ -265,8 +272,8 @@ def matrix2_from_json(obj) -> list[list]:
 def rf_to_json(a: RationalFunc) -> dict:
     return {
         "q": a.q,
-        "num": [[e, c.real, c.imag] for e, c in sorted(a.num.coeffs.items())],
-        "den": [[e, c.real, c.imag] for e, c in sorted(a.den.coeffs.items())],
+        "num": [[e, *complex_to_json(c)] for e, c in sorted(a.num.coeffs.items())],
+        "den": [[e, *complex_to_json(c)] for e, c in sorted(a.den.coeffs.items())],
     }
 
 
@@ -295,4 +302,4 @@ def write_shell_csv(path: str, rows) -> None:
         w = csv.writer(fh)
         w.writerow(["m", "rep", "re", "im"])
         for m, rep, v in rows:
-            w.writerow([m, str(rep.lift()), repr(v.real), repr(v.imag)])
+            w.writerow([m, str(rep.lift()), *map(repr, complex_to_json(v))])

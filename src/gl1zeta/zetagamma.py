@@ -264,12 +264,13 @@ def l_factor(chi: MultChar) -> RationalFunc:
 def l_factor_satake(p: int, alpha) -> RationalFunc:
     """L(s, pi) = 1 / prod_i (1 - alpha_i X) for Satake parameters alpha: the
     denominators multiplied in list order from 1, under the numerator 1,
-    with the bits of the product of the `l_factor`s at chi(p) = alpha_i.  A
-    ValueError for alpha_i = 0 or when pruning dropped the constant term 1
-    of a factor or, once every factor has passed, of the product."""
+    with the values of the product of the `l_factor`s at chi(p) = alpha_i.  A
+    ValueError for a p that is not prime, for alpha_i = 0 or when pruning
+    dropped the constant term 1 of a factor or, once every factor has
+    passed, of the product."""
+    check_prime(p)
     den = LaurentPoly.one(p)
     for a in map(complex, alpha):
-        check_prime(p)
         if a == 0:
             raise ValueError("chi(p) must be nonzero")
         factor = _constant_term_kept(LaurentPoly.one_minus(p, 1, a), "chi(p)")
@@ -300,18 +301,17 @@ def gamma_closed(chi: MultChar) -> RationalFunc:
 
         (-t q X + t^2 q X^2) / (1 - t q X),
 
-    built as one RationalFunc with the signed zeros of the factor-by-factor
-    product (0.0 - tq, not -tq: a real t keeps +0.0 imaginary parts).  A
-    ValueError exactly where `l_factor(chi)` or `l_factor(chi^(-1))` raises:
-    1 - c X keeps its constant term under relative pruning iff
-    1 > |c| PRUNE_REL_EPS, for c = t and c = 1/t."""
+    built as one RationalFunc with the values of the factor-by-factor
+    product.  A ValueError exactly where `l_factor(chi)` or
+    `l_factor(chi^(-1))` raises: 1 - c X keeps its constant term under
+    relative pruning iff 1 > |c| PRUNE_REL_EPS, for c = t and c = 1/t."""
     if chi.cond:
         return epsilon_factor(chi)
     q, t = chi.p, chi.t
     if not (abs(t) * PRUNE_REL_EPS < 1.0 and abs(1.0 / t) * PRUNE_REL_EPS < 1.0):
         raise ValueError("chi(p) too large: constant term pruned")
     tq = t * q
-    return RationalFunc(LaurentPoly(q, {1: 0.0 - tq, 2: t * tq}),
+    return RationalFunc(LaurentPoly(q, {1: -tq, 2: t * tq}),
                         LaurentPoly.one_minus(q, 1, tq))
 
 

@@ -71,9 +71,9 @@ def test_inverse_and_unitary_part_skip_rebuilding(monkeypatch):
     assert inv == MultChar(5, 2, (17,), 1 / (2.0 + 1j))
     w = chi.unitary_part()
     assert w.t == 1 and w.unitary_part() is w
-    # t = 1 - 0j is not returned as is: its zero sign differs from 1 + 0j
-    v = MultChar(5, 0, (), complex(1.0, -0.0)).unitary_part()
-    assert cmath.isclose(v.t, 1) and str(v.t) == "(1+0j)"
+    # t = 1 - 0j is 1: returned as is
+    v = MultChar(5, 0, (), complex(1.0, -0.0))
+    assert v.unitary_part() is v
 
 
 def test_list_unit_char_is_the_tuple_character():
@@ -330,9 +330,9 @@ def test_char_product_matches_fraction_phases_on_every_pair(p):
 
 
 def test_unitary_inverse_is_shared_and_equals_the_built_one(monkeypatch):
-    # the inverse at t = 1 + 0j is one shared object, equal (repr: bit for
-    # bit) to the character the general rule builds; t = 1 - 0j and a
-    # non-unitary t are built on every call
+    # the inverse at t = 1 (1 + 0j or 1 - 0j) is one shared object, equal to
+    # the character the general rule builds; any other t is built on every
+    # call
     built = []
     post_init = MultChar.__post_init__
 
@@ -343,21 +343,22 @@ def test_unitary_inverse_is_shared_and_equals_the_built_one(monkeypatch):
     for p in (2, 3, 5, 7):
         for w in unitary_components(p, 2):
             rule = MultChar(p, w.cond, tuple(-k for k in w.unit_char), 1.0 / w.t)
-            assert repr(w.inverse()) == repr(rule)
+            assert w.inverse() == rule
             monkeypatch.setattr(MultChar, "__post_init__", counting_post_init)
             assert w.inverse() is w.inverse()
-            assert MultChar(p, w.cond, w.unit_char, 1.0 + 0.0j).inverse() is w.inverse()
-            assert len(built) == 1   # the MultChar of the line above
+            for t in (1.0 + 0.0j, complex(1.0, -0.0)):
+                assert MultChar(p, w.cond, w.unit_char, t).inverse() is w.inverse()
+            assert len(built) == 2   # the MultChars of the line above
             del built[:]
             monkeypatch.setattr(MultChar, "__post_init__", post_init)
-    for t in (complex(1.0, -0.0), 2.0 + 1j, 0.6 + 0.8j):
+    for t in (2.0 + 1j, 0.6 + 0.8j):
         chi = MultChar(5, 2, (3,), t)
         monkeypatch.setattr(MultChar, "__post_init__", counting_post_init)
         inv = chi.inverse()
         assert chi.inverse() is not inv and len(built) == 2
         del built[:]
         monkeypatch.setattr(MultChar, "__post_init__", post_init)
-        assert repr(inv) == repr(MultChar(5, 2, (-3,), 1.0 / t))
+        assert inv == MultChar(5, 2, (-3,), 1.0 / t)
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -1,9 +1,12 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import gl1zeta
 from gl1zeta import serialize
@@ -219,6 +222,43 @@ def test_fe_check_pi_as_satake_or_unramified_chars(capsys):
                     '{"p":5,"cond":0,"unit_char":[],"t":[1.3,0.2]}]}')
     assert satake[0] == 0
     assert chars == satake
+
+
+def test_hankel_rank1_satake_pi_is_the_unramified_character(capsys):
+    # a rank-1 Satake pi once exited 2 with hankel/rank on the convolve route
+    satake = run_cli(capsys, "hankel", "--phi", PHI_README,
+                     "--pi", '{"kind":"satake","alpha":[[0.6,0.8]]}')
+    gl1 = run_cli(capsys, "hankel", "--phi", PHI_README, "--pi",
+                  '{"kind":"gl1","chi":{"p":5,"cond":0,"unit_char":[],"t":[0.6,0.8]}}')
+    assert satake[0] == 0
+    assert satake == gl1
+
+
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+
+
+@given(FINITE, FINITE)
+@example(-0.0, -0.0)
+@example(-0.0, 0.0)
+@example(0.0, -0.0)
+def test_complex_to_json_writes_no_negative_zero(real, imag):
+    # the one complex encoder: +0.0 for a zero of either sign, every other
+    # float bit for bit
+    got = serialize.complex_to_json(complex(real, imag))
+    assert len(got) == 2 and all(type(x) is float for x in got)
+    for x, y in zip((real, imag), got):
+        assert y.hex() == (0.0 if x == 0 else x).hex()
+
+
+def test_hankel_readme_call_writes_no_negative_zero(capsys):
+    # the README call whose stdout held -0.0 before every complex number
+    # went through serialize.complex_to_json
+    code, out = run_cli(capsys, "hankel", "--phi", PHI_README, "--pi",
+                        '{"kind":"gl1","chi":%s}' % CHI_QUAD5,
+                        "--shells", "-5:5", "--route", "both")
+    assert code == 0
+    assert "-0.0" not in re.split(r"[,\[\]{}:]", out)
 
 
 def test_arch_fe_complex_seed_spec_decodes_the_default(capsys):
@@ -449,6 +489,8 @@ def test_missing_file_exit_two(capsys):
       "--L", "5"], "run/valueerror"),
     (["lemma31", "--p", "3", "--g", '[["1/531441","0"],["0","1"]]', "--l0", "1",
       "--L", "13"], "run/valueerror"),
+    # --p 0 once read as no --p at all
+    (["gamma", "--p", "0", "--chi", CHI_QUAD5], "gamma/p-mismatch"),
 ])
 def test_input_error_exit_two(capsys, argv, code):
     status, out = run_cli(capsys, *argv)

@@ -123,6 +123,15 @@ def test_only_serialize_defines_json_codecs():
     assert codecs and {c.split(".")[0] for c in codecs} == {"serialize"}
 
 
+def test_cli_reads_no_complex_parts():
+    # every complex number the CLI prints reaches JSON through serialize,
+    # whose complex_to_json writes no negative zero
+    tree = ast.parse((ROOT / "src" / "gl1zeta" / "cli.py").read_text())
+    parts = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("real", "imag")]
+    assert parts == []
+
+
 # Parameters with a default that no call in src/, perfbench/ or tools/ sets,
 # each kept for the test named beside it.
 TEST_ONLY_PARAMETERS = {

@@ -15,7 +15,8 @@ building a character again, at any t, looks nothing up.  The same holds for
 the other integer data: the exact-conductor reduction of a product of two
 ramified characters is cached on (p, both conductors, both exponent
 vectors), with t multiplied outside it, and the inverse of a character with
-t = 1 is one shared object per (p, cond, unit_char).
+t = 1 is one shared object per (p, cond, unit_char).  `product_data` gives
+a product's fields with no MultChar built, for callers that need no more.
 """
 
 from __future__ import annotations
@@ -174,14 +175,19 @@ def unramified_char(p: int, t: complex) -> MultChar:
 
 def char_product(a: MultChar, b: MultChar) -> MultChar:
     """chi_a * chi_b with the exact conductor recomputed after cancellation."""
+    return MultChar(a.p, *product_data(a, b))
+
+
+def product_data(a: MultChar, b: MultChar) -> tuple[int, tuple[int, ...], complex]:
+    """(exact conductor, reduced exponent vector, t) of chi_a * chi_b, the
+    fields of `char_product(a, b)`, with no MultChar built."""
     if a.p != b.p:
         raise ValueError("characters at different primes")
     t = a.t * b.t
     if not a.cond or not b.cond:     # an unramified factor changes t alone
         c = b if not a.cond else a
-        return MultChar(a.p, c.cond, c.unit_char, t)
-    cond, vec = _product_reduction(a.p, a.cond, a.unit_char, b.cond, b.unit_char)
-    return MultChar(a.p, cond, vec, t)
+        return c.cond, c.unit_char, t
+    return (*_product_reduction(a.p, a.cond, a.unit_char, b.cond, b.unit_char), t)
 
 
 @functools.cache

@@ -59,14 +59,15 @@ from functools import cached_property, reduce
 from math import gcd, log2
 from operator import mul
 
-from .characters import MultChar, char_product
+from .characters import MultChar, char_product, product_data, unramified_char
 from .defaults import DEFAULT_PREC
 from .padic import PAdicElt, check_prime, psi_value, unit_residues
 from .ratfunc import (IdentityReport, RationalFunc, rf_reflected_product,
                       root_of_unity)
 from .stepfn import MellinData, MultStepFunction, mellin
 from .zetagamma import (coset_integral, gamma_closed, gamma_pv_total,
-                        normalize_pi, vanishes_by_oscillation, verify_fe)
+                        normalize_pi, ramified_epsilon, vanishes_by_oscillation,
+                        verify_fe)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +227,9 @@ class GammaSymbol:
     as the product of their rank-1 factors starting from the first (n - 1
     products at rank n), and kept in `components`: the callers read a
     handful of the components up to conductor c_max, and a pv component
-    costs brute guard-shell sums.
+    costs brute guard-shell sums.  A closed ramified factor is the eps
+    monomial of the integers of chi x omega (`characters.product_data`),
+    built with no character; an unramified one is `gamma_closed`.
     """
 
     p: int
@@ -243,10 +246,15 @@ class GammaSymbol:
         if key.p != self.p or key.cond > self.c_max:
             raise KeyError("gamma symbol has no component at conductor %d "
                            "(c_max = %d)" % (omega.cond, self.c_max))
-        factor = (gamma_closed if self.route == "closed"
-                  else lambda prod: gamma_pv_total(prod)[0])
-        comp = self.components[key] = reduce(
-            mul, (factor(char_product(chi, key)) for chi in self.constituents))
+
+        def factor(chi: MultChar) -> RationalFunc:
+            if self.route == "pv":
+                return gamma_pv_total(char_product(chi, key))[0]
+            cond, vec, t = product_data(chi, key)
+            return (ramified_epsilon(self.p, cond, vec, t) if cond
+                    else gamma_closed(unramified_char(self.p, t)))
+
+        comp = self.components[key] = reduce(mul, map(factor, self.constituents))
         return comp
 
 

@@ -23,13 +23,15 @@ Everything is exact in X = q^(-s):
   is Tate's local functional equation read in X = q^(-s).
 
 Every coset and shell integral of psi(b*y) chi(y), here and in `kernel`, is
-`coset_integral`, on integer coordinates; a shell is its k = 0 case.  Its
-one kernel `_unit_sum` loops over the units with integer psi phases, in
-blocks of (unit residue, chi value) pairs read once from the value table
-`characters.unit_values`, with psi evaluated by one `cmath.rect` per unit.
-It is memoized on its exact integer inputs, which leave out t, so the
-t^m * volume factors are applied outside it; the gamma symbols of a corpus
-re-read the same few unit characters at many t and shells.
+`coset_integral`, on integer coordinates; a shell is its k = 0 case, and
+`ramified_epsilon` writes out its product on the eps Gauss shell, with no
+character built.  Their one kernel `_unit_sum` loops over the units with
+integer psi phases, in blocks of (unit residue, chi value) pairs read once
+from the value table `characters.unit_values`, with psi evaluated by one
+`cmath.rect` per unit.  It is memoized on its exact integer inputs, which
+leave out t, so the t^m * volume factors are applied outside it; the gamma
+symbols of a corpus re-read the same few unit characters at many t and
+shells.
 
 Shell integral conventions (q = p, level-0 psi, vol(S_m, dx*) = 1 - 1/q):
 
@@ -44,7 +46,8 @@ from __future__ import annotations
 import functools
 from cmath import rect
 
-from .characters import MultChar, char_product, unit_values, unramified_char
+from .characters import (MultChar, _unitary_inverse, char_product, unit_values,
+                         unramified_char)
 from .defaults import PRUNE_REL_EPS
 from .padic import PAdicElt, PrecisionError, check_prime, shell_volume
 from .ratfunc import (IdentityReport, LaurentPoly, RationalFunc, TWO_PI,
@@ -284,13 +287,23 @@ def epsilon_factor(chi: MultChar) -> RationalFunc:
 
     1 for unramified chi; for conductor a >= 1 the monomial
     (qX)^a * int_{S_{-a}} psi(y) chi^(-1)(y) dy*, the normalized Gauss sum
-    calibrated so that gamma_closed agrees with the principal-value route.
+    calibrated so that gamma_closed agrees with the principal-value route;
+    built by `ramified_epsilon` from chi's integers and t, no character.
     """
-    q = chi.p
-    a = chi.cond
-    if a == 0:
-        return RationalFunc.one(q)
-    gauss = shell_psi_chi_integral(q, -a, chi.inverse(), b=PAdicElt.one(q))
+    if chi.cond == 0:
+        return RationalFunc.one(chi.p)
+    return ramified_epsilon(chi.p, chi.cond, chi.unit_char, chi.t)
+
+
+def ramified_epsilon(q: int, a: int, unit_char: tuple[int, ...],
+                     t: complex) -> RationalFunc:
+    """`epsilon_factor` of chi of conductor a >= 1, reduced exponent vector
+    `unit_char` and chi(p) = t: `coset_integral`'s product for chi^(-1) on
+    S_{-a} at b = 1, with chi^(-1)(p^(-a)) from 1/t by the float operations
+    of `MultChar.value_at`, so the same values, and no MultChar built."""
+    inv = _unitary_inverse(q, a, unit_char).unit_char
+    chi_rep = (1.0 / (1.0 / t)) ** a * unit_values(q, a, inv)[1]
+    gauss = chi_rep * float(q) ** (-a) * _unit_sum(q, a, inv, 0, a, a, 1)
     return RationalFunc.monomial(q, a, gauss * float(q) ** a)
 
 

@@ -3,6 +3,7 @@ checked here on made-up runs, and its refusal of a tree that is not a git
 checkout, without starting a benchmark."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -181,3 +182,46 @@ def test_verdict_bound_unresolved_when_parent_spread_exceeds_it():
     assert hits_resolved(70) and not hits_resolved(30)
     # a spread inside the bound resolves it, whichever side is ahead
     assert _verdict(PARENT, [p + 0.002 for p in PARENT])["all_resolved"]
+
+
+def test_verdict_without_a_claim_keeps_the_bounds():
+    pairs = [(_run(a, 100), _run(b, 100)) for a, b in zip([0.1] * 4, [0.13] * 4)]
+    result = bench_pairs.summarize("aux-checks", 107, pairs, BOUNDED)
+    claimed = bench_pairs.verdict([result], CLAIM, BOUNDED)
+    got = bench_pairs.verdict([result], None, BOUNDED)
+    assert "claim" not in got and "claim_holds" not in got
+    assert {k: v for k, v in claimed.items()
+            if k not in ("claim", "claim_holds")} == got
+    assert [b["metric"] for b in got["bounds"] if not b["within"]] == ["wall_s"]
+    assert not got["all_within_bound"]
+
+
+def _record(tmp_path, monkeypatch, *claim):
+    """The record `main` writes for one made-up aux-checks pair, with the
+    given --claim arguments, on a tree whose BENCHMARK.json holds BOUNDED
+    and which passes for a checkout."""
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": BOUNDED}))
+    runs = iter([_run(0.10, 100), _run(0.09, 100)])
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: next(runs))
+    monkeypatch.setattr(bench_pairs, "_not_a_checkout", lambda tree: None)
+    out = tmp_path / "BENCH_x.json"
+    assert bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                             "--run", "aux-checks:107:1", *claim,
+                             "--what", "x", "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_main_writes_a_claim_only_when_one_is_given(tmp_path, monkeypatch):
+    record = _record(tmp_path, monkeypatch)
+    assert "claim" not in record
+    assert "claim" not in record["verdict"] and "claim_holds" not in record["verdict"]
+    assert record["verdict"]["all_within_bound"]
+    assert len(record["verdict"]["bounds"]) == len(BOUNDED)
+    with_claim = _record(tmp_path, monkeypatch, "--claim", "aux-checks:wall_s")
+    assert with_claim["claim"] == {"workload": "aux-checks", "metric": "wall_s",
+                                   "seeds": [107]}
+    # the change's 0.09 beats the parent's 0.10 beyond a zero spread
+    assert with_claim["verdict"]["claim"][0]["won"] == 1
+    assert with_claim["verdict"]["claim_holds"] is True
+    assert with_claim["verdict"]["bounds"] == record["verdict"]["bounds"]

@@ -5,7 +5,7 @@ bound by an import must occur as a name somewhere else in the module, in
 code or in a string annotation.  `__init__.py` is exempt, since its imports
 are the package's re-exports, and so is `from __future__ import annotations`.
 
-`_unit_sum` and `rf_discrepancy` have one caller each, only `serialize`
+`_unit_sum` has two callers and `rf_discrepancy` one, only `serialize`
 defines JSON codecs, no monomial is subtracted (1 - c X^e is
 `LaurentPoly.one_minus`), and every parameter with a default in
 src/gl1zeta/ is set by some call in src/, perfbench/ or tools/, or is
@@ -83,13 +83,16 @@ def _scopes_naming(tree: ast.Module, name: str) -> set[str]:
     return found
 
 
-def test_unit_sum_has_one_caller():
+def test_unit_sum_has_two_callers():
     # one shell-sum kernel for every caller: every psi * chi integral goes
     # through zetagamma.coset_integral, the only code that reads _unit_sum
+    # besides zetagamma.ramified_epsilon, which writes out coset_integral's
+    # product for the eps Gauss shell so that no character is built (pinned
+    # to the coset_integral route with == in test_zetagamma.py)
     callers = {"%s.%s" % (path.stem, scope)
                for path in (ROOT / "src" / "gl1zeta").glob("*.py")
                for scope in _scopes_naming(ast.parse(path.read_text()), "_unit_sum")}
-    assert callers == {"zetagamma.coset_integral"}
+    assert callers == {"zetagamma.coset_integral", "zetagamma.ramified_epsilon"}
 
 
 def test_rf_discrepancy_has_one_caller():

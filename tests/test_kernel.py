@@ -638,6 +638,45 @@ def test_gamma_symbol_component_work_counts(monkeypatch):
                 assert got.den.coeffs == expect.den.coeffs
 
 
+def test_closed_hankel_mellin_builds_no_ramified_character(monkeypatch):
+    # Work counts, no clock: at p = 5, c_max = 2, with chi_pi of conductor 1,
+    # a hankel_mellin whose symbol is new builds one MultChar per unramified
+    # product chi_pi x omega (the character gamma_closed reads) and none per
+    # ramified one, whose eps monomial is read from integers; no shell
+    # integral is called
+    p, c_max = 5, 2
+    chi_pi = MultChar(p, 1, (1,), 0.6 + 0.8j)
+    phi = MultStepFunction(p, [MultTerm(0.3 - 1j, PAdicElt.at(p, -1, 7), 2),
+                               MultTerm(1.2, PAdicElt.at(p, 1, 3), 1),
+                               MultTerm(-0.5j, PAdicElt.at(p, 0, 1), 0)])
+    want = hankel_mellin(phi, gamma_symbol([chi_pi], c_max, p=p))  # fills caches
+    sym = gamma_symbol([chi_pi], c_max, p=p)
+    built, shells = [], []
+    char_init = MultChar.__post_init__
+    shell = zetagamma.shell_psi_chi_integral
+
+    def counting_char_init(self):
+        char_init(self)
+        built.append(self)
+
+    def counting_shell(*args, **kwargs):
+        shells.append(args)
+        return shell(*args, **kwargs)
+
+    monkeypatch.setattr(MultChar, "__post_init__", counting_char_init)
+    monkeypatch.setattr(zetagamma, "shell_psi_chi_integral", counting_shell)
+    got = hankel_mellin(phi, sym)
+    during = list(built)
+    products = [char_product(chi_pi, w) for w in sym.components]
+    unramified = [prod for prod in products if not prod.cond]
+    assert len(unramified) == 1 and len(products) > 10
+    assert during == unramified and shells == []
+    assert list(got.comps) == list(want.comps)
+    for w, comp in got.comps.items():
+        assert comp.num.coeffs == want.comps[w].num.coeffs
+        assert comp.den.coeffs == want.comps[w].den.coeffs
+
+
 def test_mellin_invert_work_counts(monkeypatch):
     # Work counts, no clock: on a Hankel entry (p = 5, c_max = 1, chi_pi
     # ramified) mellin_invert writes its shell table in integers, with no
@@ -885,16 +924,23 @@ def test_trace_average_builds_each_row_once(monkeypatch):
 
 
 def _count_gamma_closed(monkeypatch) -> list:
-    """Record every gamma_closed call, by whichever module makes it."""
+    """Record every closed rank-1 gamma: each gamma_closed call, by whichever
+    module makes it, and each eps monomial a closed symbol builds from
+    integer data (`ramified_epsilon`, called by `kernel`)."""
     calls = []
-    closed = zetagamma.gamma_closed
+    closed, eps = zetagamma.gamma_closed, zetagamma.ramified_epsilon
 
     def counting(chi):
         calls.append(chi)
         return closed(chi)
 
+    def counting_eps(*args):
+        calls.append(args)
+        return eps(*args)
+
     for module in (kernel, zetagamma):
         monkeypatch.setattr(module, "gamma_closed", counting)
+    monkeypatch.setattr(kernel, "ramified_epsilon", counting_eps)
     return calls
 
 

@@ -1,5 +1,6 @@
 """The package's own schema check against jsonschema's Draft 2020-12
-validator, on documents near each shipped schema."""
+validator, on documents near each shipped schema.  The tests that call
+jsonschema skip without it; the others run either way."""
 
 import math
 
@@ -8,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl1zeta import serialize
-
-jsonschema = pytest.importorskip("jsonschema")
 
 REP = {"p": 5, "val": -1, "unit": 7, "prec": 4}
 CHI = {"p": 5, "cond": 2, "unit_char": [3], "t": [0.6, 0.8]}
@@ -92,6 +91,7 @@ def _accepts(doc, name) -> bool:
 
 @pytest.mark.parametrize("name, doc", [*VALID.items(), *(("pi_params", d) for d in OTHER_PI)])
 def test_valid_documents_pass(name, doc):
+    jsonschema = pytest.importorskip("jsonschema")
     assert _accepts(doc, name)
     assert jsonschema.Draft202012Validator(serialize.load_schema(name)).is_valid(doc)
 
@@ -99,6 +99,7 @@ def test_valid_documents_pass(name, doc):
 @settings(max_examples=1500, deadline=None)
 @given(near_documents())
 def test_validate_agrees_with_jsonschema(case):
+    jsonschema = pytest.importorskip("jsonschema")
     name, doc = case
     expected = jsonschema.Draft202012Validator(serialize.load_schema(name)).is_valid(doc)
     assert _accepts(doc, name) == expected
@@ -115,6 +116,7 @@ NUMBER_ONCE = {"oneOf": [{"type": "integer"}, {"type": "number"}]}
     (NUMBER_ONCE, 1.5, True), (NUMBER_ONCE, 2, False),
     ({"minimum": 2, "minItems": 1, "required": ["a"]}, "x", True)])
 def test_draft_2020_12_corner_cases(schema, doc, ok):
+    jsonschema = pytest.importorskip("jsonschema")
     assert (serialize._error(doc, serialize.check_schema(schema), "$") is None) == ok
     assert jsonschema.Draft202012Validator(schema).is_valid(doc) == ok
 

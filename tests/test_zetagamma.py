@@ -11,6 +11,7 @@ from gl1zeta import zetagamma
 from gl1zeta.characters import (MultChar, char_product, trivial_char,
                                 unitary_components, unramified_char)
 from gl1zeta.corpus import random_char, random_mult_step, random_step
+from gl1zeta.kernel import gamma_symbol
 from gl1zeta.padic import PAdicElt, check_prime, psi_value, unit_group
 from gl1zeta.ratfunc import (IdentityReport, LaurentPoly, RationalFunc,
                              rf_discrepancy, rf_dual_subst)
@@ -378,7 +379,7 @@ def test_ramified_gamma_times_its_dual_is_chi_of_minus_one(chi):
 
 def test_ramified_gamma_closed_work_counts(monkeypatch):
     # Work counts, no clock: a ramified closed gamma is its eps monomial, one
-    # RationalFunc, and eps builds one MultChar, the inverse of chi
+    # RationalFunc, and eps builds no MultChar (not even the inverse of chi)
     chi = MultChar(7, 2, (3,), 0.6 - 1.1j)
     gamma_closed(chi)                           # fills the shared caches
     built = Counter()
@@ -388,7 +389,57 @@ def test_ramified_gamma_closed_work_counts(monkeypatch):
             post_init(self)
         monkeypatch.setattr(cls, "__post_init__", counting)
     gamma_closed(chi)
-    assert built == {"RationalFunc": 1, "MultChar": 1}
+    assert built == {"RationalFunc": 1}
+
+
+def _epsilon_by_shell_integral(chi):
+    """(qX)^a times the Gauss shell integral of chi^(-1) on S_{-a} at b = 1,
+    through `shell_psi_chi_integral`: the oracle of `epsilon_factor`."""
+    q, a = chi.p, chi.cond
+    gauss = shell_psi_chi_integral(q, -a, chi.inverse(), b=PAdicElt.one(q))
+    return RationalFunc.monomial(q, a, gauss * float(q) ** a)
+
+
+def _same_coefficients(got, want):
+    return (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+
+
+ORACLE_TS = (1.0, complex(1.0, -0.0), cmath.rect(1.0, 0.7),
+             cmath.rect(1.3, -1.9), 1e-3, 1e3)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_epsilon_factor_keeps_the_values_of_the_shell_integral(p):
+    # == on the coefficients, over every character of conductor 1-3 with
+    # p^cond <= 343: eps is read from integers and t, with chi^(-1)(p^(-a))
+    # from 1/t by the float operations of MultChar.value_at; computing it
+    # as t ** a instead moves bits and fails here
+    chars = [w for w in unitary_components(p, 3) if w.cond and p ** w.cond <= 343]
+    assert len(chars) == {2: 3, 3: 17, 5: 99, 7: 293}[p]
+    for w in chars:
+        for t in ORACLE_TS:
+            chi = MultChar(p, w.cond, w.unit_char, t)
+            assert _same_coefficients(epsilon_factor(chi),
+                                      _epsilon_by_shell_integral(chi)), (w, t)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_closed_symbol_component_is_gamma_closed_of_the_product(p):
+    # the closed component read from integer data, == on the coefficients
+    # against gamma_closed of the built product, for every (chi, omega) of
+    # conductor <= 2, cancelling (unramified) products included
+    omegas = unitary_components(p, 2)
+    cancelling = 0
+    for chi in omegas:
+        for t in (1.0, cmath.rect(1.3, -1.9)):
+            chi_t = MultChar(p, chi.cond, chi.unit_char, t)
+            sym = gamma_symbol([chi_t], 2, p=p)
+            for w in omegas:
+                prod = char_product(chi_t, w)
+                cancelling += bool(chi.cond and not prod.cond)
+                assert _same_coefficients(sym.component(w),
+                                          gamma_closed(prod)), (chi_t, w)
+    assert cancelling == 2 * (len(omegas) - 1)
 
 
 def _gamma_closed_by_factors(chi):

@@ -1,7 +1,7 @@
 """Run the benchmark on two checkouts in alternated pairs; write a BENCH record.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR \\
-        --run WORKLOAD:SEED:PAIRS [--run ...] --claim WORKLOAD:METRIC \\
+        --run WORKLOAD:SEED:PAIRS [--run ...] [--claim WORKLOAD:METRIC] \\
         --what TEXT --out BENCH_name.json
 
 Each pair runs `perfbench/run.py --workload W --seed S --seconds N --trace 0`
@@ -12,12 +12,13 @@ speed does not favour either side.  The record keeps, per workload and
 seed and per end-to-end metric of BENCHMARK.json, every run of each side,
 its median and quartiles (`statistics.quantiles`, inclusive method) and the
 number of pairs that side won, and the number of failed checks summed over
-each side's runs.  Its `verdict` reads those numbers: whether the change
-won at least 9 in 10 pairs of the claimed metric, on each seed of the
-claimed workload, with a median better than the parent's by more than the
-parent's interquartile range and no more failed checks than the parent;
-and whether, for every end-to-end metric on every workload and seed, the
-change's median is within the metric's BENCHMARK.json `bound` of the
+each side's runs.  Its `verdict` reads those numbers: with `--claim`,
+whether the change won at least 9 in 10 pairs of the claimed metric, on
+each seed of the claimed workload, with a median better than the parent's
+by more than the parent's interquartile range and no more failed checks
+than the parent (without `--claim` the record has no `claim` and the
+verdict no `claim` or `claim_holds`); and whether, for every end-to-end
+metric on every workload and seed, the change's median is within the metric's BENCHMARK.json `bound` of the
 parent's, and whether the parent's own spread resolves that bound.
 Standard library only; the benchmark itself is run as it is, from each
 checkout's own files.
@@ -91,13 +92,14 @@ def summarize(workload: str, seed: int, pairs: list[tuple[dict, dict]],
             "metrics": metrics}
 
 
-def verdict(results: list[dict], claim: dict, end_to_end: list[dict]) -> dict:
+def verdict(results: list[dict], claim: dict | None,
+            end_to_end: list[dict]) -> dict:
     """The record's `verdict` on `results` (a list of `summarize` entries).
-    Per seed of the claimed workload, the claimed metric's pairs won and
-    its median gain (parent minus change, by the metric's direction)
-    against the parent's interquartile range: it holds on at least 9 wins
-    in 10 pairs, a gain beyond the range and no more failed checks than the
-    parent's.  Per workload, seed and end-to-end metric, the change's median
+    Unless `claim` is None, per seed of the claimed workload, the claimed
+    metric's pairs won and its median gain (parent minus change, by the
+    metric's direction) against the parent's interquartile range: it holds
+    on at least 9 wins in 10 pairs, a gain beyond the range and no more
+    failed checks than the parent's.  Per workload, seed and end-to-end metric, the change's median
     relative to the parent's, within the bound when it is worse by at most
     `bound` of the parent's median, and resolved when the parent's
     interquartile range is within that bound too, or when every change run
@@ -121,17 +123,21 @@ def verdict(results: list[dict], claim: dict, end_to_end: list[dict]) -> dict:
                 "resolved": iqr <= allowed
                 or max(sign * v for v in change["runs"])
                 < min(sign * v for v in parent["runs"])})
-            if r["workload"] == claim["workload"] and name == claim["metric"]:
+            if (claim is not None and r["workload"] == claim["workload"]
+                    and name == claim["metric"]):
                 claimed.append({
                     "seed": r["seed"], "won": change["won"], "pairs": r["pairs"],
                     "median_gain": gain, "parent_iqr": iqr, "failed": r["failed"],
                     "holds": 10 * change["won"] >= 9 * r["pairs"] and gain > iqr
                     and r["failed"]["change"] <= r["failed"]["parent"]})
+    out = {"bounds": bounds,
+           "all_within_bound": all(b["within"] for b in bounds),
+           "all_resolved": all(b["resolved"] for b in bounds)}
+    if claim is None:
+        return out
     return {"claim": claimed,
             "claim_holds": bool(claimed) and all(c["holds"] for c in claimed),
-            "bounds": bounds,
-            "all_within_bound": all(b["within"] for b in bounds),
-            "all_resolved": all(b["resolved"] for b in bounds)}
+            **out}
 
 
 def _git(tree: Path, *args: str) -> str | None:
@@ -164,7 +170,7 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--run", type=_triple, action="append", required=True,
                     metavar="WORKLOAD:SEED:PAIRS")
-    ap.add_argument("--claim", required=True, metavar="WORKLOAD:METRIC")
+    ap.add_argument("--claim", metavar="WORKLOAD:METRIC")
     ap.add_argument("--what", required=True)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
@@ -187,9 +193,11 @@ def main(argv=None) -> int:
             print("%s seed %d pair %d/%d done" % (workload, seed, i + 1, n_pairs),
                   file=sys.stderr)
         results.append(summarize(workload, seed, pairs, bench["end_to_end"]))
-    workload, metric = args.claim.split(":")
-    claim = {"workload": workload, "metric": metric,
-             "seeds": [r["seed"] for r in results if r["workload"] == workload]}
+    claim = None
+    if args.claim:
+        workload, metric = args.claim.split(":")
+        claim = {"workload": workload, "metric": metric,
+                 "seeds": [r["seed"] for r in results if r["workload"] == workload]}
     record = {
         "what": args.what,
         "parent": _git(trees["parent"], "rev-parse", "HEAD"),
@@ -197,7 +205,7 @@ def main(argv=None) -> int:
         "host": "%d CPUs, %s, Python %s" % (
             os.cpu_count() or 0, platform.machine(), platform.python_version()),
         "method": METHOD,
-        "claim": claim,
+        **({"claim": claim} if claim is not None else {}),
         "results": results,
         "verdict": verdict(results, claim, bench["end_to_end"]),
     }

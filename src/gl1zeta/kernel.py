@@ -30,17 +30,19 @@ from Satake parameters, one component at a time as it is read; both routes
 exist (and are compared) at n = 1.  Every gamma(s, pi x omega, psi) of the
 package is read from a symbol, the only product of rank-1 gamma factors.
 
-The convolution route runs on integers.  `hankel_convolve` forms each
-x * rep as a (valuation, unit) pair, and `kernel_coset_integral` hands those
-integers to `zetagamma.coset_integral`, the package's one integer-coordinate
-psi * chi integral, at every level (level 0, a whole shell, is its k = 0
-case); no second summation loop lives here.  Within one
-`hankel_convolve` call each coset integral is computed once per key
-(valuation, unit mod p^max(cond, d), level), d = max(0, -valuation); the
-memo belongs to the call.  An input shell below the kernel's support (the
-rule `zetagamma.vanishes_by_oscillation`: its integrals are all 0) is
-skipped.  `PAdicElt` appears only as the rows' representatives, each the
-shared `PAdicElt.at(p, m, u)`, built once per process.
+The convolution route runs on integers.  The coset integral at x * rep
+depends only on the key (valuation, unit mod p^max(cond, d), level),
+d = max(0, -valuation), and `hankel_convolve` reads it from one kernel row
+per (valuation, level) of the input shells, built once per call (the memo
+belongs to the call) and indexed by the unit mod p^max(cond, d).  A level-0
+row, a whole shell, is one `kernel_coset_integral` call, whose value serves
+every unit; a row at level >= 1 takes chi^(-1) from one power of t and one
+`characters.unit_values` table and hands its (value, psi residue) pairs to
+`zetagamma.coset_values`, the one reader of the shell-sum kernel, so no
+second summation loop lives here.  An input shell below the kernel's
+support (the rule `zetagamma.vanishes_by_oscillation`: its integrals are
+all 0) is skipped.  `PAdicElt` appears only as the rows' representatives,
+each the shared `PAdicElt.at(p, m, u)`, built once per process.
 
 `trace_average_check` is the finite verifier of the vanishing lemma for
 averages of psi(tr(g h)) over principal congruence subgroups of SL_2; it
@@ -59,15 +61,16 @@ from functools import cached_property, reduce
 from math import gcd, log2
 from operator import mul
 
-from .characters import MultChar, char_product, product_data, unramified_char
+from .characters import (MultChar, char_product, product_data,
+                         unit_values, unramified_char)
 from .defaults import DEFAULT_PREC
 from .padic import PAdicElt, check_prime, psi_value, unit_residues
 from .ratfunc import (IdentityReport, RationalFunc, rf_reflected_product,
                       root_of_unity)
 from .stepfn import MellinData, MultStepFunction, mellin
-from .zetagamma import (coset_integral, gamma_closed, gamma_pv_total,
-                        normalize_pi, ramified_epsilon, vanishes_by_oscillation,
-                        verify_fe)
+from .zetagamma import (coset_integral, coset_values, gamma_closed,
+                        gamma_pv_total, normalize_pi, ramified_epsilon,
+                        vanishes_by_oscillation, verify_fe)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +301,10 @@ def hankel_component(sym: GammaSymbol, m_in: RationalFunc,
 
 def hankel_mellin(phi: MultStepFunction, sym: GammaSymbol) -> MellinData:
     """Mellin data of F_pi(phi), one `hankel_component` per nonzero
-    component of M(phi)."""
+    component of M(phi); phi and the symbol at different primes is a
+    ValueError, as in `hankel_convolve`."""
+    if sym.p != phi.p:
+        raise ValueError("mixed primes %d, %d" % (phi.p, sym.p))
     md = mellin(phi, sym.c_max)
     out = MellinData(phi.p, md.c_max)
     for w, m_in in md.comps.items():
@@ -335,6 +341,33 @@ def kernel_coset_integral(k: Gl1Kernel, val: int, unit: int,
     return value * float(k.p) ** (-val / 2.0)
 
 
+def _kernel_row(k: Gl1Kernel, val: int, level: int) -> list[complex]:
+    """`kernel_coset_integral(k, val, r, level)` at index r for every unit
+    r mod p^max(cond, d), d = max(0, -val) (no non-unit entry is read): the
+    integral sees the unit only through chi^(-1)(r) and psi's residue
+    r mod p^d.  At level 0 it is one call, whose value serves every unit.
+    At level >= 1 it is read from integers: chi^(-1)(p^val r) is one power
+    of t times one `unit_values` entry, by the float operations of
+    `MultChar.value_at`, and `coset_values` forms the products, so the
+    values are the same."""
+    chi = k.chi_inv
+    p, cond, t = chi.p, chi.cond, chi.t
+    d = max(0, -val)
+    mod = p ** max(cond, d)
+    if level == 0:
+        return [kernel_coset_integral(k, val, 1, 0)] * mod
+    power = t ** val if val >= 0 else (1.0 / t) ** (-val)
+    values = unit_values(p, cond, chi.unit_char)
+    units = unit_residues(p, max(cond, d))
+    pairs = [(power * values[u % len(values)] if cond else power, u % p ** d)
+             for u in units]
+    scale = float(p) ** (-val / 2.0)
+    row = [0j] * mod
+    for u, value in zip(units, coset_values(p, cond, chi.unit_char, level, d, pairs)):
+        row[u % mod] = value * scale
+    return row
+
+
 def hankel_convolve(phi: MultStepFunction, k: Gl1Kernel,
                     m_lo: int, m_hi: int, level: int) -> ShellTable:
     """(k * phi^v)(x) = int k(y) phi(x^(-1) y) dy* on the shell window.
@@ -342,39 +375,42 @@ def hankel_convolve(phi: MultStepFunction, k: Gl1Kernel,
     Values are reported on 1+p^level cosets, level at least phi's coset
     level (a coarser row would mix values).  The coset integral at
     a = x * rep depends on a only through its valuation and its unit mod
-    p^max(cond, d), d = max(0, -v(a)), so each call computes it once per
-    such key; the memo lives for the call.  An input shell on which
-    `vanishes_by_oscillation` holds adds only zeros and is skipped; each row
-    adds the other terms in phi's coset order.  The rows' representatives
-    are the shared `PAdicElt.at`.
+    p^max(cond, d), d = max(0, -v(a)), so each call builds one `_kernel_row`
+    per (valuation, level) of the input shells and reads each coset's value
+    from it at (unit * rep_unit) mod p^max(cond, d); the memo lives for the
+    call.  An input shell on which `vanishes_by_oscillation` holds adds only
+    zeros and is skipped; each row adds the other terms in phi's coset
+    order.  The rows' representatives are the shared `PAdicElt.at`.  An
+    empty window (m_lo > m_hi) is a ValueError.
     """
     p = phi.p
     if k.p != p:
         raise ValueError("mixed primes %d, %d" % (p, k.p))
+    if m_lo > m_hi:
+        raise ValueError("empty window [%d, %d]" % (m_lo, m_hi))
     if level < phi.max_level():
         raise ValueError("level %d below the function's coset level %d"
                          % (level, phi.max_level()))
     cond = k.chi.cond
     units = unit_residues(p, level)
-    memo: dict[tuple[int, int, int], complex] = {}
+    at = PAdicElt.at
+    memo: dict[tuple[int, int], list[complex]] = {}
     rows: list[tuple[int, PAdicElt, complex]] = []
     for m in range(m_lo, m_hi + 1):
         totals = [0.0 + 0.0j] * len(units)
         for rep_val, (rep_k, coeffs) in phi._shells.items():
             val = m + rep_val
-            if vanishes_by_oscillation(-val, cond, rep_k):
+            # only a negative valuation puts psi below the kernel's support
+            if val < 0 and vanishes_by_oscillation(-val, cond, rep_k):
                 continue
-            mod = p ** max(cond, -val)
+            row = memo.get((val, rep_k))
+            if row is None:
+                row = memo[val, rep_k] = _kernel_row(k, val, rep_k)
+            mod = len(row)
             for rep_unit, coeff in coeffs.items():
                 for i, u in enumerate(units):
-                    unit = u * rep_unit
-                    key = (val, unit % mod, rep_k)
-                    value = memo.get(key)
-                    if value is None:
-                        value = memo[key] = kernel_coset_integral(k, val, unit, rep_k)
-                    totals[i] += coeff * value
-        rows.extend((m, PAdicElt.at(p, m, u), total)
-                    for u, total in zip(units, totals))
+                    totals[i] += coeff * row[u * rep_unit % mod]
+        rows.extend((m, at(p, m, u), total) for u, total in zip(units, totals))
     return ShellTable(p, level, rows)
 
 

@@ -441,8 +441,11 @@ def mellin_invert(d: MellinData, m_lo: int, m_hi: int, c_max: int) -> MultStepFu
     cosets, by finite character sums against the series coefficients.
 
     Exact left-inverse of `mellin` on the window.  The values are written
-    into a shell table, with no `MultTerm` and no `PAdicElt`.
+    into a shell table, with no `MultTerm` and no `PAdicElt`.  An empty
+    window (m_lo > m_hi) is a ValueError.
     """
+    if m_lo > m_hi:
+        raise ValueError("empty window [%d, %d]" % (m_lo, m_hi))
     for omega, rf in d.comps.items():
         if omega.cond > c_max and not rf.is_zero():
             raise ValueError("nonzero component of conductor %d exceeds c_max %d"

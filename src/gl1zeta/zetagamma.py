@@ -23,9 +23,11 @@ Everything is exact in X = q^(-s):
   is Tate's local functional equation read in X = q^(-s).
 
 Every coset and shell integral of psi(b*y) chi(y), here and in `kernel`, is
-`coset_integral`, on integer coordinates; a shell is its k = 0 case, and
-`ramified_epsilon` writes out its product on the eps Gauss shell, with no
-character built.  Their one kernel `_unit_sum` loops over the units with
+`coset_values` on integer coordinates, the one reader of the kernel
+`_unit_sum`: `coset_integral` passes it one (chi value, psi residue) pair
+(a shell is its k = 0 case), `ramified_epsilon` the pair of the eps Gauss
+shell, with no character built, and `kernel.hankel_convolve` a row of
+pairs, one per unit residue.  `_unit_sum` loops over the units with
 integer psi phases, in blocks of (unit residue, chi value) pairs read once
 from the value table `characters.unit_values`, with psi evaluated by one
 `cmath.rect` per unit.  It is memoized on its exact integer inputs, which
@@ -139,8 +141,6 @@ def coset_integral(chi: MultChar, k: int, val: int, unit: int, prec: int,
             if cond:
                 return 0.0 + 0.0j
             return chi.value_at(val, unit, prec) * shell_volume(p)
-    level = max(k, 1, cond, d)
-    vol = float(p) ** (-level)
     chi_rep = chi.value_at(val, unit, prec)
     r = 0  # psi(b*y) = root_of_unity(r*u, p^d) on the units u of the sum
     if d:
@@ -148,7 +148,19 @@ def coset_integral(chi: MultChar, k: int, val: int, unit: int, prec: int,
             raise PrecisionError("psi needs %d digits below the point, "
                                  "element carries %d" % (d, twist_prec))
         r = twist % p ** d
-    return chi_rep * vol * _unit_sum(p, cond, chi.unit_char, k, level, d, r)
+    return coset_values(p, cond, chi.unit_char, k, d, [(chi_rep, r)])[0]
+
+
+def coset_values(p: int, cond: int, unit_char: tuple[int, ...], k: int,
+                 d: int, pairs: list[tuple[complex, int]]) -> list[complex]:
+    """`coset_integral`'s product chi_rep * vol * `_unit_sum` for each
+    (chi_rep, r) in `pairs`: chi_rep the value of chi at the coset's point,
+    r the psi residue mod p^d, at level max(k, 1, cond, d) and volume
+    p^(-level).  The one reader of `_unit_sum`."""
+    level = max(k, 1, cond, d)
+    vol = float(p) ** (-level)
+    return [chi_rep * vol * _unit_sum(p, cond, unit_char, k, level, d, r)
+            for chi_rep, r in pairs]
 
 
 def psi_chi_coset_integral(rep: PAdicElt, k: int, chi: MultChar,
@@ -303,7 +315,7 @@ def ramified_epsilon(q: int, a: int, unit_char: tuple[int, ...],
     of `MultChar.value_at`, so the same values, and no MultChar built."""
     inv = _unitary_inverse(q, a, unit_char).unit_char
     chi_rep = (1.0 / (1.0 / t)) ** a * unit_values(q, a, inv)[1]
-    gauss = chi_rep * float(q) ** (-a) * _unit_sum(q, a, inv, 0, a, a, 1)
+    gauss = coset_values(q, a, inv, 0, a, [(chi_rep, 1)])[0]
     return RationalFunc.monomial(q, a, gauss * float(q) ** a)
 
 

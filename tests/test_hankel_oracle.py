@@ -19,7 +19,7 @@ from gl1zeta.ratfunc import rf_series_coeffs
 from gl1zeta.stepfn import MultStepFunction, MultTerm, mellin, mellin_invert
 from gl1zeta.zetagamma import psi_chi_coset_integral, shell_psi_chi_integral
 
-PRIMES = [2, 3, 5, 7]
+PRIMES = [2, 3, 5, 7, 11, 13]
 MAX_GRID = 125          # bound on p^level, the units of one shell's grid
 
 
@@ -88,9 +88,10 @@ def _outcome(fn, *args):
 
 @st.composite
 def characters(draw, p):
-    """A character at p of exact conductor <= 2, its t unitary or not."""
-    cond = draw(st.integers(0, 2))
-    assume(not (p == 2 and cond == 1))
+    """A character at p of exact conductor <= 3 with p^cond <= MAX_GRID,
+    its t unitary or not."""
+    cond = draw(st.integers(0, 3))
+    assume(p ** cond <= MAX_GRID and not (p == 2 and cond == 1))
     t = complex(draw(st.sampled_from([1.0, 0.5, -1.7, 0.6 + 0.8j, 2j, 3 - 1j])))
     if cond == 0:
         return MultChar(p, 0, (), t)

@@ -19,9 +19,9 @@ from gl1zeta.defaults import DEFAULT_PREC
 from gl1zeta.padic import PAdicElt, unit_residues
 from gl1zeta.ratfunc import (IdentityReport, RationalFunc, rf_discrepancy,
                              rf_dual_subst, rf_reflected_product)
-from gl1zeta.stepfn import (MultStepFunction, MultTerm, delta_approximant,
-                            indicator_ball, mellin, mellin_invert,
-                            unit_indicator)
+from gl1zeta.stepfn import (MellinData, MultStepFunction, MultTerm,
+                            delta_approximant, indicator_ball, mellin,
+                            mellin_invert, unit_indicator)
 from gl1zeta.zetagamma import (gamma_closed, gamma_pv, l_factor_satake,
                                normalize_pi)
 
@@ -494,12 +494,14 @@ def test_check_fails_on_a_wrong_gamma(monkeypatch, name):
 
 def test_hankel_convolve_work_counts(monkeypatch):
     # Work counts, no clock.  A repeated call builds no PAdicElt (the row
-    # representatives are shared) and computes one coset integral per
-    # distinct key (valuation, unit mod p^max(cond, d), level), d = -valuation,
-    # of the input shells it does not skip.  Every key of the plain loop over
-    # all (row, coset) pairs that it skips lies below the kernel's support,
-    # d > max(cond, level, 1), and brute-sums to 0 within the roundoff bound
-    # gamma_(n+40) * mass of its n-term unit sum (as `_guard_roundoff`).
+    # representatives are shared) and one kernel row per (valuation, level)
+    # of the input shells it does not skip; the rows' entries are the
+    # distinct keys (valuation, unit mod p^max(cond, d), level), d =
+    # -valuation, each computed once, and a level-0 row is one integral.
+    # Every key of the plain loop over all (row, coset) pairs that it skips
+    # lies below the kernel's support, d > max(cond, level, 1), and
+    # brute-sums to 0 within the roundoff bound gamma_(n+40) * mass of its
+    # n-term unit sum (as `_guard_roundoff`).
     p = 3
     chi = MultChar(p, 1, (1,), 1.3 - 0.4j)
     phi = MultStepFunction(p, [
@@ -508,23 +510,33 @@ def test_hankel_convolve_work_counts(monkeypatch):
         MultTerm(2.0, PAdicElt(p, 0, 1, 24), 0)])
     kern = Gl1Kernel(chi)
     hankel_convolve(phi, kern, -5, 5, level=2)   # fills the shared caches
-    built, keys = [], []
+    built, rows, calls = [], [], []
     post_init = PAdicElt.__post_init__
 
     def counting_post_init(self):
         built.append(self)
         post_init(self)
 
+    def counting_row(k, val, level):
+        row = kernel_row(k, val, level)
+        rows.append((val, level, row))
+        return row
+
     def counting_integral(k, val, unit, level):
-        keys.append((val, unit % p ** max(chi.cond, -val), level))
+        calls.append((val, unit, level))
         return coset_integral(k, val, unit, level)
 
-    coset_integral = kernel.kernel_coset_integral
+    kernel_row, coset_integral = kernel._kernel_row, kernel.kernel_coset_integral
     monkeypatch.setattr(PAdicElt, "__post_init__", counting_post_init)
+    monkeypatch.setattr(kernel, "_kernel_row", counting_row)
     monkeypatch.setattr(kernel, "kernel_coset_integral", counting_integral)
     table = hankel_convolve(phi, kern, -5, 5, level=2)
     assert len(table.rows) == 11 * 6 and built == []
+    assert len(rows) == len({(val, level) for val, level, _ in rows}) == 22
+    keys = [(val, r, level) for val, level, row in rows for r in _unit_slots(p, row)]
     assert len(keys) == len(set(keys)) == 48
+    assert calls == [(val, 1, 0) for val, level, _ in rows if level == 0]
+    assert len(calls) == 7
     every = set()          # the keys of the plain loop, 66 rows x 3 cosets
     for m in range(-5, 6):
         for u in unit_residues(p, 2):
@@ -544,6 +556,71 @@ def test_hankel_convolve_work_counts(monkeypatch):
         mass = n * p ** -top * abs(kern.chi_inv.value_at(val, unit, DEFAULT_PREC))
         nc = (n + 40) * 2.0 ** -53
         assert abs(value) <= nc / (1 - nc) * mass, (val, unit, level, value)
+
+
+def _unit_slots(p: int, row: list[complex]) -> list[int]:
+    """The indices of a kernel row that hold values: the units mod len(row),
+    a power of p (0 alone when it is 1)."""
+    mod = len(row)
+    return [r % mod for r in range(1, mod + 1) if r % p]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_kernel_rows_keep_the_values_of_the_coset_integral(p):
+    # == against kernel_coset_integral at two units congruent to each entry's
+    # residue (r and r + p^max(cond, d)), for every row hankel_convolve can
+    # build at val in [-4, 3] and level 0-3 (rows below the kernel's support
+    # are skipped there), t unitary and not.  A row has one slot per residue
+    # mod p^max(cond, d); the slots of non-units are never read.  Every
+    # character of conductor <= 3 with p^cond <= 343, except that at p = 7
+    # only every 8th of the 252 of conductor 3 is taken, and rows mod 125
+    # and 343 are compared at every (mod // 20)-th unit (6 and 17, both
+    # prime to p); smaller rows at every unit.  Whole, p = 7 took 29 s.
+    # chi^(-1)(p^val) computed as t ** val for val < 0, instead of
+    # (1/t) ** (-val) as MultChar.value_at does, fails here.
+    chars = [w for w in unitary_components(p, 3) if p ** w.cond <= 343]
+    chars = ([w for w in chars if w.cond < 3]
+             + [w for w in chars if w.cond == 3][::8 if p == 7 else 1])
+    assert len(chars) == {2: 4, 3: 18, 5: 100, 7: 74}[p]
+    for w in chars:
+        for t in (cmath.rect(1.0, 0.7), cmath.rect(1.3, -1.9)):
+            kern = Gl1Kernel(MultChar(p, w.cond, w.unit_char, t))
+            for val in range(-4, 4):
+                mod = p ** max(w.cond, -val, 0)
+                for level in range(4):
+                    if zetagamma.vanishes_by_oscillation(-val, w.cond, level):
+                        continue
+                    row = kernel._kernel_row(kern, val, level)
+                    assert len(row) == mod, (w, val, level)
+                    for r in _unit_slots(p, row)[::1 if mod < 100 else mod // 20]:
+                        for u in (r or mod, r + mod):
+                            assert kernel.kernel_coset_integral(
+                                kern, val, u, level) == row[r], (w, t, val, level, u)
+
+
+def test_hankel_routes_refuse_mixed_primes():
+    # phi at p = 3 against a kernel and a gamma symbol at p = 5: both routes
+    # refuse with the same ValueError, before reading any symbol component
+    phi = unit_indicator(3)
+    chi = trivial_char(5)
+    with pytest.raises(ValueError, match="mixed primes 3, 5"):
+        hankel_convolve(phi, Gl1Kernel(chi), -2, 2, level=0)
+    sym = gamma_symbol([chi], 1, p=5)
+    with pytest.raises(ValueError, match="mixed primes 3, 5"):
+        hankel_mellin(phi, sym)
+    assert sym.components == {}
+
+
+@pytest.mark.parametrize("p, c", ((3, 1), (5, 2)))
+def test_empty_window_is_refused(p, c):
+    # m_lo > m_hi is a ValueError on both routes, whatever the data, as the
+    # CLI refuses it with hankel/shells
+    phi = unit_indicator(p)
+    with pytest.raises(ValueError, match=r"empty window \[2, 1\]"):
+        hankel_convolve(phi, Gl1Kernel(trivial_char(p)), 2, 1, level=c)
+    for data in (MellinData(p, c), mellin(phi, c)):
+        with pytest.raises(ValueError, match=r"empty window \[2, 1\]"):
+            mellin_invert(data, 2, 1, c)
 
 
 def test_hankel_check_work_counts(monkeypatch):
@@ -698,9 +775,9 @@ def test_mellin_invert_work_counts(monkeypatch):
 
 
 def test_kernel_coset_integral_depends_on_the_memo_key_alone():
-    # hankel_convolve keeps the first value computed for each key (valuation,
-    # unit mod p^max(cond, -valuation), level), so units congruent modulo
-    # that power must give the same bits, at every level
+    # a row of hankel_convolve holds one value per key (valuation, unit mod
+    # p^max(cond, -valuation), level), so units congruent modulo that power
+    # must give the same bits, at every level
     rng = random.Random(61)
     for p in (3, 5):
         for omega in unitary_components(p, 2):
